@@ -9,11 +9,10 @@ and screened for anomalies.
 from .anomaly import (
     AnomalyGroup,
     AnomalyParams,
-    anomaly_distance,
     detect_anomaly_groups,
     score_and_merge,
 )
-from .delaunay import Triangulation, edge_lengths, triangulate
+from .delaunay import Triangulation, triangulate
 from .errors import (
     CollinearError,
     ConfigError,
@@ -22,11 +21,11 @@ from .errors import (
     IoError,
     LengthMismatchError,
     NonFiniteError,
+    NumericalError,
     ParseError,
     ShapeMismatchError,
     TooFewPointsError,
     TriclusterError,
-    ZeroDistanceError,
 )
 from .io import load_labels, load_matrix, save_labels, save_matrix
 from .merging import Representatives, compute_representatives, merge_clusters
@@ -62,14 +61,13 @@ __all__ = [
     "AnomalyGroup", "AnomalyParams", "ClusterParams", "ClusteringResult",
     "CollinearError", "ConfigError", "DegenerateError", "DelaunayClusterer",
     "EdgeGraph", "Embedding", "EmptyError", "IoError", "LengthMismatchError",
-    "NonFiniteError", "ParseError", "PruneResult", "Representatives",
-    "RobustStats", "ShapeMismatchError", "SynthConfig", "TooFewPointsError",
-    "TriangleSizes", "Triangulation", "TriclusterError", "ZeroDistanceError",
-    "anomaly_distance", "anomaly_prf", "ari", "compute_representatives",
-    "connected_components", "detect_anomaly_groups", "edge_lengths",
-    "fit_predict", "generate", "generate_backprojection_demo",
-    "generate_degradation_pair", "import_embedding", "load_labels",
-    "load_matrix", "merge_clusters", "nmi", "pca2", "prune",
-    "prune_threshold", "robust_z", "save_labels", "save_matrix",
-    "score_and_merge", "triangle_sizes", "triangulate",
+    "NonFiniteError", "NumericalError", "ParseError", "PruneResult",
+    "Representatives", "RobustStats", "ShapeMismatchError", "SynthConfig",
+    "TooFewPointsError", "TriangleSizes", "Triangulation", "TriclusterError",
+    "anomaly_prf", "ari", "compute_representatives", "connected_components",
+    "detect_anomaly_groups", "fit_predict", "generate",
+    "generate_backprojection_demo", "generate_degradation_pair",
+    "import_embedding", "load_labels", "load_matrix", "merge_clusters", "nmi",
+    "pca2", "prune", "prune_threshold", "robust_z", "save_labels",
+    "save_matrix", "score_and_merge", "triangle_sizes", "triangulate",
 ]

@@ -21,26 +21,23 @@ to +inf (never merge) and 0 to -inf (always merge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .delaunay import Triangulation
-from .errors import ZeroDistanceError
-from .pruning import triangle_sizes
+from .pruning import TriangleSizes, group_by_label
 
 
 @dataclass
 class AnomalyGroup:
     point_indices: list        # vertex ids sharing one small pre-merge cluster
-    neighbor_edges: list = field(default_factory=list)  # (p, q) pairs, q outside
 
 
 @dataclass(frozen=True)
 class AnomalyParams:
     tau: int = 3
     anomaly_sensitivity: float = 1.0
-    size_mode: str = "max_edge"
 
 
 @dataclass(frozen=True)
@@ -59,123 +56,99 @@ def detect_anomaly_groups(labels, tau: int) -> list[AnomalyGroup]:
     Groups are ordered by their minimum point index.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    groups = []
-    for cid in np.unique(labels[labels >= 0]):
-        members = np.where(labels == cid)[0]
-        if len(members) <= tau:
-            groups.append(AnomalyGroup(point_indices=[int(m) for m in members]))
-    groups.sort(key=lambda g: min(g.point_indices))
-    return groups
+    _, order, starts, counts = group_by_label(labels)
+    small = np.flatnonzero(counts <= tau)
+    small = small[np.argsort(order[starts[small]])]  # by minimum member
+    return [
+        AnomalyGroup(point_indices=order[b:b + c].tolist())
+        for b, c in zip(starts[small].tolist(), counts[small].tolist())
+    ]
 
 
-def anomaly_distance(p: int, q: int, original, proj, alpha: float) -> float:
-    """max of the alpha-scaled original distance and the projected distance."""
-    orig = np.asarray(getattr(original, "coords", original), dtype=np.float64)
-    if orig.ndim == 1:
-        orig = orig.reshape(-1, 1)
-    prj = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
-    d_orig = float(np.linalg.norm(orig[p] - orig[q]))
-    d_proj = float(np.linalg.norm(prj[p] - prj[q]))
-    d = max(alpha * d_orig, d_proj)
-    if d == 0.0:
-        raise ZeroDistanceError(f"points {p} and {q} coincide in both spaces")
-    return d
-
-
-def score_and_merge(groups, labels, tri: Triangulation, original, proj,
+def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
                     params: AnomalyParams):
     """Merge each group into its best-scoring neighbor cluster, or keep -1.
 
-    Scores are computed against the pre-merge cluster labels for every
-    group before any label is applied, so the outcome is independent of
-    processing order. Returns (labels, decisions) where decisions carry
-    the per-group diagnostics.
+    ``sizes`` are the stage-one triangle sizes of ``tri``; their edge
+    lengths give the distances. Scores are computed against the
+    pre-merge cluster labels for every group before any label is
+    applied, so the outcome is independent of processing order. Returns
+    (labels, decisions) where decisions carry the per-group diagnostics.
     """
     labels = np.asarray(labels, dtype=np.int64).copy()
-    orig = np.asarray(getattr(original, "coords", original), dtype=np.float64)
-    if orig.ndim == 1:
-        orig = orig.reshape(-1, 1)
-    prj = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
-
-    anomaly_points = set()
-    for g in groups:
-        anomaly_points.update(g.point_indices)
+    group_of = np.full(len(labels), -1, dtype=np.int64)
+    for gid, g in enumerate(groups):
+        group_of[g.point_indices] = gid
     pre_labels = labels.copy()
-    for p in anomaly_points:
-        labels[p] = -1
+    labels[group_of >= 0] = -1
 
     if not groups:
         return labels, []
 
-    sizes = triangle_sizes(tri, orig, prj, mode=params.size_mode)
     med_proj = float(np.median(sizes.sizes_proj)) if len(sizes.sizes_proj) else 0.0
     med_orig = float(np.median(sizes.sizes)) if len(sizes.sizes) else 0.0
     alpha = med_proj / med_orig if med_orig > 0 else 1.0
     mu = float(sizes.sizes_proj.mean()) if len(sizes.sizes_proj) else 0.0
     dist_floor = 1e-12 * (med_proj if med_proj > 0 else 1.0)
 
-    neighbors = {}
-    for a, b in tri.edges:
-        neighbors.setdefault(int(a), []).append(int(b))
-        neighbors.setdefault(int(b), []).append(int(a))
+    # directed edges (p, q) leaving a group, sorted by (p, q): the order
+    # in which each group's sums are accumulated
+    e = len(tri.edges)
+    p = np.concatenate([tri.edges[:, 0], tri.edges[:, 1]])
+    q = np.concatenate([tri.edges[:, 1], tri.edges[:, 0]])
+    edge = np.tile(np.arange(e), 2)
+    leaving = (group_of[p] >= 0) & (group_of[q] != group_of[p])
+    p, q, edge = p[leaving], q[leaving], edge[leaving]
+    order = np.lexsort((q, p))
+    p, q, edge = p[order], q[order], edge[order]
+    gid = group_of[p]
+    n_edges = np.bincount(gid, minlength=len(groups))
 
-    rows = tri.unique_rows
-
-    # score every (group, cluster) candidate against pre-merge labels
-    group_scores = []
-    all_scores = []
-    for g in groups:
-        in_group = set(g.point_indices)
-        g.neighbor_edges = []
-        inv_sums = {}
-        n_edges = 0
-        for p in sorted(in_group):
-            for q in neighbors.get(p, ()):
-                if q in in_group:
-                    continue
-                g.neighbor_edges.append((p, q))
-                n_edges += 1
-                cid = int(pre_labels[q])
-                if cid < 0 or q in anomaly_points:
-                    continue
-                d_orig = float(np.linalg.norm(orig[rows[p]] - orig[rows[q]]))
-                d_proj = float(np.linalg.norm(prj[rows[p]] - prj[rows[q]]))
-                d = max(alpha * d_orig, d_proj, dist_floor)
-                inv_sums[cid] = inv_sums.get(cid, 0.0) + 1.0 / d
-        scores = {
-            cid: (mu / n_edges) * total for cid, total in inv_sums.items()
-        } if n_edges else {}
-        group_scores.append(scores)
-        all_scores.extend(scores.values())
+    # candidate (group, cluster) scores from edges into non-anomaly clusters
+    cid = pre_labels[q]
+    scoring = (cid >= 0) & (group_of[q] < 0)
+    gid, cid, edge = gid[scoring], cid[scoring], edge[scoring]
+    d = np.maximum(np.maximum(alpha * sizes.edge_len[edge],
+                              sizes.edge_len_proj[edge]), dist_floor)
+    n_ids = max(int(pre_labels.max()) + 1, 1)
+    pair, pair_of_edge = np.unique(gid * n_ids + cid, return_inverse=True)
+    cand_group, cand_cluster = pair // n_ids, pair % n_ids
+    inv_sums = np.bincount(pair_of_edge, weights=1.0 / d, minlength=len(pair))
+    scores = (mu / n_edges[cand_group]) * inv_sums
 
     sens = float(params.anomaly_sensitivity)
     if sens >= 1.0:
         delta = np.inf
     elif sens <= 0.0:
         delta = -np.inf
-    elif all_scores:
-        delta = float(np.quantile(np.asarray(all_scores), sens))
+    elif len(scores):
+        delta = float(np.quantile(scores, sens))
     else:
         delta = np.inf
 
-    decisions = []
-    for gid, (g, scores) in enumerate(zip(groups, group_scores)):
-        best_cluster = -1
-        best_score = -np.inf
-        for cid in sorted(scores):  # ascending id: ties go to the smaller id
-            if scores[cid] > best_score:
-                best_score = scores[cid]
-                best_cluster = cid
-        merged = best_cluster >= 0 and best_score > delta
-        if merged:
-            for p in g.point_indices:
-                labels[p] = best_cluster
-        decisions.append(GroupDecision(
-            group_id=gid,
+    # best candidate per group: highest score, ties to the smaller id
+    best_cluster = np.full(len(groups), -1, dtype=np.int64)
+    best_score = np.full(len(groups), np.nan)
+    rank = np.lexsort((cand_cluster, -scores, cand_group))
+    first = rank[np.flatnonzero(np.diff(cand_group[rank], prepend=-1))]
+    best_cluster[cand_group[first]] = cand_cluster[first]
+    best_score[cand_group[first]] = scores[first]
+    merged = (best_cluster >= 0) & (best_score > delta)
+
+    joined = group_of >= 0
+    joined[joined] = merged[group_of[joined]]
+    labels[joined] = best_cluster[group_of[joined]]
+    decisions = [
+        GroupDecision(
+            group_id=i,
             point_indices=tuple(g.point_indices),
-            best_cluster=best_cluster,
-            best_score=best_score if np.isfinite(best_score) else float("nan"),
+            best_cluster=c,
+            best_score=sc,
             delta=delta,
-            merged=merged,
-        ))
+            merged=m,
+        )
+        for i, (g, c, sc, m) in enumerate(zip(
+            groups, best_cluster.tolist(), best_score.tolist(),
+            merged.tolist()))
+    ]
     return labels, decisions

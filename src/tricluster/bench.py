@@ -122,9 +122,7 @@ def _run_one(spec: BenchSpec, rep: int, seed: int, svg_dir):
     for key in TIMING_KEYS:
         row[key] = result.diagnostics.get(key, float("nan"))
     if svg_dir is not None:
-        from .projection import pca2
-        emb = pca2(data)
-        scatter_svg(emb.coords, result.labels,
+        scatter_svg(result.diagnostics["embedding"].coords, result.labels,
                     f"{svg_dir}/{spec.name}_{rep}.svg")
     return row
 

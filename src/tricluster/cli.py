@@ -20,8 +20,9 @@ from . import bench as bench_mod
 from . import io
 from . import metrics
 from .errors import TriclusterError
-from .pipeline import ClusterParams, fit_predict
+from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
+from .pruning import SIZE_MODES
 from .svg import scatter_svg
 from .synthgen import SynthConfig, generate
 
@@ -39,24 +40,30 @@ def _emit(obj):
 
 
 def _add_param_flags(p):
-    p.add_argument("--prune", type=float, default=0.3,
-                   help="pruning factor sigma_f (default 0.3)")
-    p.add_argument("--merge", type=float, default=-0.8,
-                   help="merge factor lambda (default -0.8)")
-    p.add_argument("--sensitivity", type=float, default=0.99,
-                   help="anomaly sensitivity in [0,1] (default 0.99)")
-    p.add_argument("--tau", type=int, default=3,
+    d = PARAM_DEFAULTS
+    p.add_argument("--prune", type=float, default=d["prune_param"],
+                   help=f"pruning factor sigma_f (default {d['prune_param']})")
+    p.add_argument("--merge", type=float, default=d["merge_param"],
+                   help=f"merge factor lambda (default {d['merge_param']})")
+    p.add_argument("--sensitivity", type=float,
+                   default=d["anomaly_sensitivity"],
+                   help="anomaly sensitivity in [0,1] "
+                        f"(default {d['anomaly_sensitivity']})")
+    p.add_argument("--tau", type=int, default=d["tau"],
                    help="max cluster size treated as an anomaly group")
-    p.add_argument("--size-mode", default="max_edge",
-                   choices=("max_edge", "sum_edges", "min_edge"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-merge", action="store_true",
+    p.add_argument("--size-mode", default=d["size_mode"], choices=SIZE_MODES)
+    p.add_argument("--seed", type=int, default=d["seed"])
+    p.add_argument("--no-merge", dest="merging_enabled", action="store_false",
+                   default=d["merging_enabled"],
                    help="disable the cluster-merge stage")
-    p.add_argument("--proj-off", action="store_true",
+    p.add_argument("--proj-off", dest="back_projection",
+                   action="store_false", default=d["back_projection"],
                    help="disable back-projection (embedding-only sizes)")
     p.add_argument("--standardize", action="store_true",
+                   default=d["standardize"],
                    help="standardize columns before the PCA projection")
-    p.add_argument("--jitter-collinear", action="store_true",
+    p.add_argument("--jitter-collinear", dest="jitter_on_collinear",
+                   action="store_true", default=d["jitter_on_collinear"],
                    help="deterministically jitter exactly collinear input")
     p.add_argument("--embedding", default=None,
                    help="import a 2-column embedding instead of PCA")
@@ -71,12 +78,12 @@ def _params_from_args(args) -> ClusterParams:
         tau=args.tau,
         anomaly_sensitivity=args.sensitivity,
         dim_reduction="imported" if args.embedding else "pca",
-        back_projection=not args.proj_off,
-        merging_enabled=not args.no_merge,
+        back_projection=args.back_projection,
+        merging_enabled=args.merging_enabled,
         size_mode=args.size_mode,
         seed=args.seed,
         standardize=args.standardize,
-        jitter_on_collinear=args.jitter_collinear,
+        jitter_on_collinear=args.jitter_on_collinear,
     )
 
 

@@ -15,7 +15,8 @@ diagonal whose lower endpoint index is smaller wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +32,16 @@ class Triangulation:
 
     Vertex ids index ``unique_rows`` (the representatives); ``rep_u``
     maps every input row to the vertex id of its representative.
+    ``tri_edges[t]`` holds the rows of ``edges`` that are the sides
+    (0, 1), (1, 2) and (0, 2) of triangle ``t``, in that order.
     """
 
     n_input: int
     unique_rows: np.ndarray          # vertex id -> input row
     rep_u: np.ndarray                # input row -> vertex id
     triangles: np.ndarray            # (m, 3) int64, each row sorted, rows sorted
-    edges: np.ndarray = field(default=None)  # (e, 2) int64, sorted, deduplicated
+    edges: np.ndarray                # (e, 2) int64, sorted, deduplicated
+    tri_edges: np.ndarray            # (m, 3) int64 rows of ``edges``
 
     @property
     def n_vertices(self) -> int:
@@ -350,9 +354,9 @@ def triangulate(embedding) -> Triangulation:
     if n_u < 3:
         raise TooFewPointsError(f"need at least 3 distinct points, got {n_u}")
 
-    u_index = {int(row): u for u, row in enumerate(unique_rows)}
-    rep_u = np.asarray([u_index[int(rep_of[i])] for i in range(n_input)],
-                       dtype=np.int64)
+    vertex_of_row = np.empty(n_input, dtype=np.int64)
+    vertex_of_row[unique_rows] = np.arange(n_u, dtype=np.int64)
+    rep_u = vertex_of_row[rep_of]
 
     pts = coords[unique_rows]
     xs = pts[:, 0].tolist()
@@ -381,20 +385,12 @@ def triangulate(embedding) -> Triangulation:
 
     mesh.canonicalize_cocircular()
 
-    tris = [
-        sorted(mesh.tv[t])
-        for t in range(len(mesh.tv))
-        if mesh.alive[t] and mesh.tv[t][2] != GHOST
-    ]
-    tris.sort()
-    triangles = np.asarray(tris, dtype=np.int64).reshape(len(tris), 3)
-
-    edge_set = set()
-    for a, b, c in tris:
-        edge_set.add((a, b))
-        edge_set.add((a, c))
-        edge_set.add((b, c))
-    edges = np.asarray(sorted(edge_set), dtype=np.int64).reshape(len(edge_set), 2)
+    tv = np.fromiter(itertools.chain.from_iterable(mesh.tv), dtype=np.int64,
+                     count=3 * len(mesh.tv)).reshape(-1, 3)
+    live = np.asarray(mesh.alive, dtype=bool) & (tv[:, 2] != GHOST)
+    tris = np.sort(tv[live], axis=1)
+    triangles = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
+    edges, tri_edges = _edge_table(triangles, n_u)
 
     return Triangulation(
         n_input=n_input,
@@ -402,25 +398,19 @@ def triangulate(embedding) -> Triangulation:
         rep_u=rep_u,
         triangles=triangles,
         edges=edges,
+        tri_edges=tri_edges,
     )
 
 
-def edge_lengths(tri: Triangulation, space) -> dict:
-    """Euclidean length of every triangulation edge in the given space.
+def _edge_table(triangles: np.ndarray, n_vertices: int):
+    """Sorted unique edges of row-sorted triangles, and each side's row.
 
-    ``space`` must have one row per input point (the triangulation maps
-    vertex ids back to input rows internally).
+    Sides are taken in column order (0, 1), (1, 2), (0, 2); a side (a, b)
+    with a < b is keyed a * n + b, so key order is (a, b) order.
     """
-    coords = np.asarray(getattr(space, "coords", space), dtype=np.float64)
-    if coords.ndim == 1:
-        coords = coords.reshape(-1, 1)
-    if coords.shape[0] != tri.n_input:
-        raise ShapeMismatchError(
-            f"space has {coords.shape[0]} rows, triangulation expects {tri.n_input}"
-        )
-    pts = coords[tri.unique_rows]
-    a = tri.edges[:, 0]
-    b = tri.edges[:, 1]
-    diffs = pts[a] - pts[b]
-    lengths = np.sqrt((diffs * diffs).sum(axis=1))
-    return {(int(u), int(v)): float(l) for (u, v), l in zip(tri.edges, lengths)}
+    m = len(triangles)
+    lo = triangles[:, [0, 1, 0]].T.ravel()
+    hi = triangles[:, [1, 2, 2]].T.ravel()
+    keys, side_edge = np.unique(lo * n_vertices + hi, return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
+    return edges, side_edge.reshape(3, m).T.copy()

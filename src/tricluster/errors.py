@@ -52,8 +52,9 @@ class CollinearError(TriclusterError):
     """All input points lie on one line; no triangulation exists."""
 
 
-class ZeroDistanceError(TriclusterError):
-    """Two points coincide in both spaces; distance would be zero."""
+class NumericalError(TriclusterError):
+    """A numerical routine failed on the input, e.g. a covariance that
+    overflows float64 at extreme scales."""
 
 
 class ConfigError(TriclusterError):

@@ -177,11 +177,10 @@ def canonicalize_labels(labels) -> np.ndarray:
     """
     labels = np.asarray(labels, dtype=np.int64)
     out = np.full(labels.shape, -1, dtype=np.int64)
-    mapping = {}
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
+    clustered = labels >= 0
+    _, first, inverse = np.unique(labels[clustered], return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    out[clustered] = rank[inverse]
     return out

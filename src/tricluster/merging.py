@@ -23,7 +23,14 @@ import numpy as np
 
 from .delaunay import triangulate
 from .errors import CollinearError, TooFewPointsError
-from .pruning import UnionFind, prune_threshold, robust_z
+from .io import canonicalize_labels
+from .pruning import (
+    EdgeGraph,
+    connected_components,
+    group_by_label,
+    prune_threshold,
+    robust_z,
+)
 
 
 @dataclass(frozen=True)
@@ -41,13 +48,19 @@ def compute_representatives(labels, proj) -> Representatives:
     """
     labels = np.asarray(labels, dtype=np.int64)
     coords = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
-    cluster_ids = np.unique(labels[labels >= 0])
-    rep_idx = np.empty(len(cluster_ids), dtype=np.int64)
-    for i, cid in enumerate(cluster_ids):
-        members = np.where(labels == cid)[0]
-        mean = coords[members].mean(axis=0)
-        d2 = ((coords[members] - mean) ** 2).sum(axis=1)
-        rep_idx[i] = members[int(np.argmin(d2))]  # argmin takes first on ties
+    cluster_ids, order, starts, counts = group_by_label(labels)
+    cluster = np.repeat(np.arange(len(cluster_ids)), counts)
+    members = coords[order]
+    # bincount adds each cluster's members in ascending index order
+    mean = np.column_stack([
+        np.bincount(cluster, weights=members[:, j],
+                    minlength=len(cluster_ids)) / counts
+        for j in range(coords.shape[1])
+    ])
+    d2 = ((members - mean[cluster]) ** 2).sum(axis=1)
+    # closest member first within each cluster, the smaller index on ties
+    best = np.lexsort((order, d2, cluster))[starts]
+    rep_idx = order[best]
     return Representatives(
         cluster_ids=cluster_ids,
         rep_point_index=rep_idx,
@@ -97,25 +110,21 @@ def merge_clusters(labels, reps: Representatives, original, proj,
         diagnostics["n_rep_edges_kept"] = int(keep.sum())
 
     # slots behind each triangulation vertex (coincident projected reps
-    # collapse onto one vertex; a surviving edge joins all of them)
-    slots_at_vertex = {}
-    for slot in range(k):
-        slots_at_vertex.setdefault(int(rep_tri.rep_u[slot]), []).append(slot)
-
-    uf = UnionFind(k)
-    for a, b in rep_tri.edges[keep]:
-        joined = slots_at_vertex[int(a)] + slots_at_vertex[int(b)]
-        for s in joined[1:]:
-            uf.union(joined[0], s)
+    # collapse onto one vertex; a surviving edge joins all of them). A
+    # vertex's first slot is its row in ``unique_rows``.
+    kept = rep_tri.edges[keep]
+    first_slot = rep_tri.unique_rows
+    touched = np.isin(rep_tri.rep_u, kept)
+    slot_edges = np.concatenate([
+        first_slot[kept],
+        np.column_stack([np.flatnonzero(touched),
+                         first_slot[rep_tri.rep_u[touched]]]),
+    ])
+    slot_component = connected_components(EdgeGraph(n_vertices=k,
+                                                    edges=slot_edges))
 
     out = labels.copy()
-    slot_of_cluster = {int(cid): i for i, cid in enumerate(reps.cluster_ids)}
-    merged_root = {}
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            continue
-        root = uf.find(slot_of_cluster[int(lab)])
-        if root not in merged_root:
-            merged_root[root] = len(merged_root)  # first touch = min point index
-        out[i] = merged_root[root]
-    return out
+    clustered = labels >= 0
+    slot = np.searchsorted(reps.cluster_ids, labels[clustered])
+    out[clustered] = slot_component[slot]
+    return canonicalize_labels(out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     ShapeMismatchError,
     TriclusterError,
 )
+from .io import canonicalize_labels
 from .projection import Embedding, embedding_from_array, pca2
 
 PRUNE_RANGE = (0.5, 2.0)
@@ -70,6 +71,10 @@ class ClusterParams:
                 f"search range {MERGE_RANGE}",
                 stacklevel=2,
             )
+
+
+# the one source of parameter defaults for every front end
+PARAM_DEFAULTS = {f.name: f.default for f in fields(ClusterParams)}
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ def fit_predict(data, params: ClusterParams = None,
                 std = data.std(axis=0)
                 std[std == 0] = 1.0
                 pca_input = (data - data.mean(axis=0)) / std
-            emb = pca2(pca_input, seed=params.seed)
+            emb = pca2(pca_input)
     proj = emb.coords
 
     # back-projection off: every original-space read uses the embedding,
@@ -179,18 +184,16 @@ def fit_predict(data, params: ClusterParams = None,
 
     with _Stage("anomaly", diag):
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
-        pre_merge_anoms_u = {p for g in groups for p in g.point_indices}
-        diag["pre_merge_anomaly_count"] = int(
-            sum(1 for i in range(tri.n_input)
-                if int(tri.rep_u[i]) in pre_merge_anoms_u)
-        )
+        in_group = np.zeros(tri.n_vertices, dtype=bool)
+        for g in groups:
+            in_group[g.point_indices] = True
+        diag["pre_merge_anomaly_count"] = int(in_group[tri.rep_u].sum())
         aparams = anomaly_mod.AnomalyParams(
             tau=params.tau,
             anomaly_sensitivity=params.anomaly_sensitivity,
-            size_mode=params.size_mode,
         )
         labels_u, decisions = anomaly_mod.score_and_merge(
-            groups, labels_u, tri, back_space, proj, aparams
+            groups, labels_u, tri, sizes, aparams
         )
     diag["anomaly_groups"] = decisions
     diag["n_anomaly_groups"] = len(decisions)
@@ -198,8 +201,7 @@ def fit_predict(data, params: ClusterParams = None,
 
     # expand labels back to the input rows (duplicates inherit their
     # representative's label), then canonicalize to -1 plus 0..k-1
-    expanded = labels_u[tri.rep_u]
-    labels = _canonicalize(expanded)
+    labels = canonicalize_labels(labels_u[tri.rep_u])
 
     n_anomalies = int((labels == -1).sum())
     n_clusters = int(labels.max()) + 1 if (labels >= 0).any() else 0
@@ -209,19 +211,6 @@ def fit_predict(data, params: ClusterParams = None,
         n_anomalies=n_anomalies,
         diagnostics=diag,
     )
-
-
-def _canonicalize(labels: np.ndarray) -> np.ndarray:
-    out = np.full(labels.shape, -1, dtype=np.int64)
-    mapping = {}
-    for i, lab in enumerate(labels):
-        if lab < 0:
-            continue
-        lab = int(lab)
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
 
 
 def _deterministic_jitter(coords: np.ndarray, seed: int) -> np.ndarray:
@@ -236,11 +225,17 @@ def _deterministic_jitter(coords: np.ndarray, seed: int) -> np.ndarray:
 class DelaunayClusterer:
     """Object-style front end mirroring the published snippet semantics."""
 
-    def __init__(self, prune_param=0.3, merge_param=-0.8,
-                 dim_reduction="pca", back_proj=True,
-                 anomaly_sensitivity=0.99, tau=3, merging_enabled=True,
-                 size_mode="max_edge", seed=0, standardize=False,
-                 jitter_on_collinear=False):
+    def __init__(self, prune_param=PARAM_DEFAULTS["prune_param"],
+                 merge_param=PARAM_DEFAULTS["merge_param"],
+                 dim_reduction=PARAM_DEFAULTS["dim_reduction"],
+                 back_proj=PARAM_DEFAULTS["back_projection"],
+                 anomaly_sensitivity=PARAM_DEFAULTS["anomaly_sensitivity"],
+                 tau=PARAM_DEFAULTS["tau"],
+                 merging_enabled=PARAM_DEFAULTS["merging_enabled"],
+                 size_mode=PARAM_DEFAULTS["size_mode"],
+                 seed=PARAM_DEFAULTS["seed"],
+                 standardize=PARAM_DEFAULTS["standardize"],
+                 jitter_on_collinear=PARAM_DEFAULTS["jitter_on_collinear"]):
         self.params = ClusterParams(
             prune_param=prune_param,
             merge_param=merge_param,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DegenerateError, ShapeMismatchError
+from .errors import DegenerateError, NumericalError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -22,13 +22,14 @@ class Embedding:
     source: str         # "pca_native" or "imported"
 
 
-def pca2(data: np.ndarray, seed: int = 0) -> Embedding:
+def pca2(data: np.ndarray) -> Embedding:
     """Project rows onto the top-2 eigenvectors of the sample covariance.
 
-    Deterministic: the seed is reserved for future stochastic reducers and
-    does not influence the result. Sign convention: the largest-magnitude
-    component of each eigenvector is positive. Eigenvalue ties break by
-    the axis order of the first nonzero eigenvector component.
+    Deterministic. Sign convention: the largest-magnitude component of
+    each eigenvector is positive. Eigenvalue ties break by the axis order
+    of the first nonzero eigenvector component. Raises NumericalError
+    when the covariance is not finite or its eigensolver fails, which
+    happens at scales near the float64 limit.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -38,8 +39,14 @@ def pca2(data: np.ndarray, seed: int = 0) -> Embedding:
         raise DegenerateError(f"PCA projection needs at least 3 points, got {n}")
 
     centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered.T @ centered / (n - 1)
+    if not np.isfinite(cov).all():
+        raise NumericalError("the covariance overflows float64; rescale the data")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"PCA eigensolver failed: {exc}") from exc
 
     # order by descending eigenvalue; ties by first nonzero component's axis
     def tie_key(idx):

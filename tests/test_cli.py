@@ -1,11 +1,21 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tricluster import load_labels, save_labels, save_matrix
-from tricluster.cli import main
+import tricluster
+from tricluster import (
+    ClusterParams,
+    DelaunayClusterer,
+    load_labels,
+    save_labels,
+    save_matrix,
+)
+from tricluster.cli import _params_from_args, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +201,47 @@ def test_stdout_is_json_only(tmp_path, capsys):
     assert code == 0
     json.loads(out)  # every stdout line must parse as JSON
     assert out.count("\n") == 1
+
+
+def test_cluster_defaults_are_cluster_params_defaults():
+    for argv in (["cluster", "--input", "x.csv", "--out", "y.labels"],
+                 ["ablate", "--input", "x.csv"],
+                 ["sweep", "--input", "x.csv", "--truth", "t.labels"]):
+        args = build_parser().parse_args(argv)
+        assert _params_from_args(args) == ClusterParams()
+    assert DelaunayClusterer().params == ClusterParams()
+
+
+def test_huge_scale_is_data_error(tmp_path, capsys):
+    # the covariance of data near the float64 limit overflows
+    data = np.random.default_rng(3).standard_normal((40, 3)) * 1e300
+    path = tmp_path / "huge.csv"
+    save_matrix(data, path)
+    code, out, err = run_cli(capsys, "cluster", "--input", str(path),
+                             "--out", str(tmp_path / "p.labels"))
+    assert code == 2
+    assert out == ""
+    assert "[project]" in err and "overflows" in err
+
+
+def test_cli_job_loads_no_scipy(tmp_path):
+    # importing scipy.spatial costs a CLI process tens of MB of peak RSS
+    # and a large share of its start-up time
+    data = tmp_path / "toy.csv"
+    save_matrix(np.random.default_rng(5).standard_normal((60, 3)), data)
+    script = (
+        "import sys\n"
+        "import tricluster.cli as cli\n"
+        f"rc = cli.main(['cluster', '--input', {str(data)!r}, '--prune', '1.0',"
+        f" '--out', {str(tmp_path / 'p.labels')!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(rc, loaded)\n"
+    )
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(tricluster.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -7,10 +7,11 @@ from tricluster import (
     CollinearError,
     ShapeMismatchError,
     TooFewPointsError,
-    edge_lengths,
+    triangle_sizes,
     triangulate,
 )
 from tricluster.predicates import incircle, orient2d
+from tricluster.pruning import edge_lengths
 
 
 def brute_incircle_ok(pts, triangles):
@@ -159,12 +160,16 @@ def test_duplicate_collapse_mapping():
     assert tri.unique_rows.tolist() == [0, 1, 3]
 
 
+def edge_row(tri, a, b):
+    return tri.edges.tolist().index([a, b])
+
+
 def test_edge_lengths_345():
     orig = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [3.0, 0.0, 0.0]])
     proj = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tri = triangulate(proj)
     lengths = edge_lengths(tri, orig)
-    assert lengths[(0, 1)] == pytest.approx(5.0, abs=1e-12)
+    assert lengths[edge_row(tri, 0, 1)] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_edge_length_zero_for_coincident_original_rows():
@@ -173,24 +178,25 @@ def test_edge_length_zero_for_coincident_original_rows():
     proj = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tri = triangulate(proj)
     lengths = edge_lengths(tri, orig)
-    assert lengths[(0, 1)] == 0.0
+    assert lengths[edge_row(tri, 0, 1)] == 0.0
 
 
 def test_edge_lengths_match_direct_loop():
     rng = np.random.default_rng(8)
-    proj = rng.standard_normal((10, 2))
-    orig = rng.standard_normal((10, 6))
+    proj = np.vstack([rng.standard_normal((10, 2))] * 2)  # duplicate rows
+    orig = rng.standard_normal((20, 6))
     tri = triangulate(proj)
     lengths = edge_lengths(tri, orig)
-    for (a, b), val in lengths.items():
-        direct = np.sqrt(((orig[a] - orig[b]) ** 2).sum())
+    for (a, b), val in zip(tri.edges.tolist(), lengths):
+        ra, rb = tri.unique_rows[a], tri.unique_rows[b]
+        direct = np.sqrt(((orig[ra] - orig[rb]) ** 2).sum())
         assert abs(val - direct) < 1e-12
 
 
 def test_edge_lengths_shape_mismatch():
     tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatchError):
-        edge_lengths(tri, np.zeros((5, 2)))
+        triangle_sizes(tri, np.zeros((5, 2)), np.zeros((3, 2)))
 
 
 def test_every_edge_in_a_triangle():
@@ -201,3 +207,22 @@ def test_every_edge_in_a_triangle():
     for a, b, c in tri.triangles.tolist():
         from_triangles |= {(a, b), (a, c), (b, c)}
     assert {tuple(e) for e in tri.edges.tolist()} == from_triangles
+
+
+def test_tri_edges_list_each_triangles_sides():
+    rng = np.random.default_rng(22)
+    for pts in (rng.uniform(0, 10, (80, 2)),
+                np.array([[x, y] for x in range(6) for y in range(6)],
+                         dtype=np.float64)):
+        tri = triangulate(pts)
+        assert tri.tri_edges.shape == tri.triangles.shape
+        for (a, b, c), sides in zip(tri.triangles.tolist(),
+                                    tri.tri_edges.tolist()):
+            assert [tri.edges[s].tolist() for s in sides] == [
+                [a, b], [b, c], [a, c]]
+        # the edge table equals the set-based construction
+        edge_set = set()
+        for a, b, c in tri.triangles.tolist():
+            edge_set |= {(a, b), (a, c), (b, c)}
+        assert tri.edges.tolist() == [list(e) for e in sorted(edge_set)]
+        assert tri.edges.dtype == np.int64 and tri.tri_edges.dtype == np.int64

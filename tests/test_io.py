@@ -150,3 +150,13 @@ def test_labels_non_integer_rejected(tmp_path):
 def test_canonicalize_labels():
     out = canonicalize_labels([5, 5, -1, 9, 5, 9])
     assert out.tolist() == [0, 0, -1, 1, 0, 1]
+
+
+def test_canonicalize_labels_matches_loop_oracle():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        labels = rng.integers(-1, 30, size=int(rng.integers(0, 200)))
+        want, mapping = [], {}
+        for lab in labels.tolist():
+            want.append(-1 if lab < 0 else mapping.setdefault(lab, len(mapping)))
+        assert canonicalize_labels(labels).tolist() == want

@@ -8,7 +8,6 @@ from tricluster import (
     fit_predict,
     ClusterParams,
 )
-from tricluster.pruning import UnionFind
 
 
 def test_singleton_cluster_rep_is_sole_point():
@@ -79,10 +78,7 @@ def test_merge_two_pairs_gives_two_clusters():
     pts, labels = _two_pairs_layout()
     reps = compute_representatives(labels, pts)
     out = merge_clusters(labels, reps, pts, pts, -0.8)
-    # component oracle: the pairs must join, across-pair stays apart
-    uf = UnionFind(4)
-    for i in range(len(out)):
-        uf.union(int(labels[i]), int(labels[i]))  # no-op, keeps ids live
+    # the pairs must join, across-pair stays apart
     assert len(np.unique(out)) == 2
     assert len(np.unique(out[:12])) == 1
     assert len(np.unique(out[12:])) == 1
@@ -137,3 +133,54 @@ def test_merge_conservative_on_synthetic():
     k_before = result.diagnostics["n_components_initial"]
     merges = result.diagnostics["merge_count"]
     assert merges <= k_before / 2
+
+
+def loop_representatives(labels, proj):
+    """Per-cluster loop: the member closest to the mean, smaller index on ties."""
+    ids, reps = [], []
+    for cid in sorted(set(labels.tolist()) - {-1}):
+        members = [i for i in range(len(labels)) if labels[i] == cid]
+        mean = proj[members].mean(axis=0)
+        d2 = [((proj[i] - mean) ** 2).sum() for i in members]
+        ids.append(cid)
+        reps.append(members[d2.index(min(d2))])
+    return ids, reps
+
+
+def test_representatives_match_loop_oracle():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n = int(rng.integers(5, 300))
+        proj = rng.standard_normal((n, 2))
+        labels = rng.integers(-1, max(2, n // 4), size=n).astype(np.int64)
+        reps = compute_representatives(labels, proj)
+        ids, want = loop_representatives(labels, proj)
+        assert reps.cluster_ids.tolist() == ids
+        assert reps.rep_point_index.tolist() == want
+        assert np.array_equal(reps.rep_coords_proj, proj[want])
+
+
+def test_representative_ties_go_to_smaller_index():
+    # the four corners are equally close to the square's mean
+    proj = np.array([[5.0, 5.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0],
+                     [-1.0, -1.0]])
+    labels = np.array([0, 1, 1, 1, 1])
+    reps = compute_representatives(labels, proj)
+    assert reps.rep_point_index.tolist() == [0, 1]
+    assert loop_representatives(labels, proj)[1] == [0, 1]
+
+
+def test_merge_coincident_representatives():
+    # cluster 4 repeats cluster 1's points, so both representatives
+    # collapse onto one vertex of the representative mesh; the surviving
+    # edge that joins the near pair there joins cluster 4 as well
+    pts, labels = _two_pairs_layout()
+    pts = np.vstack([pts, pts[6:12]])
+    labels = np.concatenate([labels, np.full(6, 4)])
+    reps = compute_representatives(labels, pts)
+    assert np.array_equal(reps.rep_coords_proj[1], reps.rep_coords_proj[4])
+    out = merge_clusters(labels, reps, pts, pts, -0.8)
+    assert len(np.unique(out[:12])) == 1
+    assert np.all(out[24:] == out[0])
+    assert out[0] != out[12]
+    assert len(np.unique(out)) == 2

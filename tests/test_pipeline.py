@@ -6,6 +6,7 @@ from tricluster import (
     CollinearError,
     DelaunayClusterer,
     NonFiniteError,
+    NumericalError,
     ShapeMismatchError,
     ari,
     connected_components,
@@ -114,6 +115,13 @@ def test_nonfinite_rejected():
     data[3, 1] = np.nan
     with pytest.raises(NonFiniteError):
         fit_predict(data, ClusterParams())
+
+
+def test_huge_scale_raises_numerical_error():
+    pts, _ = three_blobs(seed=2)
+    with pytest.raises(NumericalError) as exc_info:
+        fit_predict(pts * 1e300, ClusterParams(prune_param=1.0))
+    assert exc_info.value.stage == "project"
 
 
 def test_imported_embedding_required():
