@@ -6,12 +6,7 @@ oversized triangles yields clusters, which are then conservatively merged
 and screened for anomalies.
 """
 
-from .anomaly import (
-    AnomalyGroup,
-    AnomalyParams,
-    detect_anomaly_groups,
-    score_and_merge,
-)
+from .anomaly import detect_anomaly_groups, score_and_merge
 from .delaunay import Triangulation, triangulate
 from .errors import (
     CollinearError,
@@ -38,14 +33,13 @@ from .pipeline import (
 )
 from .projection import Embedding, import_embedding, pca2
 from .pruning import (
-    EdgeGraph,
     PruneResult,
-    RobustStats,
     TriangleSizes,
     connected_components,
     prune,
     prune_threshold,
     robust_z,
+    sigma_rule,
     triangle_sizes,
 )
 from .synthgen import (
@@ -58,16 +52,16 @@ from .synthgen import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalyGroup", "AnomalyParams", "ClusterParams", "ClusteringResult",
-    "CollinearError", "ConfigError", "DegenerateError", "DelaunayClusterer",
-    "EdgeGraph", "Embedding", "EmptyError", "IoError", "LengthMismatchError",
-    "NonFiniteError", "NumericalError", "ParseError", "PruneResult",
-    "Representatives", "RobustStats", "ShapeMismatchError", "SynthConfig",
-    "TooFewPointsError", "TriangleSizes", "Triangulation", "TriclusterError",
-    "anomaly_prf", "ari", "compute_representatives", "connected_components",
-    "detect_anomaly_groups", "fit_predict", "generate",
-    "generate_backprojection_demo", "generate_degradation_pair",
+    "ClusterParams", "ClusteringResult", "CollinearError", "ConfigError",
+    "DegenerateError", "DelaunayClusterer", "Embedding", "EmptyError",
+    "IoError", "LengthMismatchError", "NonFiniteError", "NumericalError",
+    "ParseError", "PruneResult", "Representatives", "ShapeMismatchError",
+    "SynthConfig", "TooFewPointsError", "TriangleSizes", "Triangulation",
+    "TriclusterError", "anomaly_prf", "ari", "compute_representatives",
+    "connected_components", "detect_anomaly_groups", "fit_predict",
+    "generate", "generate_backprojection_demo", "generate_degradation_pair",
     "import_embedding", "load_labels", "load_matrix", "merge_clusters", "nmi",
     "pca2", "prune", "prune_threshold", "robust_z", "save_labels",
-    "save_matrix", "score_and_merge", "triangle_sizes", "triangulate",
+    "save_matrix", "score_and_merge", "sigma_rule", "triangle_sizes",
+    "triangulate",
 ]

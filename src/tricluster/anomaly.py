@@ -29,17 +29,6 @@ from .delaunay import Triangulation
 from .pruning import TriangleSizes, group_by_label
 
 
-@dataclass
-class AnomalyGroup:
-    point_indices: list        # vertex ids sharing one small pre-merge cluster
-
-
-@dataclass(frozen=True)
-class AnomalyParams:
-    tau: int = 3
-    anomaly_sensitivity: float = 1.0
-
-
 @dataclass(frozen=True)
 class GroupDecision:
     group_id: int
@@ -50,23 +39,22 @@ class GroupDecision:
     merged: bool
 
 
-def detect_anomaly_groups(labels, tau: int) -> list[AnomalyGroup]:
+def detect_anomaly_groups(labels, tau: int) -> list[np.ndarray]:
     """Every cluster of size <= tau becomes an anomaly group.
 
-    Groups are ordered by their minimum point index.
+    Each group is its members' vertex ids, an ascending int64 array;
+    groups are ordered by their minimum member.
     """
     labels = np.asarray(labels, dtype=np.int64)
     _, order, starts, counts = group_by_label(labels)
     small = np.flatnonzero(counts <= tau)
     small = small[np.argsort(order[starts[small]])]  # by minimum member
-    return [
-        AnomalyGroup(point_indices=order[b:b + c].tolist())
-        for b, c in zip(starts[small].tolist(), counts[small].tolist())
-    ]
+    return [order[b:b + c]
+            for b, c in zip(starts[small].tolist(), counts[small].tolist())]
 
 
 def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
-                    params: AnomalyParams):
+                    sensitivity: float):
     """Merge each group into its best-scoring neighbor cluster, or keep -1.
 
     ``sizes`` are the stage-one triangle sizes of ``tri``; their edge
@@ -78,7 +66,7 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     labels = np.asarray(labels, dtype=np.int64).copy()
     group_of = np.full(len(labels), -1, dtype=np.int64)
     for gid, g in enumerate(groups):
-        group_of[g.point_indices] = gid
+        group_of[g] = gid
     pre_labels = labels.copy()
     labels[group_of >= 0] = -1
 
@@ -116,13 +104,12 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     inv_sums = np.bincount(pair_of_edge, weights=1.0 / d, minlength=len(pair))
     scores = (mu / n_edges[cand_group]) * inv_sums
 
-    sens = float(params.anomaly_sensitivity)
-    if sens >= 1.0:
+    if sensitivity >= 1.0:
         delta = np.inf
-    elif sens <= 0.0:
+    elif sensitivity <= 0.0:
         delta = -np.inf
     elif len(scores):
-        delta = float(np.quantile(scores, sens))
+        delta = float(np.quantile(scores, sensitivity))
     else:
         delta = np.inf
 
@@ -141,7 +128,7 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     decisions = [
         GroupDecision(
             group_id=i,
-            point_indices=tuple(g.point_indices),
+            point_indices=tuple(g.tolist()),
             best_cluster=c,
             best_score=sc,
             delta=delta,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .pipeline import ClusterParams, fit_predict
+from .pipeline import MERGE_RANGE, PRUNE_RANGE, ClusterParams, fit_predict
 from .projection import embedding_from_array
 from .svg import scatter_svg
 from .synthgen import (
@@ -189,8 +189,7 @@ def backprojection_demo(n_seeds: int = 5, n_dim: int = 10, n_tail: int = 25,
             n_dim, n_tail, seed=2000 + s, n_points=n_points
         )
         emb = embedding_from_array(data[:, :2].copy(), data)
-        base = ClusterParams(prune_param=1.0, anomaly_sensitivity=1.0,
-                             dim_reduction="imported")
+        base = ClusterParams(prune_param=1.0, anomaly_sensitivity=1.0)
         with_bp = fit_predict(data, base, external_embedding=emb)
         without = fit_predict(data, replace(base, back_projection=False),
                               external_embedding=emb)
@@ -207,7 +206,8 @@ def backprojection_demo(n_seeds: int = 5, n_dim: int = 10, n_tail: int = 25,
 def grid_sweep(data, truth, prune_values=None, merge_values=None,
                n_probes: int = 0, seed: int = 0, params: ClusterParams = None,
                embedding=None):
-    """Exhaustive grid or seeded random sweep within the documented ranges.
+    """Exhaustive grid, or seeded random probes drawn from the search
+    ranges ``PRUNE_RANGE`` and ``MERGE_RANGE``.
 
     Returns (best_params, trace). The trace holds one dict per probe with
     the parameters and scores, best ARI first on ties by probe order.
@@ -217,8 +217,8 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
     if n_probes > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
         for _ in range(n_probes):
-            probes.append((float(rng.uniform(0.5, 2.0)),
-                           float(rng.uniform(-2.0, -0.5))))
+            probes.append((float(rng.uniform(*PRUNE_RANGE)),
+                           float(rng.uniform(*MERGE_RANGE))))
     else:
         prune_values = prune_values or [0.6, 0.8, 1.0, 1.2]
         merge_values = merge_values or [base.merge_param]

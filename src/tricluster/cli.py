@@ -19,7 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import io
 from . import metrics
-from .errors import TriclusterError
+from .errors import ConfigError, TriclusterError
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
 from .pruning import SIZE_MODES
@@ -77,7 +77,6 @@ def _params_from_args(args) -> ClusterParams:
         merge_param=args.merge,
         tau=args.tau,
         anomaly_sensitivity=args.sensitivity,
-        dim_reduction="imported" if args.embedding else "pca",
         back_projection=args.back_projection,
         merging_enabled=args.merging_enabled,
         size_mode=args.size_mode,
@@ -201,10 +200,14 @@ def _cmd_bench(args):
         spec_dicts = json.load(fh)
     specs = []
     for sd in spec_dicts:
-        params = ClusterParams(**sd.get("params", {}))
+        params = sd.get("params", {})
+        unknown = sorted(set(params) - set(PARAM_DEFAULTS))
+        if unknown:
+            raise ConfigError(f"suite entry {sd.get('name')!r} has unknown "
+                              f"params: {', '.join(unknown)}")
         specs.append(bench_mod.BenchSpec(
             name=sd["name"], generator=sd.get("generator", {}),
-            params=params, repeats=sd.get("repeats", 1),
+            params=ClusterParams(**params), repeats=sd.get("repeats", 1),
         ))
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)

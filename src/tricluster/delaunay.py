@@ -49,7 +49,10 @@ class Triangulation:
 
 
 def collapse_duplicates(coords: np.ndarray):
-    """Map bit-identical rows to their first occurrence.
+    """Map rows with equal coordinates to their first occurrence.
+
+    Coordinates compare as floats, not as bit patterns: -0.0 equals 0.0,
+    so (0.0, y) and (-0.0, y) are one row.
 
     Returns (unique_rows, rep_of) with rep_of[i] = index of i's
     representative in the original row numbering.

@@ -1,10 +1,10 @@
 """Conservative cluster merging via a triangulation of representatives.
 
 Each cluster is represented by the member closest to its projected mean.
-The representatives are triangulated and their edges sigma-pruned with
-the merge parameter: edge lengths (in both spaces) are median/MAD
-normalized and an edge survives when max(z, z_proj) <= mean(z) +
-merge_param * std(z), with theta taken from the original-space z. Since
+The representatives are triangulated and their edges cut by pruning's
+sigma rule with the merge parameter: edge lengths (in both spaces) are
+median/MAD normalized and an edge survives when max(z, z_proj) <= mean(z)
++ merge_param * std(z), with theta taken from the original-space z. Since
 the merge parameter is negative in practice, only representative edges
 with strongly below-typical length survive, and clusters joined by those
 edges are unioned.
@@ -25,11 +25,10 @@ from .delaunay import triangulate
 from .errors import CollinearError, TooFewPointsError
 from .io import canonicalize_labels
 from .pruning import (
-    EdgeGraph,
     connected_components,
+    edge_lengths,
     group_by_label,
-    prune_threshold,
-    robust_z,
+    sigma_rule,
 )
 
 
@@ -47,7 +46,7 @@ def compute_representatives(labels, proj) -> Representatives:
     smaller point index.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    coords = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
+    coords = np.asarray(proj, dtype=np.float64)
     cluster_ids, order, starts, counts = group_by_label(labels)
     cluster = np.repeat(np.arange(len(cluster_ids)), counts)
     members = coords[order]
@@ -68,20 +67,19 @@ def compute_representatives(labels, proj) -> Representatives:
     )
 
 
-def merge_clusters(labels, reps: Representatives, original, proj,
+def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
                    merge_param: float, diagnostics: dict = None) -> np.ndarray:
     """Union clusters connected by surviving representative edges.
 
-    With fewer than 3 representatives (or a degenerate representative
-    layout that cannot be triangulated) the labels are returned unchanged.
-    Anomaly labels (-1) are never touched; the result is canonicalized by
-    ascending minimum point index. Pass a dict as ``diagnostics`` to
-    capture the merge-stage threshold and edge counts.
+    ``rep_original`` holds the k representatives' rows of the original
+    space, in the order of ``reps``. With fewer than 3 representatives
+    (or a degenerate representative layout that cannot be triangulated)
+    the labels are returned unchanged. Anomaly labels (-1) are never
+    touched; the result is canonicalized by ascending minimum point
+    index. Pass a dict as ``diagnostics`` to capture the merge-stage
+    threshold and edge counts.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    orig = np.asarray(getattr(original, "coords", original), dtype=np.float64)
-    if orig.ndim == 1:
-        orig = orig.reshape(-1, 1)
     k = len(reps.cluster_ids)
     if k < 3:
         return labels.copy()
@@ -91,28 +89,18 @@ def merge_clusters(labels, reps: Representatives, original, proj,
     except (CollinearError, TooFewPointsError):
         return labels.copy()
 
-    rep_rows = reps.rep_point_index[rep_tri.unique_rows]
-    ea = rep_tri.edges[:, 0]
-    eb = rep_tri.edges[:, 1]
-    len_orig = np.linalg.norm(orig[rep_rows[ea]] - orig[rep_rows[eb]], axis=1)
-    proj_coords = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
-    len_proj = np.linalg.norm(
-        proj_coords[rep_rows[ea]] - proj_coords[rep_rows[eb]], axis=1
-    )
-
-    _, z = robust_z(len_orig)
-    _, z_proj = robust_z(len_proj)
-    theta = prune_threshold(z, merge_param)
-    keep = np.maximum(z, z_proj) <= theta
+    rule = sigma_rule(edge_lengths(rep_tri, rep_original),
+                      edge_lengths(rep_tri, reps.rep_coords_proj),
+                      merge_param)
     if diagnostics is not None:
-        diagnostics["theta_merge"] = theta
+        diagnostics["theta_merge"] = rule.theta
         diagnostics["n_rep_edges"] = len(rep_tri.edges)
-        diagnostics["n_rep_edges_kept"] = int(keep.sum())
+        diagnostics["n_rep_edges_kept"] = int(rule.keep_mask.sum())
 
     # slots behind each triangulation vertex (coincident projected reps
     # collapse onto one vertex; a surviving edge joins all of them). A
     # vertex's first slot is its row in ``unique_rows``.
-    kept = rep_tri.edges[keep]
+    kept = rep_tri.edges[rule.keep_mask]
     first_slot = rep_tri.unique_rows
     touched = np.isin(rep_tri.rep_u, kept)
     slot_edges = np.concatenate([
@@ -120,8 +108,7 @@ def merge_clusters(labels, reps: Representatives, original, proj,
         np.column_stack([np.flatnonzero(touched),
                          first_slot[rep_tri.rep_u[touched]]]),
     ])
-    slot_component = connected_components(EdgeGraph(n_vertices=k,
-                                                    edges=slot_edges))
+    slot_component = connected_components(k, slot_edges)
 
     out = labels.copy()
     clustered = labels >= 0

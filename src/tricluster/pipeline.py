@@ -1,7 +1,8 @@
 """End-to-end clustering pipeline with ablation switches.
 
 Stage order: project -> triangulate -> prune -> components ->
-representatives -> merge -> anomaly -> label. Ablations: merging can be
+representatives -> merge -> anomaly -> label. The projection is PCA
+unless an external embedding is passed. Ablations: merging can be
 skipped, back-projection can be disabled (all original-space reads are
 replaced by the embedding, making the result a pure function of the
 embedding), and anomaly_sensitivity = 0 merges every mergeable anomaly
@@ -11,8 +12,7 @@ group.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .errors import (
 from .io import canonicalize_labels
 from .projection import Embedding, embedding_from_array, pca2
 
+# the ranges ``bench.grid_sweep`` draws random probes from; the published
+# defaults need not lie inside them
 PRUNE_RANGE = (0.5, 2.0)
 MERGE_RANGE = (-2.0, -0.5)
 
@@ -41,7 +43,6 @@ class ClusterParams:
     merge_param: float = -0.8
     tau: int = 3
     anomaly_sensitivity: float = 0.99
-    dim_reduction: str = "pca"          # "pca" or "imported"
     back_projection: bool = True
     merging_enabled: bool = True
     size_mode: str = "max_edge"
@@ -54,23 +55,8 @@ class ClusterParams:
             raise ValueError("tau must be >= 1")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:
             raise ValueError("anomaly_sensitivity must lie in [0, 1]")
-        if self.dim_reduction not in ("pca", "imported"):
-            raise ValueError(f"unknown dim_reduction {self.dim_reduction!r}")
         if self.size_mode not in pruning_mod.SIZE_MODES:
             raise ValueError(f"unknown size_mode {self.size_mode!r}")
-        # documented search ranges are soft guidance, not hard errors
-        if not PRUNE_RANGE[0] < self.prune_param < PRUNE_RANGE[1]:
-            warnings.warn(
-                f"prune_param={self.prune_param} is outside the usual "
-                f"search range {PRUNE_RANGE}",
-                stacklevel=2,
-            )
-        if not MERGE_RANGE[0] < self.merge_param < MERGE_RANGE[1]:
-            warnings.warn(
-                f"merge_param={self.merge_param} is outside the usual "
-                f"search range {MERGE_RANGE}",
-                stacklevel=2,
-            )
 
 
 # the one source of parameter defaults for every front end
@@ -108,7 +94,11 @@ class _Stage:
 
 def fit_predict(data, params: ClusterParams = None,
                 external_embedding: Embedding = None) -> ClusteringResult:
-    """Run the full pipeline and return labels plus diagnostics."""
+    """Run the full pipeline and return labels plus diagnostics.
+
+    ``external_embedding`` (an ``Embedding`` or an (n, 2) array) replaces
+    the PCA projection when given.
+    """
     params = params or ClusterParams()
     params.validate()
     data = np.asarray(data, dtype=np.float64)
@@ -120,11 +110,7 @@ def fit_predict(data, params: ClusterParams = None,
     diag = {}
 
     with _Stage("project", diag):
-        if params.dim_reduction == "imported":
-            if external_embedding is None:
-                raise ShapeMismatchError(
-                    "dim_reduction='imported' requires an external embedding"
-                )
+        if external_embedding is not None:
             coords = getattr(external_embedding, "coords", external_embedding)
             emb = embedding_from_array(coords, data)
         else:
@@ -153,14 +139,13 @@ def fit_predict(data, params: ClusterParams = None,
             tri = triangulate(proj)
     diag["n_triangles"] = len(tri.triangles)
 
-    x_u = back_space[tri.unique_rows]
-    p_u = proj[tri.unique_rows]
-
     with _Stage("prune", diag):
         sizes = pruning_mod.triangle_sizes(tri, back_space, proj,
                                            mode=params.size_mode)
-        prune_res, graph = pruning_mod.prune(tri, sizes, params.prune_param)
-        labels_u = pruning_mod.connected_components(graph)
+        prune_res, kept_edges = pruning_mod.prune(tri, sizes,
+                                                  params.prune_param)
+        labels_u = pruning_mod.connected_components(tri.n_vertices,
+                                                    kept_edges)
     diag["n_triangles_kept"] = int(prune_res.keep_mask.sum())
     diag["theta_prune"] = prune_res.theta
     diag["n_components_initial"] = int(labels_u.max()) + 1
@@ -173,27 +158,24 @@ def fit_predict(data, params: ClusterParams = None,
     with _Stage("merge", diag):
         merge_count = 0
         if params.merging_enabled:
-            reps = merging_mod.compute_representatives(labels_u, p_u)
+            reps = merging_mod.compute_representatives(
+                labels_u, proj[tri.unique_rows])
             before = int(labels_u.max()) + 1
             labels_u = merging_mod.merge_clusters(
-                labels_u, reps, x_u, p_u, params.merge_param,
-                diagnostics=diag,
+                labels_u, reps,
+                back_space[tri.unique_rows[reps.rep_point_index]],
+                params.merge_param, diagnostics=diag,
             )
             merge_count = before - (int(labels_u.max()) + 1)
     diag["merge_count"] = merge_count
 
     with _Stage("anomaly", diag):
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
-        in_group = np.zeros(tri.n_vertices, dtype=bool)
-        for g in groups:
-            in_group[g.point_indices] = True
-        diag["pre_merge_anomaly_count"] = int(in_group[tri.rep_u].sum())
-        aparams = anomaly_mod.AnomalyParams(
-            tau=params.tau,
-            anomaly_sensitivity=params.anomaly_sensitivity,
-        )
+        members = np.concatenate([np.empty(0, dtype=np.int64), *groups])
+        diag["pre_merge_anomaly_count"] = int(
+            np.isin(tri.rep_u, members).sum())
         labels_u, decisions = anomaly_mod.score_and_merge(
-            groups, labels_u, tri, sizes, aparams
+            groups, labels_u, tri, sizes, params.anomaly_sensitivity
         )
     diag["anomaly_groups"] = decisions
     diag["n_anomaly_groups"] = len(decisions)
@@ -227,7 +209,6 @@ class DelaunayClusterer:
 
     def __init__(self, prune_param=PARAM_DEFAULTS["prune_param"],
                  merge_param=PARAM_DEFAULTS["merge_param"],
-                 dim_reduction=PARAM_DEFAULTS["dim_reduction"],
                  back_proj=PARAM_DEFAULTS["back_projection"],
                  anomaly_sensitivity=PARAM_DEFAULTS["anomaly_sensitivity"],
                  tau=PARAM_DEFAULTS["tau"],
@@ -241,7 +222,6 @@ class DelaunayClusterer:
             merge_param=merge_param,
             tau=tau,
             anomaly_sensitivity=anomaly_sensitivity,
-            dim_reduction=dim_reduction,
             back_projection=back_proj,
             merging_enabled=merging_enabled,
             size_mode=size_mode,
@@ -252,8 +232,6 @@ class DelaunayClusterer:
         self.result_ = None
 
     def fit_predict(self, data, embedding=None) -> np.ndarray:
-        params = self.params
-        if embedding is not None and params.dim_reduction != "imported":
-            params = replace(params, dim_reduction="imported")
-        self.result_ = fit_predict(data, params, external_embedding=embedding)
+        self.result_ = fit_predict(data, self.params,
+                                   external_embedding=embedding)
         return self.result_.labels

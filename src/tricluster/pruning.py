@@ -1,13 +1,13 @@
 """Triangle sizing, robust normalization, sigma pruning and components.
 
 Triangle sizes are measured in both the original space and the projection.
-Sizes are normalized with median/MAD (robust to the skewed size
-distributions triangulations produce), then thresholded with a mean/std
-cut over the normalized values: theta = mean(z) + sigma_f * std(z). A
-triangle survives when max(z, z_proj) <= theta; theta itself is computed
-from the original-space z only. Surviving edges are the edges of the
-retained triangles, and their connected components are the initial
-clusters.
+The sigma rule, shared with the merge stage, normalizes values with
+median/MAD (robust to the skewed size distributions triangulations
+produce), then cuts with a mean/std threshold over the normalized values:
+theta = mean(z) + sigma_f * std(z). An item survives when
+max(z, z_proj) <= theta; theta itself is computed from the original-space
+z only. Surviving edges are the edges of the retained triangles, and
+their connected components are the initial clusters.
 """
 
 from __future__ import annotations
@@ -32,23 +32,11 @@ class TriangleSizes:
 
 
 @dataclass(frozen=True)
-class RobustStats:
-    median: float
-    mad: float
-
-
-@dataclass(frozen=True)
 class PruneResult:
     keep_mask: np.ndarray
     theta: float
     z: np.ndarray
     z_proj: np.ndarray
-
-
-@dataclass(frozen=True)
-class EdgeGraph:
-    n_vertices: int
-    edges: np.ndarray  # (e, 2) int64, sorted pairs, deduplicated
 
 
 # bytes of one block of edge differences: a block's two row gathers and
@@ -86,16 +74,14 @@ def _reduce_sides(side_len: np.ndarray, mode: str) -> np.ndarray:
 
 
 def triangle_sizes(tri: Triangulation, original, proj,
-                   mode: str = "max_edge") -> TriangleSizes:
+                   mode: str) -> TriangleSizes:
     """Per-triangle size in both spaces under the selected mode.
 
     Every edge is measured once per space; a triangle's size reduces the
     lengths of its three edges.
     """
-    orig = np.asarray(getattr(original, "coords", original), dtype=np.float64)
-    prj = np.asarray(getattr(proj, "coords", proj), dtype=np.float64)
-    if orig.ndim == 1:
-        orig = orig.reshape(-1, 1)
+    orig = np.asarray(original, dtype=np.float64)
+    prj = np.asarray(proj, dtype=np.float64)
     for name, coords in (("original", orig), ("projected", prj)):
         if coords.shape[0] != tri.n_input:
             raise ShapeMismatchError(
@@ -113,7 +99,7 @@ def triangle_sizes(tri: Triangulation, original, proj,
     )
 
 
-def robust_z(sizes) -> tuple[RobustStats, np.ndarray]:
+def robust_z(sizes) -> np.ndarray:
     """Median/MAD normalization: z_i = (s_i - median) / MAD.
 
     With zero dispersion nothing is an outlier, so all-equal inputs get
@@ -125,14 +111,11 @@ def robust_z(sizes) -> tuple[RobustStats, np.ndarray]:
         raise EmptyError("robust_z needs at least one value")
     med = float(np.median(s))
     mad = float(np.median(np.abs(s - med)))
-    stats = RobustStats(median=med, mad=mad)
     if mad == 0.0:
         if np.all(s == s[0]):
-            return stats, np.zeros_like(s)
-        mad_eff = 1e-12 * max(abs(med), 1.0)
-    else:
-        mad_eff = mad
-    return stats, (s - med) / mad_eff
+            return np.zeros_like(s)
+        mad = 1e-12 * max(abs(med), 1.0)
+    return (s - med) / mad
 
 
 def prune_threshold(z, sigma_f: float) -> float:
@@ -143,26 +126,35 @@ def prune_threshold(z, sigma_f: float) -> float:
     return float(z.mean() + sigma_f * z.std())
 
 
-def prune(tri: Triangulation, sizes: TriangleSizes,
-          sigma_f: float) -> tuple[PruneResult, EdgeGraph]:
-    """Drop oversized triangles; keep edges backed by >= 1 retained triangle.
+def sigma_rule(values, values_proj, sigma_f: float) -> PruneResult:
+    """Keep item i when max(z_i, z_proj_i) <= theta, theta from z alone.
 
-    An edge shared by a kept and a discarded triangle survives: removing it
-    would disconnect dense interiors whenever one adjacent sliver dies.
+    ``values`` and ``values_proj`` measure the same items (triangles or
+    edges) in the original space and the projection.
     """
-    _, z = robust_z(sizes.sizes)
-    _, z_proj = robust_z(sizes.sizes_proj)
+    z = robust_z(values)
+    z_proj = robust_z(values_proj)
     theta = prune_threshold(z, sigma_f)
     keep = np.maximum(z, z_proj) <= theta
+    return PruneResult(keep_mask=keep, theta=theta, z=z, z_proj=z_proj)
 
+
+def prune(tri: Triangulation, sizes: TriangleSizes,
+          sigma_f: float) -> tuple[PruneResult, np.ndarray]:
+    """Drop oversized triangles; keep edges backed by >= 1 retained triangle.
+
+    Returns the sigma-rule result and the kept edges, an (e, 2) subset of
+    ``tri.edges``. An edge shared by a kept and a discarded triangle
+    survives: removing it would disconnect dense interiors whenever one
+    adjacent sliver dies.
+    """
+    result = sigma_rule(sizes.sizes, sizes.sizes_proj, sigma_f)
     edge_kept = np.zeros(len(tri.edges), dtype=bool)
-    edge_kept[tri.tri_edges[keep]] = True
-    edges = tri.edges[edge_kept]
-    result = PruneResult(keep_mask=keep, theta=theta, z=z, z_proj=z_proj)
-    return result, EdgeGraph(n_vertices=tri.n_vertices, edges=edges)
+    edge_kept[tri.tri_edges[result.keep_mask]] = True
+    return result, tri.edges[edge_kept]
 
 
-def connected_components(graph: EdgeGraph) -> np.ndarray:
+def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     """Component labels 0..k-1, ordered by each component's minimum vertex.
 
     Isolated vertices form singleton components. Every vertex points at
@@ -172,9 +164,9 @@ def connected_components(graph: EdgeGraph) -> np.ndarray:
     that is hooked or hooked onto merges, so a component's tree count at
     least halves per round. The final root is the component's minimum.
     """
-    root = np.arange(graph.n_vertices, dtype=np.int64)
-    u = graph.edges[:, 0]
-    v = graph.edges[:, 1]
+    root = np.arange(n_vertices, dtype=np.int64)
+    u = edges[:, 0]
+    v = edges[:, 1]
     while True:
         ru, rv = root[u], root[v]
         spans = ru != rv

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from tricluster import (
-    AnomalyGroup,
-    AnomalyParams,
     TriangleSizes,
     detect_anomaly_groups,
     score_and_merge,
@@ -37,12 +35,12 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
     for a, b in tri.edges.tolist():
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
-    anomalous = {v for g in groups for v in g.point_indices}
+    anomalous = {v for g in groups for v in g.tolist()}
     out = np.array(labels, dtype=np.int64)
     out[sorted(anomalous)] = -1
     all_scores, per_group = [], []
     for g in groups:
-        members = set(g.point_indices)
+        members = set(g.tolist())
         sums, n_edges = {}, 0
         for v in sorted(members):
             for q in sorted(neighbors.get(v, ())):
@@ -71,7 +69,7 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
                 best, best_score = c, scores[c]
         merged = best >= 0 and best_score > delta
         if merged:
-            out[g.point_indices] = best
+            out[g] = best
         decisions.append((best, best_score, merged))
     return out, decisions, delta
 
@@ -79,8 +77,8 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
 def assert_matches_oracle(labels, tri, orig, proj, tau, sensitivity):
     groups = detect_anomaly_groups(labels, tau)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, orig, proj),
-        AnomalyParams(tau=tau, anomaly_sensitivity=sensitivity),
+        groups, labels, tri, triangle_sizes(tri, orig, proj, "max_edge"),
+        sensitivity,
     )
     want, want_decisions, want_delta = loop_oracle(
         groups, labels, tri, orig, proj, sensitivity)
@@ -101,7 +99,8 @@ def test_detect_groups_by_size():
     labels = np.array([0] * 50 + [1] * 2 + [2] * 40)
     groups = detect_anomaly_groups(labels, tau=3)
     assert len(groups) == 1
-    assert groups[0].point_indices == [50, 51]
+    assert groups[0].dtype == np.int64
+    assert groups[0].tolist() == [50, 51]
 
 
 def test_detect_no_groups_when_all_large():
@@ -113,7 +112,7 @@ def test_detect_all_singletons():
     labels = np.array([0, 1, 2])
     groups = detect_anomaly_groups(labels, tau=3)
     assert len(groups) == 3
-    assert [g.point_indices for g in groups] == [[0], [1], [2]]
+    assert [g.tolist() for g in groups] == [[0], [1], [2]]
 
 
 def test_anomaly_distance_formula():
@@ -124,8 +123,8 @@ def test_anomaly_distance_formula():
     labels = np.array([0, 0, 1])
     groups = detect_anomaly_groups(labels, tau=1)
     _, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, orig, proj),
-        AnomalyParams(tau=1, anomaly_sensitivity=0.0),
+        groups, labels, tri, triangle_sizes(tri, orig, proj, "max_edge"),
+        0.0,
     )
     # alpha = max proj edge / max orig edge = sqrt(2) / sqrt(73)
     alpha = np.sqrt(2.0) / np.sqrt(73.0)
@@ -149,7 +148,7 @@ def test_anomaly_distance_zero_is_floored():
     groups = detect_anomaly_groups(labels, tau=1)
     _, decisions = score_and_merge(
         groups, labels, tri, sizes,
-        AnomalyParams(tau=1, anomaly_sensitivity=0.0),
+        0.0,
     )
     assert decisions[0].best_score == pytest.approx(4.0 / 2 * 2 / 4e-12)
 
@@ -161,7 +160,7 @@ def test_anomaly_distance_matches_recompute():
     orig = rng.standard_normal((20, 6))
     proj = rng.standard_normal((20, 2))
     tri = triangulate(proj)
-    sizes = triangle_sizes(tri, orig, proj)
+    sizes = triangle_sizes(tri, orig, proj, "max_edge")
     for _ in range(50):
         e = int(rng.integers(len(tri.edges)))
         p, q = tri.edges[e]
@@ -187,8 +186,8 @@ def test_sensitivity_one_never_merges():
     groups = detect_anomaly_groups(labels, tau=3)
     assert len(groups) == 1
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=3, anomaly_sensitivity=1.0),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        1.0,
     )
     assert out[20] == -1
     assert decisions[0].merged is False
@@ -198,8 +197,8 @@ def test_sensitivity_zero_always_merges():
     pts, tri, labels = _one_cluster_with_straggler()
     groups = detect_anomaly_groups(labels, tau=3)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=3, anomaly_sensitivity=0.0),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        0.0,
     )
     assert decisions[0].merged is True
     assert out[20] == 0
@@ -216,8 +215,8 @@ def test_tie_breaks_to_smaller_cluster_id():
     groups = detect_anomaly_groups(labels, tau=1)
     assert len(groups) == 1
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=1, anomaly_sensitivity=0.0),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        0.0,
     )
     assert decisions[0].best_cluster == 0  # symmetric scores, smaller id
     assert out[8] == 0
@@ -235,8 +234,8 @@ def test_monotone_in_sensitivity():
     for sens in (1.0, 0.75, 0.5, 0.25, 0.0):
         groups = detect_anomaly_groups(labels, tau=1)
         _, decisions = score_and_merge(
-            groups, labels, tri, triangle_sizes(tri, pts, pts),
-            AnomalyParams(tau=1, anomaly_sensitivity=sens),
+            groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+            sens,
         )
         merged = {d.group_id for d in decisions if d.merged}
         if prev_merged is not None:
@@ -250,8 +249,8 @@ def test_labels_conserved():
     before = set(labels.tolist())
     groups = detect_anomaly_groups(labels, tau=3)
     out, _ = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=3, anomaly_sensitivity=0.5),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        0.5,
     )
     assert set(out.tolist()) <= before | {-1}
 
@@ -266,8 +265,8 @@ def test_merged_target_has_maximal_score():
     labels = np.array([0] * 15 + [1] * 15 + [2])
     groups = detect_anomaly_groups(labels, tau=1)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=1, anomaly_sensitivity=0.0),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        0.0,
     )
     d = decisions[0]
     assert d.merged and d.best_cluster == 0  # the nearby cluster dominates
@@ -327,7 +326,7 @@ def test_isolated_group_beside_clusters():
     labels = np.array([10] + list(range(11, 17)) + [0] * 6 + [1] * 6)
     groups, decisions = assert_matches_oracle(labels, tri, pts, pts, tau=1,
                                               sensitivity=0.0)
-    assert groups[0].point_indices == [0]
+    assert groups[0].tolist() == [0]
     assert decisions[0].best_cluster == -1 and not decisions[0].merged
     assert all(d.best_cluster >= 0 for d in decisions[1:])
 
@@ -339,10 +338,10 @@ def test_score_tie_goes_to_smaller_cluster_id():
                     [0.0, 0.0]])
     tri = triangulate(pts)
     labels = np.array([7, 3, 3, 7, 9])
-    groups = [AnomalyGroup(point_indices=[4])]
+    groups = [np.array([4])]
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts),
-        AnomalyParams(tau=1, anomaly_sensitivity=0.0),
+        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        0.0,
     )
     assert decisions[0].best_cluster == 3
     assert out[4] == 3

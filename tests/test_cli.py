@@ -151,6 +151,23 @@ def test_bench_suite(tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("name,seed,n,d,")
 
 
+def test_bench_suite_unknown_param_is_config_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{
+        "name": "old",
+        "generator": {"n_points": 120, "n_clusters": 3, "n_dim": 3},
+        "params": {"prune_param": 1.0, "dim_reduction": "pca"},
+    }]))
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(capsys, "bench", "--suite", str(suite),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "dim_reduction" in err and "'old'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ablate(tmp_path, capsys):
     data = str(tmp_path / "toy.csv")
     truth = str(tmp_path / "toy.labels")

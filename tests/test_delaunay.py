@@ -160,6 +160,17 @@ def test_duplicate_collapse_mapping():
     assert tri.unique_rows.tolist() == [0, 1, 3]
 
 
+def test_signed_zero_rows_collapse():
+    # rows are compared as floats, so (0.0, y) and (-0.0, y) are one vertex
+    pts = np.array([[0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [0.0, -0.0],
+                    [-0.0, 0.0]])
+    assert np.signbit(pts[2, 0]) and not np.signbit(pts[0, 0])
+    tri = triangulate(pts)
+    assert tri.n_vertices == 3
+    assert tri.rep_u.tolist() == [0, 1, 0, 2, 2]
+    assert tri.unique_rows.tolist() == [0, 1, 3]
+
+
 def edge_row(tri, a, b):
     return tri.edges.tolist().index([a, b])
 
@@ -196,7 +207,7 @@ def test_edge_lengths_match_direct_loop():
 def test_edge_lengths_shape_mismatch():
     tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatchError):
-        triangle_sizes(tri, np.zeros((5, 2)), np.zeros((3, 2)))
+        triangle_sizes(tri, np.zeros((5, 2)), np.zeros((3, 2)), "max_edge")
 
 
 def test_every_edge_in_a_triangle():

@@ -4,9 +4,11 @@ from tricluster import (
     compute_representatives,
     generate,
     merge_clusters,
+    robust_z,
     SynthConfig,
     fit_predict,
     ClusterParams,
+    triangulate,
 )
 
 
@@ -48,7 +50,7 @@ def test_merge_k1_unchanged():
     proj = rng.standard_normal((10, 2))
     labels = np.zeros(10, dtype=np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, proj, proj, -0.8)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert np.array_equal(out, labels)
 
 
@@ -58,7 +60,7 @@ def test_merge_k2_unchanged():
                       rng.standard_normal((5, 2)) + 10])
     labels = np.repeat([0, 1], 5)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, proj, proj, -0.8)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert np.array_equal(out, labels)
 
 
@@ -77,7 +79,7 @@ def _two_pairs_layout():
 def test_merge_two_pairs_gives_two_clusters():
     pts, labels = _two_pairs_layout()
     reps = compute_representatives(labels, pts)
-    out = merge_clusters(labels, reps, pts, pts, -0.8)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     # the pairs must join, across-pair stays apart
     assert len(np.unique(out)) == 2
     assert len(np.unique(out[:12])) == 1
@@ -93,7 +95,7 @@ def test_merge_never_splits():
     proj = data[:, :2]
     labels = rng.integers(0, 12, size=300).astype(np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, data, proj, -0.5)
+    out = merge_clusters(labels, reps, data[reps.rep_point_index], -0.5)
     # coarsening: every input cluster maps into exactly one output cluster
     for cid in np.unique(labels):
         assert len(np.unique(out[labels == cid])) == 1
@@ -105,7 +107,7 @@ def test_merge_preserves_anomaly_labels():
     labels = rng.integers(0, 5, size=30).astype(np.int64)
     labels[[3, 17]] = -1
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, proj, proj, -0.8)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert out[3] == -1 and out[17] == -1
 
 
@@ -114,7 +116,7 @@ def test_merge_param_minus_infinity_no_merge():
     proj = rng.standard_normal((40, 2)) * 5
     labels = rng.integers(0, 8, size=40).astype(np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, proj, proj, -1e9)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -1e9)
     # partition unchanged (labels canonicalized but grouping identical)
     for cid in np.unique(labels):
         members = labels == cid
@@ -179,8 +181,46 @@ def test_merge_coincident_representatives():
     labels = np.concatenate([labels, np.full(6, 4)])
     reps = compute_representatives(labels, pts)
     assert np.array_equal(reps.rep_coords_proj[1], reps.rep_coords_proj[4])
-    out = merge_clusters(labels, reps, pts, pts, -0.8)
+    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert len(np.unique(out[:12])) == 1
     assert np.all(out[24:] == out[0])
     assert out[0] != out[12]
     assert len(np.unique(out)) == 2
+
+
+def test_merge_threshold_matches_norm_oracle():
+    # the merge stage measures representative edges in both spaces with
+    # the norm of the row difference and applies pruning's sigma rule
+    rng = np.random.default_rng(32)
+    proj = rng.standard_normal((200, 2)) * 4
+    orig = np.hstack([proj, rng.standard_normal((200, 5))])
+    labels = rng.integers(0, 25, size=200).astype(np.int64)
+    reps = compute_representatives(labels, proj)
+    diag = {}
+    out = merge_clusters(labels, reps, orig[reps.rep_point_index], -0.5,
+                         diagnostics=diag)
+    rep_tri = triangulate(reps.rep_coords_proj)
+    rows = reps.rep_point_index[rep_tri.unique_rows]
+    a, b = rows[rep_tri.edges[:, 0]], rows[rep_tri.edges[:, 1]]
+    z = robust_z(np.linalg.norm(orig[a] - orig[b], axis=1))
+    z_proj = robust_z(np.linalg.norm(proj[a] - proj[b], axis=1))
+    theta = z.mean() - 0.5 * z.std()
+    keep = np.maximum(z, z_proj) <= theta
+    assert abs(diag["theta_merge"] - theta) < 1e-12
+    assert diag["n_rep_edges"] == len(rep_tri.edges)
+    assert diag["n_rep_edges_kept"] == int(keep.sum())
+    # the output partition unions exactly the clusters of the kept edges
+    root = list(range(25))
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+
+    for i, j in zip(a[keep], b[keep]):
+        ri, rj = find(int(labels[i])), find(int(labels[j]))
+        root[max(ri, rj)] = min(ri, rj)
+    want = [find(int(c)) for c in labels]
+    assert keep.any()
+    assert (len(set(zip(want, out.tolist()))) == len(set(want))
+            == len(np.unique(out)))

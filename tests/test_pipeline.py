@@ -1,3 +1,7 @@
+import hashlib
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,6 @@ from tricluster import (
     DelaunayClusterer,
     NonFiniteError,
     NumericalError,
-    ShapeMismatchError,
     ari,
     connected_components,
     fit_predict,
@@ -57,8 +60,8 @@ def test_stage_composition_matches_component_labels():
     emb = pca2(pts)
     tri = triangulate(emb.coords)
     sizes = triangle_sizes(tri, pts, emb.coords, "max_edge")
-    _, graph = prune(tri, sizes, 1.0)
-    comp = connected_components(graph)
+    _, edges = prune(tri, sizes, 1.0)
+    comp = connected_components(tri.n_vertices, edges)
     # small components become -1, the rest must match exactly (both sides
     # are canonicalized by ascending minimum point index)
     sizes_by_label = {c: int((comp == c).sum()) for c in np.unique(comp)}
@@ -80,8 +83,7 @@ def test_proj_off_is_pure_function_of_embedding():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((60, 5))
     emb = embedding_from_array(rng.standard_normal((60, 2)), data)
-    params = ClusterParams(prune_param=1.0, back_projection=False,
-                           dim_reduction="imported")
+    params = ClusterParams(prune_param=1.0, back_projection=False)
     a = fit_predict(data, params, external_embedding=emb)
     other = rng.standard_normal((60, 9)) * 100  # any matrix, same row count
     b = fit_predict(other, params, external_embedding=emb)
@@ -124,18 +126,23 @@ def test_huge_scale_raises_numerical_error():
     assert exc_info.value.stage == "project"
 
 
-def test_imported_embedding_required():
-    data = np.random.default_rng(0).standard_normal((10, 3))
-    with pytest.raises(ShapeMismatchError):
-        fit_predict(data, ClusterParams(dim_reduction="imported"))
+def test_external_embedding_used_under_default_params():
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((40, 5))
+    coords = rng.standard_normal((40, 2))
+    emb = embedding_from_array(coords, data)
+    result = fit_predict(data, ClusterParams(), external_embedding=emb)
+    assert result.diagnostics["embedding"].source == "imported"
+    assert np.array_equal(result.diagnostics["embedding"].coords, coords)
+    assert np.array_equal(result.diagnostics["triangulation"].triangles,
+                          triangulate(coords).triangles)
 
 
 def test_collinear_raises_with_stage():
     data = np.column_stack([np.arange(10.0), np.arange(10.0)])
     emb = embedding_from_array(data[:, :2], data)
     with pytest.raises(CollinearError) as exc_info:
-        fit_predict(data, ClusterParams(dim_reduction="imported",
-                                        prune_param=1.0),
+        fit_predict(data, ClusterParams(prune_param=1.0),
                     external_embedding=emb)
     assert exc_info.value.stage == "triangulate"
 
@@ -143,8 +150,7 @@ def test_collinear_raises_with_stage():
 def test_collinear_jitter_flag_recovers():
     data = np.column_stack([np.arange(12.0), np.arange(12.0)])
     emb = embedding_from_array(data[:, :2], data)
-    params = ClusterParams(dim_reduction="imported", prune_param=1.0,
-                           jitter_on_collinear=True)
+    params = ClusterParams(prune_param=1.0, jitter_on_collinear=True)
     result = fit_predict(data, params, external_embedding=emb)
     assert len(result.labels) == 12
 
@@ -155,11 +161,13 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ClusterParams(anomaly_sensitivity=1.5).validate()
     with pytest.raises(ValueError):
-        ClusterParams(dim_reduction="tsne").validate()
-    with pytest.warns(UserWarning, match="prune_param"):
-        ClusterParams(prune_param=0.3).validate()
-    with pytest.warns(UserWarning, match="merge_param"):
-        ClusterParams(merge_param=-5.0).validate()
+        ClusterParams(size_mode="area").validate()
+    # the sweep's search ranges do not bound the parameters: the
+    # published defaults and values outside the ranges validate silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ClusterParams().validate()
+        ClusterParams(prune_param=0.3, merge_param=-5.0).validate()
 
 
 def test_diagnostics_counters_present():
@@ -220,3 +228,35 @@ def test_anomaly_sensitivity_zero_merges_everything_mergeable():
         if d.best_cluster < 0
     )
     assert res_merge.n_anomalies == unmergeable
+
+
+def blobs_with_tail(seed=41):
+    """Four 6-D blobs plus a uniform tail, built without BLAS calls."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-12.0, 12.0, (4, 6))
+    pts = [c + rng.normal(0.0, 1.0, (70, 6)) for c in centers]
+    pts.append(rng.uniform(-20.0, 20.0, (12, 6)))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("overrides, n_clusters, n_anomalies, digest", [
+    ({}, 4, 9,
+     "18ba3aba5f905ffd56b1e9f1e843fbf991d56c8eb1b9661241e10ea4c007fa0a"),
+    ({"back_projection": False}, 3, 3,
+     "f1889892a5615080ed06bf40fef404f078ed4a21a4bb772d463396207c1447c5"),
+    ({"anomaly_sensitivity": 0.0}, 4, 1,
+     "8f1f326f8c5eb701dc3d119719edbdad466c71cc9106a0a0098c8a5d1849d61a"),
+])
+def test_pinned_labels_sha256(overrides, n_clusters, n_anomalies, digest):
+    # the imported embedding keeps PCA (and so BLAS) out of the run; the
+    # runs prune, merge representatives and score anomaly groups
+    data = blobs_with_tail()
+    emb = embedding_from_array(data[:, :2].copy(), data)
+    result = fit_predict(data, replace(ClusterParams(), **overrides),
+                         external_embedding=emb)
+    assert result.diagnostics["merge_count"] > 0
+    assert result.diagnostics["n_anomaly_groups"] > 0
+    assert (result.n_clusters, result.n_anomalies) == (n_clusters,
+                                                       n_anomalies)
+    labels = result.labels.astype(np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest

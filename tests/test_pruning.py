@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tricluster import (
-    EdgeGraph,
     connected_components,
     prune,
     prune_threshold,
     robust_z,
+    sigma_rule,
     triangle_sizes,
     triangulate,
 )
@@ -67,22 +67,23 @@ def test_triangle_sizes_match_direct_recompute():
 
 
 def test_robust_z_worked_example():
-    stats, z = robust_z([1, 2, 3, 4, 5])
-    assert stats.median == 3
-    assert stats.mad == 1
-    assert np.allclose(z, [-2, -1, 0, 1, 2])
+    # median 3, MAD 1
+    s = np.array([1, 2, 3, 4, 5], dtype=np.float64)
+    z = robust_z(s)
+    assert z.tolist() == ((s - 3) / 1).tolist() == [-2, -1, 0, 1, 2]
 
 
 def test_robust_z_all_equal():
-    stats, z = robust_z([7.0] * 12)
-    assert stats.mad == 0
+    # MAD 0 with zero dispersion: nothing is an outlier
+    z = robust_z([7.0] * 12)
     assert np.all(z == 0)
 
 
 def test_robust_z_degenerate_mad_flags_outlier():
     # median 1, MAD 0: the epsilon floor keeps index 4 detectable
-    stats, z = robust_z([1, 1, 1, 1, 100])
-    assert stats.median == 1 and stats.mad == 0
+    s = np.array([1, 1, 1, 1, 100], dtype=np.float64)
+    z = robust_z(s)
+    assert z.tolist() == ((s - 1) / 1e-12).tolist()
     for sigma_f in (0.6, 1.0, 1.5, 1.9):
         theta = prune_threshold(z, sigma_f)
         flagged = np.where(z > theta)[0]
@@ -111,14 +112,51 @@ def test_robust_z_matches_sorting_oracle():
     rng = np.random.default_rng(12)
     for _ in range(50):
         s = rng.uniform(0, 10, rng.integers(1, 80))
-        stats, z = robust_z(s)
+        z = robust_z(s)
         med = sorted_median(s)
         mad = sorted_median([abs(v - med) for v in s])
-        assert abs(stats.median - med) < 1e-12
-        assert abs(stats.mad - mad) < 1e-12
         if mad > 0:
             for i, v in enumerate(s):
                 assert abs(z[i] - (v - med) / mad) < 1e-12
+        else:  # a single value
+            assert len(s) == 1 and z.tolist() == [0.0]
+
+
+def test_sigma_rule_matches_definition_oracle():
+    # theta from the original-space z alone; keep when max(z, z_proj) <= theta
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(2, 60))
+        values = rng.uniform(0, 10, n)
+        values_proj = rng.uniform(0, 3, n)
+        sigma_f = float(rng.uniform(-2, 2))
+        res = sigma_rule(values, values_proj, sigma_f)
+        z, z_proj = [], []
+        for vals, out in ((values, z), (values_proj, z_proj)):
+            med = sorted_median(vals)
+            mad = sorted_median([abs(v - med) for v in vals])
+            out.extend((v - med) / mad for v in vals)
+        mean = sum(z) / n
+        theta = mean + sigma_f * (sum((v - mean) ** 2 for v in z) / n) ** 0.5
+        assert abs(res.theta - theta) < 1e-9
+        assert np.allclose(res.z, z, atol=1e-12)
+        assert np.allclose(res.z_proj, z_proj, atol=1e-12)
+        want = [max(a, b) <= res.theta for a, b in zip(res.z, res.z_proj)]
+        assert res.keep_mask.tolist() == want
+
+
+def test_prune_applies_sigma_rule_to_triangle_sizes():
+    rng = np.random.default_rng(14)
+    orig = rng.standard_normal((50, 4))
+    proj = rng.standard_normal((50, 2))
+    tri = triangulate(proj)
+    sizes = triangle_sizes(tri, orig, proj, "max_edge")
+    res, _ = prune(tri, sizes, 0.7)
+    want = sigma_rule(sizes.sizes, sizes.sizes_proj, 0.7)
+    assert res.theta == want.theta
+    assert np.array_equal(res.keep_mask, want.keep_mask)
+    assert np.array_equal(res.z, want.z)
+    assert np.array_equal(res.z_proj, want.z_proj)
 
 
 def test_prune_nothing_dropped_when_threshold_high():
@@ -126,8 +164,8 @@ def test_prune_nothing_dropped_when_threshold_high():
     pts = rng.standard_normal((40, 2))
     tri = triangulate(pts)
     sizes = triangle_sizes(tri, pts, pts, "max_edge")
-    _, graph = prune(tri, sizes, 1e9)
-    assert np.array_equal(graph.edges, tri.edges)
+    _, edges = prune(tri, sizes, 1e9)
+    assert np.array_equal(edges, tri.edges)
 
 
 def test_prune_everything_dropped_when_threshold_low():
@@ -135,10 +173,10 @@ def test_prune_everything_dropped_when_threshold_low():
     pts = rng.standard_normal((40, 2))
     tri = triangulate(pts)
     sizes = triangle_sizes(tri, pts, pts, "max_edge")
-    res, graph = prune(tri, sizes, -1e9)
+    res, edges = prune(tri, sizes, -1e9)
     assert not res.keep_mask.any()
-    assert len(graph.edges) == 0
-    labels = connected_components(graph)
+    assert len(edges) == 0
+    labels = connected_components(tri.n_vertices, edges)
     assert len(np.unique(labels)) == 40  # every point its own component
 
 
@@ -149,9 +187,9 @@ def test_prune_two_blobs_recovers_truth():
     pts = np.vstack([a, b])
     tri = triangulate(pts)
     sizes = triangle_sizes(tri, pts, pts, "max_edge")
-    _, graph = prune(tri, sizes, 1.0)
-    labels = connected_components(graph)
-    oracle = bfs_components(graph.n_vertices, graph.edges.tolist())
+    _, edges = prune(tri, sizes, 1.0)
+    labels = connected_components(tri.n_vertices, edges)
+    oracle = bfs_components(tri.n_vertices, edges.tolist())
     assert labels.tolist() == oracle
     assert len(np.unique(labels)) == 2
     assert len(np.unique(labels[:20])) == 1
@@ -159,13 +197,13 @@ def test_prune_two_blobs_recovers_truth():
 
 
 def test_connected_components_chain_plus_isolate():
-    graph = EdgeGraph(n_vertices=4, edges=np.array([[0, 1], [1, 2]]))
-    assert connected_components(graph).tolist() == [0, 0, 0, 1]
+    edges = np.array([[0, 1], [1, 2]])
+    assert connected_components(4, edges).tolist() == [0, 0, 0, 1]
 
 
 def test_connected_components_empty():
-    graph = EdgeGraph(n_vertices=5, edges=np.zeros((0, 2), dtype=np.int64))
-    assert connected_components(graph).tolist() == [0, 1, 2, 3, 4]
+    edges = np.zeros((0, 2), dtype=np.int64)
+    assert connected_components(5, edges).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_connected_components_vs_bfs_oracle():
@@ -175,8 +213,7 @@ def test_connected_components_vs_bfs_oracle():
         m = int(rng.integers(0, 3 * n))
         edges = rng.integers(0, n, (m, 2))
         edges = edges[edges[:, 0] != edges[:, 1]]
-        graph = EdgeGraph(n_vertices=n, edges=edges)
-        got = connected_components(graph)
+        got = connected_components(n, edges)
         want = bfs_components(n, edges.tolist())
         # same partition (canonical ordering makes them equal outright)
         assert got.tolist() == want
@@ -201,16 +238,17 @@ def test_scale_invariance_of_pruning():
     proj = rng.standard_normal((80, 2))
     tri = triangulate(proj)
     base_sizes = triangle_sizes(tri, orig, proj, "max_edge")
-    base_res, base_graph = prune(tri, base_sizes, 1.0)
-    base_labels = connected_components(base_graph)
+    base_res, base_edges = prune(tri, base_sizes, 1.0)
+    base_labels = connected_components(tri.n_vertices, base_edges)
     for c in (1e-3, 1e3, 7.0):
         sizes = triangle_sizes(tri, orig * c, proj, "max_edge")
         assert np.allclose(sizes.sizes, base_sizes.sizes * c, rtol=1e-12)
-        res, graph = prune(tri, sizes, 1.0)
+        res, edges = prune(tri, sizes, 1.0)
         assert np.array_equal(res.keep_mask, base_res.keep_mask)
         assert np.allclose(res.z, base_res.z, atol=1e-9)
         assert abs(res.theta - base_res.theta) < 1e-9
-        assert np.array_equal(connected_components(graph), base_labels)
+        assert np.array_equal(connected_components(tri.n_vertices, edges),
+                              base_labels)
 
 
 def test_kept_edges_backed_by_kept_triangles():
@@ -218,15 +256,15 @@ def test_kept_edges_backed_by_kept_triangles():
     pts = rng.standard_normal((70, 2))
     tri = triangulate(pts)
     sizes = triangle_sizes(tri, pts, pts, "max_edge")
-    res, graph = prune(tri, sizes, 0.5)
+    res, edges = prune(tri, sizes, 0.5)
     kept_edges = set()
     dropped_only = set()
     for keep, (a, b, c) in zip(res.keep_mask, tri.triangles.tolist()):
         bucket = kept_edges if keep else dropped_only
         bucket |= {(a, b), (a, c), (b, c)}
-    assert {tuple(e) for e in graph.edges.tolist()} == kept_edges
+    assert {tuple(e) for e in edges.tolist()} == kept_edges
     for e in dropped_only - kept_edges:
-        assert tuple(e) not in {tuple(x) for x in graph.edges.tolist()}
+        assert tuple(e) not in {tuple(x) for x in edges.tolist()}
 
 
 def test_components_partition_vertices():
@@ -234,8 +272,8 @@ def test_components_partition_vertices():
     pts = rng.standard_normal((50, 2))
     tri = triangulate(pts)
     sizes = triangle_sizes(tri, pts, pts, "max_edge")
-    _, graph = prune(tri, sizes, 0.0)
-    labels = connected_components(graph)
+    _, edges = prune(tri, sizes, 0.0)
+    labels = connected_components(tri.n_vertices, edges)
     assert len(labels) == 50
     assert labels.min() >= 0
     # canonical: labels keyed by ascending minimum vertex
