@@ -19,7 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import io
 from . import metrics
-from .errors import ConfigError, TriclusterError
+from .errors import ConfigError, IoError, TriclusterError
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
 from .pruning import SIZE_MODES
@@ -196,18 +196,32 @@ def _cmd_bench(args):
             json.dump(report, fh, sort_keys=True, indent=2)
         _emit({"out": args.out, "rows": len(report["rows"])})
         return 0
-    with open(args.suite, "r", encoding="utf-8") as fh:
-        spec_dicts = json.load(fh)
+    try:
+        with open(args.suite, "r", encoding="utf-8") as fh:
+            spec_dicts = json.load(fh)
+    except OSError as exc:
+        raise IoError(f"cannot read {args.suite}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"suite {args.suite} is not JSON: {exc}") from exc
+    if not isinstance(spec_dicts, list):
+        raise ConfigError(f"suite {args.suite} must be a JSON list of entries")
     specs = []
     for sd in spec_dicts:
+        if not isinstance(sd, dict) or "name" not in sd:
+            raise ConfigError(f"suite entry {sd!r} is not an object "
+                              "with a 'name'")
         params = sd.get("params", {})
+        repeats = sd.get("repeats", 1)
+        if not isinstance(params, dict) or not isinstance(repeats, int):
+            raise ConfigError(f"suite entry {sd['name']!r} needs an object "
+                              "'params' and an integer 'repeats'")
         unknown = sorted(set(params) - set(PARAM_DEFAULTS))
         if unknown:
-            raise ConfigError(f"suite entry {sd.get('name')!r} has unknown "
+            raise ConfigError(f"suite entry {sd['name']!r} has unknown "
                               f"params: {', '.join(unknown)}")
         specs.append(bench_mod.BenchSpec(
             name=sd["name"], generator=sd.get("generator", {}),
-            params=ClusterParams(**params), repeats=sd.get("repeats", 1),
+            params=ClusterParams(**params), repeats=repeats,
         ))
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
@@ -313,13 +327,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="run a benchmark suite or scaling probe")
-    p.add_argument("--suite", default=None, help="suite JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--suite", default=None, help="suite JSON file")
+    source.add_argument("--scaling", action="store_true",
+                        help="run the runtime scaling probe instead")
     p.add_argument("--out", required=True)
     p.add_argument("--svg-dir", default=None)
     p.add_argument("--measure-timings", action="store_true",
                    help="include wall-clock columns in the report "
                         "(makes the file run-dependent)")
-    p.add_argument("--scaling", action="store_true")
     p.add_argument("--n-list", default="1000,2000")
     p.add_argument("--d-list", default="5,20")
     p.set_defaults(func=_cmd_bench)

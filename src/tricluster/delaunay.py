@@ -8,9 +8,11 @@ for any float64 input.
 
 Exact duplicate points are collapsed to one representative before
 triangulating; the resulting Triangulation carries the mapping so callers
-can re-expand per-point labels afterwards. Cocircular ties are
-canonicalized after construction: when a quad is exactly cocircular, the
-diagonal whose lower endpoint index is smaller wins.
+can re-expand per-point labels afterwards. Exact cocircular ties are
+broken inside the in-disk test by a symbolic perturbation (Edelsbrunner &
+Muecke 1990, Simulation of Simplicity), so insertion alone builds the one
+mesh in which every cocircular quad keeps the diagonal whose lower
+endpoint index is smaller.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollinearError, ShapeMismatchError, TooFewPointsError
+from .errors import (
+    CollinearError,
+    NonFiniteError,
+    ShapeMismatchError,
+    TooFewPointsError,
+)
 from .predicates import incircle, orient2d
 
 GHOST = -1
@@ -57,19 +64,13 @@ def collapse_duplicates(coords: np.ndarray):
     Returns (unique_rows, rep_of) with rep_of[i] = index of i's
     representative in the original row numbering.
     """
-    n = coords.shape[0]
-    seen = {}
-    rep_of = np.arange(n, dtype=np.int64)
-    unique_rows = []
-    for i in range(n):
-        key = (coords[i, 0], coords[i, 1])
-        j = seen.get(key)
-        if j is None:
-            seen[key] = i
-            unique_rows.append(i)
-        else:
-            rep_of[i] = j
-    return np.asarray(unique_rows, dtype=np.int64), rep_of
+    # one complex number per row: unique compares the parts as floats and
+    # returns each group's first row
+    rows = np.ascontiguousarray(coords, dtype=np.float64).view(np.complex128)
+    _, first_row, group = np.unique(rows.reshape(-1), return_index=True,
+                                    return_inverse=True)
+    first_row = first_row.astype(np.int64, copy=False)
+    return np.sort(first_row), first_row[group]
 
 
 def _hilbert_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,9 +122,18 @@ class _Mesh:
 
     # -- primitive tests -------------------------------------------------
 
-    def _in_disk(self, t, px, py):
+    def _in_disk(self, t, p):
+        """Is vertex ``p`` inside the circumdisk of triangle ``t``?
+
+        An exact tie (p on the circle) is broken as if the lifted point of
+        the smallest vertex id among a, b, c and p sat lowest, so each
+        cocircular cell is fanned from its smallest id. The
+        orientations that decide a tie are never 0: three distinct
+        cocircular points are not collinear.
+        """
         a, b, c = self.tv[t]
         xs, ys = self.xs, self.ys
+        px, py = xs[p], ys[p]
         if c == GHOST:
             o = orient2d(xs[a], ys[a], xs[b], ys[b], px, py)
             if o > 0:
@@ -136,11 +146,22 @@ class _Mesh:
                 return lo < px < hi
             lo, hi = (ys[a], ys[b]) if ys[a] < ys[b] else (ys[b], ys[a])
             return lo < py < hi
-        return incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py) > 0
+        s = incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py)
+        if s:
+            return s > 0
+        m = min(a, b, c, p)
+        if m == p:
+            return True
+        if m == a:
+            return orient2d(px, py, xs[b], ys[b], xs[c], ys[c]) < 0
+        if m == b:
+            return orient2d(xs[a], ys[a], px, py, xs[c], ys[c]) < 0
+        return orient2d(xs[a], ys[a], xs[b], ys[b], px, py) < 0
 
-    def _locate(self, px, py):
+    def _locate(self, p):
         """Walk from the last created triangle to one whose disk holds p."""
         xs, ys = self.xs, self.ys
+        px, py = xs[p], ys[p]
         tv, tn = self.tv, self.tn
         t = self.last
         prev = -1
@@ -170,7 +191,7 @@ class _Mesh:
             prev, t = t, nxt
         # pathological walk; fall back to a scan (any bad triangle seeds)
         for t in range(len(tv)):
-            if self.alive[t] and self._in_disk(t, px, py):
+            if self.alive[t] and self._in_disk(t, p):
                 return t
         raise AssertionError("point location failed")
 
@@ -204,14 +225,12 @@ class _Mesh:
         self.last = t0
 
     def insert(self, p):
-        xs, ys = self.xs, self.ys
-        px, py = xs[p], ys[p]
         tv, tn = self.tv, self.tn
 
-        seed = self._locate(px, py)
-        if not self._in_disk(seed, px, py):
+        seed = self._locate(p)
+        if not self._in_disk(seed, p):
             for t in range(len(tv)):
-                if self.alive[t] and self._in_disk(t, px, py):
+                if self.alive[t] and self._in_disk(t, p):
                     seed = t
                     break
             else:
@@ -223,7 +242,7 @@ class _Mesh:
         while stack:
             t = stack.pop()
             for nb in tn[t]:
-                if nb not in bad and self._in_disk(nb, px, py):
+                if nb not in bad and self._in_disk(nb, p):
                     bad.add(nb)
                     stack.append(nb)
 
@@ -280,74 +299,20 @@ class _Mesh:
                 self.last = t
                 break
 
-    # -- cocircular canonicalization --------------------------------------
-
-    def canonicalize_cocircular(self):
-        """Flip exactly-cocircular quads so the kept diagonal is the one
-        with the smaller lower endpoint index. Each flip strictly lowers
-        the flipped edge's min endpoint, so the sweep terminates."""
-        xs, ys = self.xs, self.ys
-        tv, tn = self.tv, self.tn
-        for _ in range(256):
-            changed = False
-            for t1 in range(len(tv)):
-                if not self.alive[t1] or tv[t1][2] == GHOST:
-                    continue
-                for i in range(3):
-                    t2 = tn[t1][i]
-                    if t2 < t1 or tv[t2][2] == GHOST:
-                        continue
-                    c = tv[t1][i]
-                    a = tv[t1][(i + 1) % 3]
-                    b = tv[t1][(i + 2) % 3]
-                    jd = next(
-                        j for j in range(3)
-                        if tv[t2][j] != a and tv[t2][j] != b
-                    )
-                    d = tv[t2][jd]
-                    if min(c, d) >= min(a, b):
-                        continue
-                    v0, v1, v2 = tv[t1]
-                    if incircle(xs[v0], ys[v0], xs[v1], ys[v1],
-                                xs[v2], ys[v2], xs[d], ys[d]) != 0:
-                        continue
-                    self._flip(t1, i, t2, jd, a, b, c, d)
-                    changed = True
-                    break
-            if not changed:
-                return
-        raise AssertionError("cocircular canonicalization did not settle")
-
-    def _flip(self, t1, i, t2, jd, a, b, c, d):
-        """Replace diagonal (a, b) of the quad a-d-b-c with (c, d)."""
-        tv, tn = self.tv, self.tn
-        n_bc = tn[t1][(i + 1) % 3]   # across (b, c)
-        n_ca = tn[t1][(i + 2) % 3]   # across (c, a)
-        n_ad = tn[t2][(jd + 1) % 3]  # across (a, d)
-        n_db = tn[t2][(jd + 2) % 3]  # across (d, b)
-
-        tv[t1] = [a, d, c]
-        tn[t1] = [t2, n_ca, n_ad]
-        tv[t2] = [d, b, c]
-        tn[t2] = [n_bc, t1, n_db]
-
-        for nb, old, new in ((n_ad, t2, t1), (n_bc, t1, t2)):
-            for j in range(3):
-                if tn[nb][j] == old:
-                    tn[nb][j] = new
-                    break
-
 
 def triangulate(embedding) -> Triangulation:
     """Delaunay triangulation of a 2-D point set.
 
     ``embedding`` is an Embedding or a float64 array of shape (n, 2).
-    Raises TooFewPointsError for fewer than 3 distinct points and
-    CollinearError when all points lie on one line.
+    Raises NonFiniteError for NaN or Inf coordinates, TooFewPointsError
+    for fewer than 3 distinct points and CollinearError when all points
+    lie on one line.
     """
     coords = np.asarray(getattr(embedding, "coords", embedding), dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ShapeMismatchError("triangulation input must have shape (n, 2)")
+    if not np.isfinite(coords).all():
+        raise NonFiniteError("triangulation input contains NaN or Inf")
     n_input = coords.shape[0]
     if n_input < 3:
         raise TooFewPointsError(f"need at least 3 points, got {n_input}")
@@ -385,8 +350,6 @@ def triangulate(embedding) -> Triangulation:
         if p in seeded:
             continue
         mesh.insert(p)
-
-    mesh.canonicalize_cocircular()
 
     tv = np.fromiter(itertools.chain.from_iterable(mesh.tv), dtype=np.int64,
                      count=3 * len(mesh.tv)).reshape(-1, 3)

@@ -168,6 +168,57 @@ def test_bench_suite_unknown_param_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bench_suite_not_json_is_config_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text("name,generator\n")
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(capsys, "bench", "--suite", str(suite),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "not JSON" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, word", [
+    ({"generator": {}, "params": {"tau": 2}}, "'name'"),
+    ({"name": "x", "params": 5}, "'params'"),
+    ({"name": "x", "repeats": "2"}, "'repeats'"),
+])
+def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
+                                                     entry, word):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([entry]))
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(capsys, "bench", "--suite", str(suite),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert word in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bench_missing_suite_file_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    out = tmp_path / "report.csv"
+    code, stdout, err = run_cli(capsys, "bench", "--suite", str(missing),
+                                "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert "cannot read" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bench_needs_suite_or_scaling(tmp_path, capsys):
+    out = str(tmp_path / "report.csv")
+    for argv in (["bench", "--out", out],
+                 ["bench", "--suite", "s.json", "--scaling", "--out", out]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert "--suite" in capsys.readouterr().err
+
+
 def test_ablate(tmp_path, capsys):
     data = str(tmp_path / "toy.csv")
     truth = str(tmp_path / "toy.labels")

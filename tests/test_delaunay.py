@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from tricluster import (
     CollinearError,
+    NonFiniteError,
     ShapeMismatchError,
     TooFewPointsError,
     triangle_sizes,
     triangulate,
 )
+from tricluster.delaunay import collapse_duplicates
 from tricluster.predicates import incircle, orient2d
 from tricluster.pruning import edge_lengths
 
@@ -30,8 +33,8 @@ def brute_incircle_ok(pts, triangles):
     return True
 
 
-def convex_hull_size(pts):
-    """Monotone-chain hull vertex count; independent of the triangulator."""
+def hull_boundary_count(pts):
+    """Points on the convex hull's boundary, collinear ones included."""
     order = sorted(range(len(pts)), key=lambda i: (pts[i, 0], pts[i, 1]))
 
     def build(seq):
@@ -47,9 +50,122 @@ def convex_hull_size(pts):
             out.append(i)
         return out
 
-    lower = build(order)
-    upper = build(reversed(order))
-    return len(lower) + len(upper) - 2
+    corners = build(order)[:-1] + build(reversed(order))[:-1]
+    count = 0
+    for x, y in pts:
+        for i, j in zip(corners, corners[1:] + corners[:1]):
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            if (orient2d(ax, ay, bx, by, x, y) == 0
+                    and min(ax, bx) <= x <= max(ax, bx)
+                    and min(ay, by) <= y <= max(ay, by)):
+                count += 1
+                break
+    return count
+
+
+def assert_tie_broken_delaunay(pts, tri):
+    """Every interior edge is locally Delaunay, every exactly cocircular
+    one keeps the diagonal with the smaller lower endpoint, and the mesh
+    has 2n - h - 2 triangles."""
+    xy = pts[tri.unique_rows].tolist()
+    opposite = {}  # directed edge of a ccw triangle -> (triangle, apex)
+    for a, b, c in tri.triangles.tolist():
+        if orient2d(*xy[a], *xy[b], *xy[c]) < 0:
+            b, c = c, b
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            opposite[(u, v)] = ((a, b, c), w)
+    for (u, v), ((a, b, c), w) in opposite.items():
+        if u > v or (v, u) not in opposite:
+            continue
+        d = opposite[(v, u)][1]
+        s = incircle(*xy[a], *xy[b], *xy[c], *xy[d])
+        assert s <= 0, f"edge {(u, v)} is not locally Delaunay"
+        if s == 0:
+            assert min(u, v) < min(w, d), f"edge {(u, v)} breaks the tie rule"
+    n = tri.n_vertices
+    assert len(tri.triangles) == 2 * n - hull_boundary_count(
+        np.asarray(xy)) - 2
+
+
+def pythagorean_ring(r):
+    """The integer points of x^2 + y^2 = r^2, all exactly cocircular."""
+    return np.array([(x, y) for x in range(-r, r + 1)
+                     for y in range(-r, r + 1) if x * x + y * y == r * r],
+                    dtype=np.float64)
+
+
+def lattice(nx, ny):
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny))
+    return np.column_stack([gx.ravel(), gy.ravel()]).astype(np.float64)
+
+
+def tie_heavy_inputs(rng):
+    """Shuffled, offset and anisotropic lattices, cocircular rings with and
+    without their centre, and integer grids full of duplicates."""
+    for _ in range(10):
+        nx, ny = rng.integers(2, 12, 2)
+        scale = rng.choice([0.25, 1.0, 3.0], 2)
+        pts = lattice(nx, ny) * scale + rng.choice([0.0, -7.5, 1e3])
+        yield pts[rng.permutation(len(pts))]
+    for r in (5, 25, 65):
+        ring = pythagorean_ring(r)
+        for pts in (ring, np.vstack([ring, [[0.0, 0.0]]])):
+            yield pts[rng.permutation(len(pts))] + rng.integers(-4, 4, 2)
+    for _ in range(8):
+        n = int(rng.integers(20, 200))
+        side = int(rng.integers(3, 9))
+        yield rng.integers(0, side, (n, 2)).astype(np.float64)
+
+
+def test_tie_rule_on_tie_heavy_inputs():
+    for pts in tie_heavy_inputs(np.random.default_rng(17)):
+        assert_tie_broken_delaunay(pts, triangulate(pts))
+
+
+def triangles_sha256(tri):
+    return hashlib.sha256(
+        np.ascontiguousarray(tri.triangles, dtype="<i8").tobytes()).hexdigest()
+
+
+def pinned_inputs():
+    rng = np.random.default_rng(0)
+    grid = lattice(12, 9)
+    ring = np.vstack([pythagorean_ring(65), [[0.0, 0.0]]])
+    return {
+        "shuffled_lattice": grid[rng.permutation(len(grid))],
+        "anisotropic_lattice":
+            (grid * [0.25, 3.0] + 1e3)[rng.permutation(len(grid))],
+        "ring_with_centre": ring[rng.permutation(len(ring))],
+        "duplicate_grid": rng.integers(0, 6, (150, 2)).astype(np.float64),
+    }
+
+
+# sha256 of the triangles from the construction that flipped cocircular
+# quads after insertion; breaking ties inside the in-disk test must match
+PINNED_TRIANGLES_SHA256 = {
+    "shuffled_lattice":
+        "d4bb1eb78cc557e4c03a14363ce6030f5330961b51182a5087c619a3785542dd",
+    "anisotropic_lattice":
+        "041c329b8f29c0abd0fff0ebc130e1b0fe693c7411c63d60aaf02cb9060a21ed",
+    "ring_with_centre":
+        "38bcf516476ce940c6b05cd002c49e9eeafba8207bca4190aa42b0d956a80a02",
+    "duplicate_grid":
+        "ca724e098e532dde877bb191243d32c1941fd06cf1309c6784a24ff209afafb0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRIANGLES_SHA256))
+def test_pinned_tie_heavy_triangles(name):
+    tri = triangulate(pinned_inputs()[name])
+    assert triangles_sha256(tri) == PINNED_TRIANGLES_SHA256[name]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_input_raises(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    pts[2, 1] = bad
+    with pytest.raises(NonFiniteError):
+        triangulate(pts)
 
 
 def test_three_points_one_triangle():
@@ -100,7 +216,7 @@ def test_euler_consistency_random():
         n = int(rng.integers(10, 300))
         pts = rng.standard_normal((n, 2)) * 10
         tri = triangulate(pts)
-        h = convex_hull_size(pts)
+        h = hull_boundary_count(pts)
         e = len(tri.edges)
         t = len(tri.triangles)
         assert e == 3 * n - 3 - h
@@ -169,6 +285,26 @@ def test_signed_zero_rows_collapse():
     assert tri.n_vertices == 3
     assert tri.rep_u.tolist() == [0, 1, 0, 2, 2]
     assert tri.unique_rows.tolist() == [0, 1, 3]
+
+
+def test_collapse_duplicates_matches_loop_oracle():
+    rng = np.random.default_rng(4)
+    for k in range(60):
+        n = int(rng.integers(1, 200))
+        coords = rng.integers(-3, 3, (n, 2)) * rng.choice([1.0, -0.0, 0.5])
+        coords *= np.where(rng.random((n, 2)) < 0.5, -1.0, 1.0)
+        if k % 2:
+            coords = np.asfortranarray(coords)
+        seen, rep_of, unique_rows = {}, [], []
+        for i, (x, y) in enumerate(coords.tolist()):
+            j = seen.setdefault((x, y), i)  # -0.0 and 0.0 hash alike
+            rep_of.append(j)
+            if j == i:
+                unique_rows.append(i)
+        got_unique, got_rep = collapse_duplicates(coords)
+        assert got_unique.tolist() == unique_rows
+        assert got_rep.tolist() == rep_of
+        assert got_unique.dtype == np.int64 and got_rep.dtype == np.int64
 
 
 def edge_row(tri, a, b):

@@ -119,6 +119,17 @@ def test_nonfinite_rejected():
         fit_predict(data, ClusterParams())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_embedding_rejected(bad):
+    rng = np.random.default_rng(1)
+    data = rng.standard_normal((30, 4))
+    coords = rng.standard_normal((30, 2))
+    coords[7, 0] = bad
+    with pytest.raises(NonFiniteError) as exc_info:
+        fit_predict(data, ClusterParams(), external_embedding=coords)
+    assert exc_info.value.stage == "triangulate"
+
+
 def test_huge_scale_raises_numerical_error():
     pts, _ = three_blobs(seed=2)
     with pytest.raises(NumericalError) as exc_info:
