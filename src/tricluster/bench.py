@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
+from .errors import ConfigError
 from .pipeline import MERGE_RANGE, PRUNE_RANGE, ClusterParams, fit_predict
 from .projection import embedding_from_array
 from .svg import scatter_svg
@@ -51,9 +52,8 @@ class BenchSpec:
 
 @dataclass
 class BenchReport:
-    rows: list = field(default_factory=list)        # dicts per run
-    aggregates: list = field(default_factory=list)  # dicts per spec
-    errors: list = field(default_factory=list)      # (name, seed, message)
+    rows: list = field(default_factory=list)    # dicts per run
+    errors: list = field(default_factory=list)  # (name, seed, message)
 
     def write_csv(self, path, include_timings: bool = False):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -76,7 +76,6 @@ def run_suite(specs, svg_dir=None) -> BenchReport:
     """Run each spec ``repeats`` times; failures are recorded, not fatal."""
     report = BenchReport()
     for spec in specs:
-        metric_rows = []
         for rep in range(spec.repeats):
             seed = run_seed(spec.name, rep)
             try:
@@ -87,14 +86,6 @@ def run_suite(specs, svg_dir=None) -> BenchReport:
                       file=sys.stderr)
                 continue
             report.rows.append(row)
-            metric_rows.append(row)
-        if metric_rows:
-            agg = {"name": spec.name, "runs": len(metric_rows)}
-            for key in ("ari", "nmi", "f1"):
-                vals = [r[key] for r in metric_rows]
-                agg[f"{key}_mean"] = sum(vals) / len(vals)
-                agg[f"{key}_std"] = float(np.std(vals))
-            report.aggregates.append(agg)
     return report
 
 
@@ -140,7 +131,7 @@ def run_ablations(data, params: ClusterParams, truth=None,
         elif v == "anom_merged":
             runs[v] = replace(params, anomaly_sensitivity=0.0)
         else:
-            raise ValueError(f"unknown ablation variant {v!r}")
+            raise ConfigError(f"unknown ablation variant {v!r}")
 
     out = {}
     for name, p in runs.items():

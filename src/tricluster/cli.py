@@ -39,20 +39,30 @@ def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
 
+def _comma_list(kind):
+    """argparse type for a comma-separated list of ``kind`` values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
 def _add_param_flags(p):
+    # every dest is a ClusterParams field name
     d = PARAM_DEFAULTS
-    p.add_argument("--prune", type=float, default=d["prune_param"],
+    p.add_argument("--prune", dest="prune_param", type=float,
+                   default=d["prune_param"],
                    help=f"pruning factor sigma_f (default {d['prune_param']})")
-    p.add_argument("--merge", type=float, default=d["merge_param"],
+    p.add_argument("--merge", dest="merge_param", type=float,
+                   default=d["merge_param"],
                    help=f"merge factor lambda (default {d['merge_param']})")
-    p.add_argument("--sensitivity", type=float,
+    p.add_argument("--sensitivity", dest="anomaly_sensitivity", type=float,
                    default=d["anomaly_sensitivity"],
                    help="anomaly sensitivity in [0,1] "
                         f"(default {d['anomaly_sensitivity']})")
     p.add_argument("--tau", type=int, default=d["tau"],
                    help="max cluster size treated as an anomaly group")
     p.add_argument("--size-mode", default=d["size_mode"], choices=SIZE_MODES)
-    p.add_argument("--seed", type=int, default=d["seed"])
     p.add_argument("--no-merge", dest="merging_enabled", action="store_false",
                    default=d["merging_enabled"],
                    help="disable the cluster-merge stage")
@@ -62,9 +72,6 @@ def _add_param_flags(p):
     p.add_argument("--standardize", action="store_true",
                    default=d["standardize"],
                    help="standardize columns before the PCA projection")
-    p.add_argument("--jitter-collinear", dest="jitter_on_collinear",
-                   action="store_true", default=d["jitter_on_collinear"],
-                   help="deterministically jitter exactly collinear input")
     p.add_argument("--embedding", default=None,
                    help="import a 2-column embedding instead of PCA")
     p.add_argument("--embedding-format", default="csv",
@@ -72,18 +79,7 @@ def _add_param_flags(p):
 
 
 def _params_from_args(args) -> ClusterParams:
-    return ClusterParams(
-        prune_param=args.prune,
-        merge_param=args.merge,
-        tau=args.tau,
-        anomaly_sensitivity=args.sensitivity,
-        back_projection=args.back_projection,
-        merging_enabled=args.merging_enabled,
-        size_mode=args.size_mode,
-        seed=args.seed,
-        standardize=args.standardize,
-        jitter_on_collinear=args.jitter_on_collinear,
-    )
+    return ClusterParams(**{k: getattr(args, k) for k in PARAM_DEFAULTS})
 
 
 def _load_input(args):
@@ -189,9 +185,7 @@ def _cmd_eval(args):
 
 def _cmd_bench(args):
     if args.scaling:
-        n_list = [int(v) for v in args.n_list.split(",")]
-        d_list = [int(v) for v in args.d_list.split(",")]
-        report = bench_mod.runtime_scaling(n_list, d_list)
+        report = bench_mod.runtime_scaling(args.n_list, args.d_list)
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
         _emit({"out": args.out, "rows": len(report["rows"])})
@@ -215,13 +209,17 @@ def _cmd_bench(args):
         if not isinstance(params, dict) or not isinstance(repeats, int):
             raise ConfigError(f"suite entry {sd['name']!r} needs an object "
                               "'params' and an integer 'repeats'")
-        unknown = sorted(set(params) - set(PARAM_DEFAULTS))
-        if unknown:
-            raise ConfigError(f"suite entry {sd['name']!r} has unknown "
-                              f"params: {', '.join(unknown)}")
+        generator = sd.get("generator", {})
+        # check every entry before the first run: a bad one fails the suite
+        try:
+            SynthConfig(**generator)
+            cluster_params = ClusterParams(**params)
+            cluster_params.validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"suite entry {sd['name']!r}: {exc}") from exc
         specs.append(bench_mod.BenchSpec(
-            name=sd["name"], generator=sd.get("generator", {}),
-            params=ClusterParams(**params), repeats=repeats,
+            name=sd["name"], generator=generator,
+            params=cluster_params, repeats=repeats,
         ))
     if args.svg_dir:
         os.makedirs(args.svg_dir, exist_ok=True)
@@ -268,13 +266,10 @@ def _cmd_sweep(args):
     if args.embedding:
         emb = import_embedding(args.embedding, data, fmt=args.embedding_format)
     base = _params_from_args(args)
-    prune_grid = ([float(v) for v in args.prune_grid.split(",")]
-                  if args.prune_grid else None)
-    merge_grid = ([float(v) for v in args.merge_grid.split(",")]
-                  if args.merge_grid else None)
     best, trace = bench_mod.grid_sweep(
-        data, truth, prune_values=prune_grid, merge_values=merge_grid,
-        n_probes=args.probes, seed=args.seed, params=base, embedding=emb,
+        data, truth, prune_values=args.prune_grid,
+        merge_values=args.merge_grid, n_probes=args.probes, seed=args.seed,
+        params=base, embedding=emb,
     )
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
@@ -336,8 +331,8 @@ def build_parser() -> _Parser:
     p.add_argument("--measure-timings", action="store_true",
                    help="include wall-clock columns in the report "
                         "(makes the file run-dependent)")
-    p.add_argument("--n-list", default="1000,2000")
-    p.add_argument("--d-list", default="5,20")
+    p.add_argument("--n-list", type=_comma_list(int), default="1000,2000")
+    p.add_argument("--d-list", type=_comma_list(int), default="5,20")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("ablate", help="run ablation variants")
@@ -364,8 +359,10 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", required=True)
     p.add_argument("--probes", type=int, default=0,
                    help="random probes; 0 means exhaustive grid")
-    p.add_argument("--prune-grid", default=None)
-    p.add_argument("--merge-grid", default=None)
+    p.add_argument("--prune-grid", type=_comma_list(float), default=None)
+    p.add_argument("--merge-grid", type=_comma_list(float), default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random probes")
     p.add_argument("--trace", default=None, help="trace CSV path")
     _add_param_flags(p)
     p.set_defaults(func=_cmd_sweep)

@@ -159,41 +159,36 @@ class _Mesh:
         return orient2d(xs[a], ys[a], xs[b], ys[b], px, py) < 0
 
     def _locate(self, p):
-        """Walk from the last created triangle to one whose disk holds p."""
+        """Walk from the last created triangle to one whose disk holds p.
+
+        The walk steps across the first edge that has p strictly on its
+        far side. It terminates because the mesh is a Delaunay
+        triangulation, on which the visibility relation towards any point
+        is acyclic (Edelsbrunner 1990; Devillers, Pion & Teillaud 2002);
+        exact orient2d is antisymmetric, so it never steps straight back.
+        It stops at a real triangle that contains p (p is not a vertex,
+        so p is strictly inside its disk) or at the ghost of a hull edge
+        that p lies strictly beyond, whose half-plane holds p.
+        """
         xs, ys = self.xs, self.ys
         px, py = xs[p], ys[p]
         tv, tn = self.tv, self.tn
         t = self.last
-        prev = -1
-        limit = 4 * len(tv) + 64
-        for _ in range(limit):
+        while True:
             a, b, c = tv[t]
             if c == GHOST:
                 return t
             ax, ay = xs[a], ys[a]
             bx, by = xs[b], ys[b]
             cx, cy = xs[c], ys[c]
-            nxt = -1
             if orient2d(ax, ay, bx, by, px, py) < 0:
-                cand = tn[t][2]
-                if cand != prev:
-                    nxt = cand
-            if nxt < 0 and orient2d(bx, by, cx, cy, px, py) < 0:
-                cand = tn[t][0]
-                if cand != prev:
-                    nxt = cand
-            if nxt < 0 and orient2d(cx, cy, ax, ay, px, py) < 0:
-                cand = tn[t][1]
-                if cand != prev:
-                    nxt = cand
-            if nxt < 0:
+                t = tn[t][2]
+            elif orient2d(bx, by, cx, cy, px, py) < 0:
+                t = tn[t][0]
+            elif orient2d(cx, cy, ax, ay, px, py) < 0:
+                t = tn[t][1]
+            else:
                 return t
-            prev, t = t, nxt
-        # pathological walk; fall back to a scan (any bad triangle seeds)
-        for t in range(len(tv)):
-            if self.alive[t] and self._in_disk(t, p):
-                return t
-        raise AssertionError("point location failed")
 
     # -- construction ----------------------------------------------------
 
@@ -228,13 +223,6 @@ class _Mesh:
         tv, tn = self.tv, self.tn
 
         seed = self._locate(p)
-        if not self._in_disk(seed, p):
-            for t in range(len(tv)):
-                if self.alive[t] and self._in_disk(t, p):
-                    seed = t
-                    break
-            else:
-                raise AssertionError("no triangle circumdisk contains point")
 
         # grow the cavity of triangles whose circumdisk contains p
         bad = {seed}
@@ -264,8 +252,6 @@ class _Mesh:
             u = v
             if u == start:
                 break
-        if len(ring) != len(bound):
-            raise AssertionError("cavity boundary is not a single cycle")
 
         for t in bad:
             self.alive[t] = False
@@ -300,15 +286,14 @@ class _Mesh:
                 break
 
 
-def triangulate(embedding) -> Triangulation:
+def triangulate(coords: np.ndarray) -> Triangulation:
     """Delaunay triangulation of a 2-D point set.
 
-    ``embedding`` is an Embedding or a float64 array of shape (n, 2).
-    Raises NonFiniteError for NaN or Inf coordinates, TooFewPointsError
-    for fewer than 3 distinct points and CollinearError when all points
-    lie on one line.
+    ``coords`` is a float64 array of shape (n, 2). Raises NonFiniteError
+    for NaN or Inf coordinates, TooFewPointsError for fewer than 3
+    distinct points and CollinearError when all points lie on one line.
     """
-    coords = np.asarray(getattr(embedding, "coords", embedding), dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ShapeMismatchError("triangulation input must have shape (n, 2)")
     if not np.isfinite(coords).all():

@@ -57,8 +57,8 @@ class NumericalError(TriclusterError):
     overflows float64 at extreme scales."""
 
 
-class ConfigError(TriclusterError):
-    """Invalid generator or benchmark configuration."""
+class ConfigError(TriclusterError, ValueError):
+    """Invalid parameter, generator or benchmark configuration."""
 
 
 class LengthMismatchError(TriclusterError):

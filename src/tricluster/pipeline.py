@@ -21,7 +21,7 @@ from . import merging as merging_mod
 from . import pruning as pruning_mod
 from .delaunay import triangulate
 from .errors import (
-    CollinearError,
+    ConfigError,
     NonFiniteError,
     ShapeMismatchError,
     TriclusterError,
@@ -46,17 +46,15 @@ class ClusterParams:
     back_projection: bool = True
     merging_enabled: bool = True
     size_mode: str = "max_edge"
-    seed: int = 0
     standardize: bool = False
-    jitter_on_collinear: bool = False
 
     def validate(self):
         if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+            raise ConfigError("tau must be >= 1")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:
-            raise ValueError("anomaly_sensitivity must lie in [0, 1]")
+            raise ConfigError("anomaly_sensitivity must lie in [0, 1]")
         if self.size_mode not in pruning_mod.SIZE_MODES:
-            raise ValueError(f"unknown size_mode {self.size_mode!r}")
+            raise ConfigError(f"unknown size_mode {self.size_mode!r}")
 
 
 # the one source of parameter defaults for every front end
@@ -127,16 +125,7 @@ def fit_predict(data, params: ClusterParams = None,
     back_space = data if params.back_projection else proj
 
     with _Stage("triangulate", diag):
-        try:
-            tri = triangulate(proj)
-        except CollinearError:
-            if not params.jitter_on_collinear:
-                raise
-            proj = _deterministic_jitter(proj, params.seed)
-            emb = Embedding(coords=proj, source=emb.source)
-            if not params.back_projection:
-                back_space = proj
-            tri = triangulate(proj)
+        tri = triangulate(proj)
     diag["n_triangles"] = len(tri.triangles)
 
     with _Stage("prune", diag):
@@ -195,15 +184,6 @@ def fit_predict(data, params: ClusterParams = None,
     )
 
 
-def _deterministic_jitter(coords: np.ndarray, seed: int) -> np.ndarray:
-    """Opt-in escape hatch for exactly collinear embeddings."""
-    span = coords.max(axis=0) - coords.min(axis=0)
-    diagonal = float(np.sqrt((span * span).sum()))
-    scale = 1e-9 * (diagonal if diagonal > 0 else 1.0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return coords + rng.uniform(-scale, scale, size=coords.shape)
-
-
 class DelaunayClusterer:
     """Object-style front end mirroring the published snippet semantics."""
 
@@ -214,9 +194,7 @@ class DelaunayClusterer:
                  tau=PARAM_DEFAULTS["tau"],
                  merging_enabled=PARAM_DEFAULTS["merging_enabled"],
                  size_mode=PARAM_DEFAULTS["size_mode"],
-                 seed=PARAM_DEFAULTS["seed"],
-                 standardize=PARAM_DEFAULTS["standardize"],
-                 jitter_on_collinear=PARAM_DEFAULTS["jitter_on_collinear"]):
+                 standardize=PARAM_DEFAULTS["standardize"]):
         self.params = ClusterParams(
             prune_param=prune_param,
             merge_param=merge_param,
@@ -225,9 +203,7 @@ class DelaunayClusterer:
             back_projection=back_proj,
             merging_enabled=merging_enabled,
             size_mode=size_mode,
-            seed=seed,
             standardize=standardize,
-            jitter_on_collinear=jitter_on_collinear,
         )
         self.result_ = None
 

@@ -26,7 +26,6 @@ SIZE_MODES = ("max_edge", "sum_edges", "min_edge")
 class TriangleSizes:
     sizes: np.ndarray       # original-space size per triangle
     sizes_proj: np.ndarray  # projected-space size per triangle
-    mode: str
     edge_len: np.ndarray       # original-space length per triangulation edge
     edge_len_proj: np.ndarray  # projected-space length per triangulation edge
 
@@ -93,7 +92,6 @@ def triangle_sizes(tri: Triangulation, original, proj,
     return TriangleSizes(
         sizes=_reduce_sides(edge_len[tri.tri_edges], mode),
         sizes_proj=_reduce_sides(edge_len_proj[tri.tri_edges], mode),
-        mode=mode,
         edge_len=edge_len,
         edge_len_proj=edge_len_proj,
     )

@@ -142,8 +142,7 @@ def test_anomaly_distance_zero_is_floored():
     tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     zeros = np.zeros(len(tri.edges))
     sizes = TriangleSizes(sizes=np.array([2.0]), sizes_proj=np.array([4.0]),
-                          mode="max_edge", edge_len=zeros,
-                          edge_len_proj=zeros)
+                          edge_len=zeros, edge_len_proj=zeros)
     labels = np.array([0, 0, 1])
     groups = detect_anomaly_groups(labels, tau=1)
     _, decisions = score_and_merge(

@@ -65,7 +65,6 @@ def test_run_suite_deterministic_metrics():
     for a, b in zip(r1.rows, r2.rows):
         for k in keys:
             assert a[k] == b[k]
-    assert r1.aggregates == r2.aggregates
 
 
 def test_run_suite_continues_after_failure():

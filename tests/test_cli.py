@@ -184,6 +184,9 @@ def test_bench_suite_not_json_is_config_error(tmp_path, capsys):
     ({"generator": {}, "params": {"tau": 2}}, "'name'"),
     ({"name": "x", "params": 5}, "'params'"),
     ({"name": "x", "repeats": "2"}, "'repeats'"),
+    ({"name": "x", "generator": {"bogus": 1}}, "bogus"),
+    ({"name": "x", "generator": {"n_points": 60}, "params": {"tau": "two"}},
+     "suite entry 'x'"),
 ])
 def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
                                                      entry, word):
@@ -196,6 +199,35 @@ def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
     assert stdout == ""
     assert word in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["cluster", "--tau", "0", "--out", "p.labels"], "tau"),
+    (["cluster", "--sensitivity", "1.5", "--out", "p.labels"],
+     "anomaly_sensitivity"),
+    (["ablate", "--variants", "bogus"], "bogus"),
+])
+def test_bad_param_value_is_config_error(tmp_path, capsys, monkeypatch,
+                                         argv, word):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.random.default_rng(6).standard_normal((30, 3)), "d.csv")
+    code, stdout, err = run_cli(capsys, *argv, "--input", "d.csv")
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and word in errors[0]
+    assert "Traceback" not in err
+    assert not any(name.endswith(".labels") for name in os.listdir())
+
+
+def test_bad_comma_list_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", "--scaling", "--n-list", "a",
+              "--out", str(tmp_path / "s.json")])
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "--n-list" in err and "Traceback" not in err
 
 
 def test_bench_missing_suite_file_is_io_error(tmp_path, capsys):

@@ -101,20 +101,49 @@ def lattice(nx, ny):
 
 def tie_heavy_inputs(rng):
     """Shuffled, offset and anisotropic lattices, cocircular rings with and
-    without their centre, and integer grids full of duplicates."""
+    without their centre, and integer grids full of duplicates; then all
+    of these scaled by 1e-150 and by 1e150, lines with a few points
+    1e-300 of their length off them, and small lattices with every point
+    repeated."""
+    sets = []
     for _ in range(10):
         nx, ny = rng.integers(2, 12, 2)
         scale = rng.choice([0.25, 1.0, 3.0], 2)
         pts = lattice(nx, ny) * scale + rng.choice([0.0, -7.5, 1e3])
-        yield pts[rng.permutation(len(pts))]
+        sets.append(pts[rng.permutation(len(pts))])
     for r in (5, 25, 65):
         ring = pythagorean_ring(r)
         for pts in (ring, np.vstack([ring, [[0.0, 0.0]]])):
-            yield pts[rng.permutation(len(pts))] + rng.integers(-4, 4, 2)
+            sets.append(pts[rng.permutation(len(pts))]
+                        + rng.integers(-4, 4, 2))
     for _ in range(8):
         n = int(rng.integers(20, 200))
         side = int(rng.integers(3, 9))
-        yield rng.integers(0, side, (n, 2)).astype(np.float64)
+        sets.append(rng.integers(0, side, (n, 2)).astype(np.float64))
+    yield from sets
+    # incircle's products of four coordinate differences underflow or
+    # overflow here, so every in-circle sign comes from the exact path
+    for factor in (1e-150, 1e150):
+        for pts in sets:
+            yield pts * factor
+    # the points off the line sit on either side of it, each above a
+    # vertex or midway between two
+    for _ in range(8):
+        n = int(rng.integers(3, 40))
+        length = float(rng.choice([1.0, 1e-3, 1e100]))
+        line = np.column_stack([rng.permutation(n) * length / n,
+                                np.zeros(n)])
+        k = int(rng.integers(1, 4))
+        off = np.column_stack([
+            rng.integers(0, 2 * n - 1, k) * length / (2 * n),
+            rng.choice([-1.0, 1.0], k) * 1e-300 * length])
+        pts = np.vstack([line, off])[rng.permutation(n + k)]
+        yield pts[:, ::-1] if rng.random() < 0.5 else pts
+    for _ in range(6):
+        grid = lattice(*rng.integers(2, 6, 2))
+        extra = grid[rng.integers(0, len(grid), 3 * len(grid))]
+        pts = np.vstack([grid, extra])
+        yield pts[rng.permutation(len(pts))]
 
 
 def test_tie_rule_on_tie_heavy_inputs():

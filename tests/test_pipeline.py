@@ -158,14 +158,6 @@ def test_collinear_raises_with_stage():
     assert exc_info.value.stage == "triangulate"
 
 
-def test_collinear_jitter_flag_recovers():
-    data = np.column_stack([np.arange(12.0), np.arange(12.0)])
-    emb = embedding_from_array(data[:, :2], data)
-    params = ClusterParams(prune_param=1.0, jitter_on_collinear=True)
-    result = fit_predict(data, params, external_embedding=emb)
-    assert len(result.labels) == 12
-
-
 def test_param_validation():
     with pytest.raises(ValueError):
         ClusterParams(tau=0).validate()
