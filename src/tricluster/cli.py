@@ -212,7 +212,7 @@ def _cmd_bench(args):
         generator = sd.get("generator", {})
         # check every entry before the first run: a bad one fails the suite
         try:
-            SynthConfig(**generator)
+            SynthConfig(**generator).validate()
             cluster_params = ClusterParams(**params)
             cluster_params.validate()
         except (TypeError, ValueError) as exc:

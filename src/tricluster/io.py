@@ -164,8 +164,7 @@ def save_labels(labels, path) -> None:
         raise EmptyError("label vector is empty")
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            for v in labels:
-                fh.write(f"{int(v)}\n")
+            fh.write("\n".join(map(str, labels.tolist())) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

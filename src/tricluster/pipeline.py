@@ -11,6 +11,7 @@ group.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -49,6 +50,12 @@ class ClusterParams:
     standardize: bool = False
 
     def validate(self):
+        for name in ("prune_param", "merge_param", "tau",
+                     "anomaly_sensitivity"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(
+                    f"{name} must be a real number, got {value!r}")
         if self.tau < 1:
             raise ConfigError("tau must be >= 1")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:

@@ -2,14 +2,16 @@
 
 orient2d and incircle are evaluated in plain float64 first, guarded by a
 static forward error bound. When the magnitude of the determinant falls
-below the bound, the sign is recomputed exactly with rational arithmetic
-(float64 inputs are exactly representable as Fractions), so the returned
-sign is always that of the true determinant.
+below the bound, the sign is recomputed exactly in integers: every
+float64 is an integer times a power of two, so scaling all inputs by one
+common power of two makes them integers without changing the
+determinant's sign (Shewchuk 1997). The returned sign is always that of
+the true determinant.
+
+Coordinates are Python floats, np.float64 scalars or Python ints.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 # Machine epsilon derived constants (error bounds for the f64 filter).
 _EPS = 7.105427357601002e-15  # (3 + 16 eps) * eps, eps = 2^-53
@@ -47,11 +49,8 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
 
 
 def _orient2d_exact(ax, ay, bx, by, cx, cy) -> int:
-    fax, fay = Fraction(ax), Fraction(ay)
-    fbx, fby = Fraction(bx), Fraction(by)
-    fcx, fcy = Fraction(cx), Fraction(cy)
-    det = (fax - fcx) * (fby - fcy) - (fay - fcy) * (fbx - fcx)
-    return _sign_fraction(det)
+    ax, ay, bx, by, cx, cy = _common_scale(ax, ay, bx, by, cx, cy)
+    return _sign((ax - cx) * (by - cy) - (ay - cy) * (bx - cx))
 
 
 def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
@@ -99,34 +98,36 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    fdx, fdy = Fraction(dx), Fraction(dy)
-    adx = Fraction(ax) - fdx
-    ady = Fraction(ay) - fdy
-    bdx = Fraction(bx) - fdx
-    bdy = Fraction(by) - fdy
-    cdx = Fraction(cx) - fdx
-    cdy = Fraction(cy) - fdy
+    ax, ay, bx, by, cx, cy, dx, dy = _common_scale(
+        ax, ay, bx, by, cx, cy, dx, dy)
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
 
     det = (
         (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
         + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
-    return _sign_fraction(det)
+    return _sign(det)
+
+
+def _common_scale(*values) -> list:
+    """The integers values[i] * 2**k for the smallest k >= 0 that makes all
+    of them integers. Both determinants are homogeneous in their inputs, so
+    their sign is unchanged by the common factor."""
+    ratios = [v.as_integer_ratio() for v in values]
+    top = max(d for _, d in ratios).bit_length()
+    # every denominator is a power of two
+    return [n << (top - d.bit_length()) for n, d in ratios]
 
 
 def _sign(x) -> int:
     if x > 0:
         return 1
     if x < 0:
-        return -1
-    return 0
-
-
-def _sign_fraction(f: Fraction) -> int:
-    n = f.numerator
-    if n > 0:
-        return 1
-    if n < 0:
         return -1
     return 0

@@ -14,6 +14,7 @@ Identical seeds give bit-identical output across runs and platforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,38 @@ class SynthConfig:
     def cluster_std(self) -> float:
         return self.overlap * math.sqrt(self.n_dim) * 2.0
 
+    def _counts(self):
+        """(anomalies, snake points, blob points), as ``generate`` says."""
+        n_anom = int(self.anomaly_fraction * self.n_points + 0.5)
+        n_rest = self.n_points - n_anom
+        n_snake = int(self.snake_fraction * n_rest + 0.5)
+        return n_anom, n_snake, n_rest - n_snake
+
+    def validate(self):
+        """Raise ConfigError, naming the field, for a value ``generate``
+        cannot use."""
+        for name in ("n_points", "n_clusters", "n_dim"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ConfigError(
+                    f"{name} must be a positive integer, got {value!r}")
+        for name in ("overlap", "anomaly_fraction", "snake_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(
+                    f"{name} must be a real number, got {value!r}")
+        if not 0.0 <= self.anomaly_fraction < 1.0:
+            raise ConfigError("anomaly_fraction must lie in [0, 1)")
+        if not 0.0 <= self.snake_fraction < 1.0:
+            raise ConfigError("snake_fraction must lie in [0, 1)")
+        if not self.overlap > 0.0:
+            raise ConfigError("overlap must be positive")
+        if self.n_points < self.n_clusters:
+            raise ConfigError("n_points must be at least n_clusters")
+        if self._counts()[2] < self.n_clusters:
+            raise ConfigError("not enough points left for the blobs: "
+                              "lower anomaly_fraction or snake_fraction")
+
 
 def _split_rngs(seed: int, n: int):
     children = np.random.SeedSequence(seed).spawn(n)
@@ -48,28 +81,11 @@ def generate(config: SynthConfig):
     Counts round half-up: anomalies from n_points, the snake from the
     remainder, blobs split the rest as evenly as possible.
     """
-    if config.n_points < 1 or config.n_clusters < 1 or config.n_dim < 1:
-        raise ConfigError("n_points, n_clusters and n_dim must be positive")
-    if not 0.0 <= config.anomaly_fraction < 1.0:
-        raise ConfigError("anomaly_fraction must lie in [0, 1)")
-    if not 0.0 <= config.snake_fraction < 1.0:
-        raise ConfigError("snake_fraction must lie in [0, 1)")
-    if config.overlap <= 0.0:
-        raise ConfigError("overlap must be positive")
-    if config.n_points < config.n_clusters:
-        raise ConfigError("need at least one point per cluster")
-
-    n = config.n_points
+    config.validate()
     d = config.n_dim
     k = config.n_clusters
     std = config.cluster_std
-
-    n_anom = int(config.anomaly_fraction * n + 0.5)
-    n_rest = n - n_anom
-    n_snake = int(config.snake_fraction * n_rest + 0.5)
-    n_blob = n_rest - n_snake
-    if n_blob < k:
-        raise ConfigError("not enough points left for the blobs")
+    n_anom, n_snake, n_blob = config._counts()
 
     rng_blob, rng_snake, rng_anom = _split_rngs(config.random_state, 3)
 

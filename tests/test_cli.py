@@ -187,6 +187,10 @@ def test_bench_suite_not_json_is_config_error(tmp_path, capsys):
     ({"name": "x", "generator": {"bogus": 1}}, "bogus"),
     ({"name": "x", "generator": {"n_points": 60}, "params": {"tau": "two"}},
      "suite entry 'x'"),
+    ({"name": "t", "params": {"tau": "two"}}, "suite entry 't': tau"),
+    ({"name": "x", "generator": {"n_points": 0}}, "suite entry 'x': n_points"),
+    ({"name": "y", "generator": {"n_points": 60},
+      "params": {"prune_param": "abc"}}, "suite entry 'y': prune_param"),
 ])
 def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
                                                      entry, word):
@@ -197,7 +201,10 @@ def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
                                 "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert word in err and "Traceback" not in err
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and word in errors[0]
+    assert "Traceback" not in err
     assert not out.exists()
 
 
