@@ -149,9 +149,15 @@ def run_ablations(data, params: ClusterParams, truth=None,
     return out
 
 
+def _check_seeds(n_seeds):
+    if n_seeds < 1:
+        raise ConfigError(f"seeds must be at least 1, got {n_seeds}")
+
+
 def degradation_sweep(eps_list=(2.0, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5),
                       n_seeds: int = 10, prune_param: float = 0.8):
     """Fraction of seeds recovering exactly the two strips, per gap value."""
+    _check_seeds(n_seeds)
     params = ClusterParams(prune_param=prune_param,
                            anomaly_sensitivity=1.0)
     results = []
@@ -174,6 +180,7 @@ def backprojection_demo(n_seeds: int = 5, n_dim: int = 10, n_tail: int = 25,
     tail points sit inside the cluster footprint in 2-D and only the
     original-space test can expose them.
     """
+    _check_seeds(n_seeds)
     rows = []
     for s in range(n_seeds):
         data, truth = generate_backprojection_demo(

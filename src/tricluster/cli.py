@@ -22,7 +22,6 @@ from . import metrics
 from .errors import ConfigError, IoError, TriclusterError
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
-from .pruning import SIZE_MODES
 from .svg import scatter_svg
 from .synthgen import SynthConfig, generate
 
@@ -62,16 +61,12 @@ def _add_param_flags(p):
                         f"(default {d['anomaly_sensitivity']})")
     p.add_argument("--tau", type=int, default=d["tau"],
                    help="max cluster size treated as an anomaly group")
-    p.add_argument("--size-mode", default=d["size_mode"], choices=SIZE_MODES)
     p.add_argument("--no-merge", dest="merging_enabled", action="store_false",
                    default=d["merging_enabled"],
                    help="disable the cluster-merge stage")
     p.add_argument("--proj-off", dest="back_projection",
                    action="store_false", default=d["back_projection"],
                    help="disable back-projection (embedding-only sizes)")
-    p.add_argument("--standardize", action="store_true",
-                   default=d["standardize"],
-                   help="standardize columns before the PCA projection")
     p.add_argument("--embedding", default=None,
                    help="import a 2-column embedding instead of PCA")
     p.add_argument("--embedding-format", default="csv",

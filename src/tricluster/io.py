@@ -48,13 +48,19 @@ def load_matrix(path, fmt: str = "csv", header: bool = False) -> np.ndarray:
     raise ParseError(f"unknown matrix format {fmt!r}")
 
 
-def _load_csv(path, header: bool) -> np.ndarray:
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
+
+def _load_csv(path, header: bool) -> np.ndarray:
+    lines = _read_lines(path)
     start = 1 if header else 0
     rows = []
     n_cols = None
@@ -134,14 +140,8 @@ def save_matrix(values: np.ndarray, path, fmt: str = "csv") -> None:
 
 def load_labels(path) -> np.ndarray:
     """Load newline-delimited signed integer labels; -1 marks anomalies."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
     labels = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         try:

@@ -7,7 +7,9 @@ median/MAD normalized and an edge survives when max(z, z_proj) <= mean(z)
 + merge_param * std(z), with theta taken from the original-space z. Since
 the merge parameter is negative in practice, only representative edges
 with strongly below-typical length survive, and clusters joined by those
-edges are unioned.
+edges are unioned. Representatives that share a projected point share a
+vertex of that triangulation, and so a cluster, as duplicate rows do in
+the stage-one mesh.
 
 Pruning operates on edges rather than whole representative triangles:
 every triangle over well-separated representatives contains at least one
@@ -97,21 +99,12 @@ def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
         diagnostics["n_rep_edges"] = len(rep_tri.edges)
         diagnostics["n_rep_edges_kept"] = int(rule.keep_mask.sum())
 
-    # slots behind each triangulation vertex (coincident projected reps
-    # collapse onto one vertex; a surviving edge joins all of them). A
-    # vertex's first slot is its row in ``unique_rows``.
-    kept = rep_tri.edges[rule.keep_mask]
-    first_slot = rep_tri.unique_rows
-    touched = np.isin(rep_tri.rep_u, kept)
-    slot_edges = np.concatenate([
-        first_slot[kept],
-        np.column_stack([np.flatnonzero(touched),
-                         first_slot[rep_tri.rep_u[touched]]]),
-    ])
-    slot_component = connected_components(k, slot_edges)
+    # each representative takes the component of its vertex
+    rep_component = connected_components(
+        rep_tri.n_vertices, rep_tri.edges[rule.keep_mask])[rep_tri.rep_u]
 
     out = labels.copy()
     clustered = labels >= 0
-    slot = np.searchsorted(reps.cluster_ids, labels[clustered])
-    out[clustered] = slot_component[slot]
+    rep = np.searchsorted(reps.cluster_ids, labels[clustered])
+    out[clustered] = rep_component[rep]
     return canonicalize_labels(out)

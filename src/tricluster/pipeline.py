@@ -46,8 +46,6 @@ class ClusterParams:
     anomaly_sensitivity: float = 0.99
     back_projection: bool = True
     merging_enabled: bool = True
-    size_mode: str = "max_edge"
-    standardize: bool = False
 
     def validate(self):
         for name in ("prune_param", "merge_param", "tau",
@@ -60,8 +58,6 @@ class ClusterParams:
             raise ConfigError("tau must be >= 1")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:
             raise ConfigError("anomaly_sensitivity must lie in [0, 1]")
-        if self.size_mode not in pruning_mod.SIZE_MODES:
-            raise ConfigError(f"unknown size_mode {self.size_mode!r}")
 
 
 # the one source of parameter defaults for every front end
@@ -119,12 +115,7 @@ def fit_predict(data, params: ClusterParams = None,
             coords = getattr(external_embedding, "coords", external_embedding)
             emb = embedding_from_array(coords, data)
         else:
-            pca_input = data
-            if params.standardize:
-                std = data.std(axis=0)
-                std[std == 0] = 1.0
-                pca_input = (data - data.mean(axis=0)) / std
-            emb = pca2(pca_input)
+            emb = pca2(data)
     proj = emb.coords
 
     # back-projection off: every original-space read uses the embedding,
@@ -136,8 +127,7 @@ def fit_predict(data, params: ClusterParams = None,
     diag["n_triangles"] = len(tri.triangles)
 
     with _Stage("prune", diag):
-        sizes = pruning_mod.triangle_sizes(tri, back_space, proj,
-                                           mode=params.size_mode)
+        sizes = pruning_mod.triangle_sizes(tri, back_space, proj)
         prune_res, kept_edges = pruning_mod.prune(tri, sizes,
                                                   params.prune_param)
         labels_u = pruning_mod.connected_components(tri.n_vertices,
@@ -192,26 +182,16 @@ def fit_predict(data, params: ClusterParams = None,
 
 
 class DelaunayClusterer:
-    """Object-style front end mirroring the published snippet semantics."""
+    """Object-style front end mirroring the published snippet semantics.
 
-    def __init__(self, prune_param=PARAM_DEFAULTS["prune_param"],
-                 merge_param=PARAM_DEFAULTS["merge_param"],
-                 back_proj=PARAM_DEFAULTS["back_projection"],
-                 anomaly_sensitivity=PARAM_DEFAULTS["anomaly_sensitivity"],
-                 tau=PARAM_DEFAULTS["tau"],
-                 merging_enabled=PARAM_DEFAULTS["merging_enabled"],
-                 size_mode=PARAM_DEFAULTS["size_mode"],
-                 standardize=PARAM_DEFAULTS["standardize"]):
-        self.params = ClusterParams(
-            prune_param=prune_param,
-            merge_param=merge_param,
-            tau=tau,
-            anomaly_sensitivity=anomaly_sensitivity,
-            back_projection=back_proj,
-            merging_enabled=merging_enabled,
-            size_mode=size_mode,
-            standardize=standardize,
-        )
+    Keyword arguments are ``ClusterParams`` fields; ``back_proj`` is the
+    published snippet's name for ``back_projection``.
+    """
+
+    def __init__(self, *, back_proj=None, **params):
+        if back_proj is not None:
+            params["back_projection"] = back_proj
+        self.params = ClusterParams(**params)
         self.result_ = None
 
     def fit_predict(self, data, embedding=None) -> np.ndarray:

@@ -5,7 +5,9 @@ static forward error bound. When the magnitude of the determinant falls
 below the bound, the sign is recomputed exactly in integers: every
 float64 is an integer times a power of two, so scaling all inputs by one
 common power of two makes them integers without changing the
-determinant's sign (Shewchuk 1997). The returned sign is always that of
+determinant's sign (Shewchuk 1997). The float bounds hold only while no
+product underflows, so a call whose products sum to less than ``_TINY``
+in magnitude takes the exact stage too. The returned sign is that of
 the true determinant.
 
 Coordinates are Python floats, np.float64 scalars or Python ints.
@@ -17,6 +19,10 @@ from __future__ import annotations
 _EPS = 7.105427357601002e-15  # (3 + 16 eps) * eps, eps = 2^-53
 _CCW_ERR = _EPS
 _ICC_ERR = (10.0 + 96.0 * 2.0**-53) * 2.0**-53
+# Below this sum of product magnitudes a product may have underflowed to
+# zero or a subnormal, whose absolute error of up to 2^-1075 the relative
+# bounds above do not cover; above it, their slack does.
+_TINY = 2.0**-960
 
 
 def orient2d(ax, ay, bx, by, cx, cy) -> int:
@@ -25,26 +31,36 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
     +1 if c lies left of the directed line a->b (counter-clockwise),
     -1 if right (clockwise), 0 if exactly collinear.
     """
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
-    det = detleft - detright
+    try:
+        detleft = (ax - cx) * (by - cy)
+        detright = (ay - cy) * (bx - cx)
+        det = detleft - detright
 
-    if detleft > 0.0:
-        if detright <= 0.0:
-            return 1
-        detsum = detleft + detright
-    elif detleft < 0.0:
-        if detright >= 0.0:
-            return -1
-        detsum = -detleft - detright
-    else:
-        return _sign(-detright)
+        # a product that underflows rounds to zero, so a zero product is
+        # exact only when one of its differences is zero
+        if detleft > 0.0:
+            if detright < 0.0:
+                return 1
+            detsum = detleft + detright
+        elif detleft < 0.0:
+            if detright > 0.0:
+                return -1
+            detsum = -detleft - detright
+        elif ax == cx or by == cy:
+            # det is -(ay - cy) * (bx - cx), whose factors' signs are exact
+            return _sign(cy - ay) * _sign(bx - cx)
+        else:
+            detsum = abs(detright)
 
-    errbound = _CCW_ERR * detsum
-    if det >= errbound:
-        return 1
-    if det <= -errbound:
-        return -1
+        if detsum >= _TINY:
+            errbound = _CCW_ERR * detsum
+            if det >= errbound:
+                return 1
+            if det <= -errbound:
+                return -1
+    except OverflowError:
+        # Python int inputs whose products leave the float range
+        pass
     return _orient2d_exact(ax, ay, bx, by, cx, cy)
 
 
@@ -59,41 +75,46 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     +1 inside, -1 outside, 0 exactly on the circle. The caller must supply
     (a, b, c) in counter-clockwise order for the sign convention to hold.
     """
-    adx = ax - dx
-    ady = ay - dy
-    bdx = bx - dx
-    bdy = by - dy
-    cdx = cx - dx
-    cdy = cy - dy
+    try:
+        adx = ax - dx
+        ady = ay - dy
+        bdx = bx - dx
+        bdy = by - dy
+        cdx = cx - dx
+        cdy = cy - dy
 
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
+        bdxcdy = bdx * cdy
+        cdxbdy = cdx * bdy
+        alift = adx * adx + ady * ady
 
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
+        cdxady = cdx * ady
+        adxcdy = adx * cdy
+        blift = bdx * bdx + bdy * bdy
 
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
+        adxbdy = adx * bdy
+        bdxady = bdx * ady
+        clift = cdx * cdx + cdy * cdy
 
-    det = (
-        alift * (bdxcdy - cdxbdy)
-        + blift * (cdxady - adxcdy)
-        + clift * (adxbdy - bdxady)
-    )
+        det = (
+            alift * (bdxcdy - cdxbdy)
+            + blift * (cdxady - adxcdy)
+            + clift * (adxbdy - bdxady)
+        )
 
-    permanent = (
-        alift * (abs(bdxcdy) + abs(cdxbdy))
-        + blift * (abs(cdxady) + abs(adxcdy))
-        + clift * (abs(adxbdy) + abs(bdxady))
-    )
-    errbound = _ICC_ERR * permanent
-    if det > errbound:
-        return 1
-    if det < -errbound:
-        return -1
+        permanent = (
+            alift * (abs(bdxcdy) + abs(cdxbdy))
+            + blift * (abs(cdxady) + abs(adxcdy))
+            + clift * (abs(adxbdy) + abs(bdxady))
+        )
+        if permanent >= _TINY:
+            errbound = _ICC_ERR * permanent
+            if det > errbound:
+                return 1
+            if det < -errbound:
+                return -1
+    except OverflowError:
+        # Python int inputs whose products leave the float range
+        pass
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
 

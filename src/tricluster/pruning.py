@@ -1,9 +1,10 @@
 """Triangle sizing, robust normalization, sigma pruning and components.
 
-Triangle sizes are measured in both the original space and the projection.
-The sigma rule, shared with the merge stage, normalizes values with
-median/MAD (robust to the skewed size distributions triangulations
-produce), then cuts with a mean/std threshold over the normalized values:
+A triangle's size is the length of its longest edge, measured in both
+the original space and the projection. The sigma rule, shared with the
+merge stage, normalizes values with median/MAD (robust to the skewed size
+distributions triangulations produce), then cuts with a mean/std
+threshold over the normalized values:
 theta = mean(z) + sigma_f * std(z). An item survives when
 max(z, z_proj) <= theta; theta itself is computed from the original-space
 z only. Surviving edges are the edges of the retained triangles, and
@@ -18,8 +19,6 @@ import numpy as np
 
 from .delaunay import Triangulation
 from .errors import EmptyError, ShapeMismatchError
-
-SIZE_MODES = ("max_edge", "sum_edges", "min_edge")
 
 
 @dataclass(frozen=True)
@@ -61,23 +60,11 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce_sides(side_len: np.ndarray, mode: str) -> np.ndarray:
-    # columns are the sides (0, 1), (1, 2), (0, 2): summed in that order
-    if mode == "max_edge":
-        return side_len.max(axis=1)
-    if mode == "sum_edges":
-        return side_len[:, 0] + side_len[:, 1] + side_len[:, 2]
-    if mode == "min_edge":
-        return side_len.min(axis=1)
-    raise ValueError(f"unknown size mode {mode!r}")
+def triangle_sizes(tri: Triangulation, original, proj) -> TriangleSizes:
+    """Per-triangle longest-edge length in both spaces.
 
-
-def triangle_sizes(tri: Triangulation, original, proj,
-                   mode: str) -> TriangleSizes:
-    """Per-triangle size in both spaces under the selected mode.
-
-    Every edge is measured once per space; a triangle's size reduces the
-    lengths of its three edges.
+    Every edge is measured once per space; a triangle's size is the
+    largest of its three edge lengths.
     """
     orig = np.asarray(original, dtype=np.float64)
     prj = np.asarray(proj, dtype=np.float64)
@@ -90,8 +77,8 @@ def triangle_sizes(tri: Triangulation, original, proj,
     edge_len = edge_lengths(tri, orig)
     edge_len_proj = edge_lengths(tri, prj)
     return TriangleSizes(
-        sizes=_reduce_sides(edge_len[tri.tri_edges], mode),
-        sizes_proj=_reduce_sides(edge_len_proj[tri.tri_edges], mode),
+        sizes=edge_len[tri.tri_edges].max(axis=1),
+        sizes_proj=edge_len_proj[tri.tri_edges].max(axis=1),
         edge_len=edge_len,
         edge_len_proj=edge_len_proj,
     )

@@ -77,7 +77,7 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
 def assert_matches_oracle(labels, tri, orig, proj, tau, sensitivity):
     groups = detect_anomaly_groups(labels, tau)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, orig, proj, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, orig, proj),
         sensitivity,
     )
     want, want_decisions, want_delta = loop_oracle(
@@ -123,7 +123,7 @@ def test_anomaly_distance_formula():
     labels = np.array([0, 0, 1])
     groups = detect_anomaly_groups(labels, tau=1)
     _, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, orig, proj, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, orig, proj),
         0.0,
     )
     # alpha = max proj edge / max orig edge = sqrt(2) / sqrt(73)
@@ -159,7 +159,7 @@ def test_anomaly_distance_matches_recompute():
     orig = rng.standard_normal((20, 6))
     proj = rng.standard_normal((20, 2))
     tri = triangulate(proj)
-    sizes = triangle_sizes(tri, orig, proj, "max_edge")
+    sizes = triangle_sizes(tri, orig, proj)
     for _ in range(50):
         e = int(rng.integers(len(tri.edges)))
         p, q = tri.edges[e]
@@ -185,7 +185,7 @@ def test_sensitivity_one_never_merges():
     groups = detect_anomaly_groups(labels, tau=3)
     assert len(groups) == 1
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         1.0,
     )
     assert out[20] == -1
@@ -196,7 +196,7 @@ def test_sensitivity_zero_always_merges():
     pts, tri, labels = _one_cluster_with_straggler()
     groups = detect_anomaly_groups(labels, tau=3)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
     assert decisions[0].merged is True
@@ -214,7 +214,7 @@ def test_tie_breaks_to_smaller_cluster_id():
     groups = detect_anomaly_groups(labels, tau=1)
     assert len(groups) == 1
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
     assert decisions[0].best_cluster == 0  # symmetric scores, smaller id
@@ -233,7 +233,7 @@ def test_monotone_in_sensitivity():
     for sens in (1.0, 0.75, 0.5, 0.25, 0.0):
         groups = detect_anomaly_groups(labels, tau=1)
         _, decisions = score_and_merge(
-            groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+            groups, labels, tri, triangle_sizes(tri, pts, pts),
             sens,
         )
         merged = {d.group_id for d in decisions if d.merged}
@@ -248,7 +248,7 @@ def test_labels_conserved():
     before = set(labels.tolist())
     groups = detect_anomaly_groups(labels, tau=3)
     out, _ = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.5,
     )
     assert set(out.tolist()) <= before | {-1}
@@ -264,7 +264,7 @@ def test_merged_target_has_maximal_score():
     labels = np.array([0] * 15 + [1] * 15 + [2])
     groups = detect_anomaly_groups(labels, tau=1)
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
     d = decisions[0]
@@ -339,7 +339,7 @@ def test_score_tie_goes_to_smaller_cluster_id():
     labels = np.array([7, 3, 3, 7, 9])
     groups = [np.array([4])]
     out, decisions = score_and_merge(
-        groups, labels, tri, triangle_sizes(tri, pts, pts, "max_edge"),
+        groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
     assert decisions[0].best_cluster == 3

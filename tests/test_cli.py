@@ -285,6 +285,51 @@ def test_demo_backprojection(tmp_path, capsys):
     assert json.load(open(out)) == rows
 
 
+@pytest.mark.parametrize("which, seeds", [
+    ("degradation", "0"), ("backprojection", "0"), ("backprojection", "-2"),
+])
+def test_demo_without_seeds_is_config_error(tmp_path, capsys, which, seeds):
+    out = tmp_path / "demo.json"
+    code, stdout, err = run_cli(capsys, "demo", "--which", which,
+                                "--seeds", seeds, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and "seeds" in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "eval"])
+def test_non_utf8_text_input_is_parse_error(tmp_path, capsys, command):
+    binary = str(tmp_path / "m.bin")
+    save_matrix(np.ones((4, 2)), binary, fmt="binary")
+    labels = str(tmp_path / "l.labels")
+    save_labels([0, 0, 1, 1], labels)
+    argv = {
+        "cluster": ["cluster", "--format", "csv", "--input", binary,
+                    "--out", labels],
+        "eval": ["eval", "--true", binary, "--pred", labels],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and binary in errors[0]
+    assert "not UTF-8 text" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_removed_param_flags_are_usage_errors(tmp_path, capsys):
+    for flag in (["--size-mode", "max_edge"], ["--standardize"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["cluster", "--input", "x.csv", "--out", "y.labels", *flag])
+        assert exc_info.value.code == 1
+        assert flag[0] in capsys.readouterr().err
+
+
 def test_sweep(tmp_path, capsys):
     data = str(tmp_path / "toy.csv")
     truth = str(tmp_path / "toy.labels")

@@ -282,6 +282,14 @@ def test_grid_cocircular_canonical():
             assert (p01, p10) not in edges
 
 
+def test_underflowing_scales_keep_the_triangles():
+    # at these scales the float products of the predicates underflow
+    pts = np.random.default_rng(30).random((30, 2))
+    want = triangulate(pts).triangles
+    for scaled in (pts * 1e-170, np.ldexp(pts, -560), np.ldexp(pts, -1000)):
+        assert np.array_equal(triangulate(scaled).triangles, want)
+
+
 def test_collinear_raises():
     pts = np.column_stack([np.arange(6.0), 2 * np.arange(6.0)])
     with pytest.raises(CollinearError):
@@ -372,7 +380,7 @@ def test_edge_lengths_match_direct_loop():
 def test_edge_lengths_shape_mismatch():
     tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ShapeMismatchError):
-        triangle_sizes(tri, np.zeros((5, 2)), np.zeros((3, 2)), "max_edge")
+        triangle_sizes(tri, np.zeros((5, 2)), np.zeros((3, 2)))
 
 
 def test_every_edge_in_a_triangle():

@@ -147,6 +147,16 @@ def test_labels_non_integer_rejected(tmp_path):
         load_labels(p)
 
 
+def test_non_utf8_text_is_parse_error(tmp_path):
+    # a DTRC file holding 1.0 has the bytes f0 3f, which UTF-8 rejects
+    path = str(tmp_path / "m.bin")
+    save_matrix(np.ones((2, 2)), path, fmt="binary")
+    for load in (load_matrix, load_labels):
+        with pytest.raises(ParseError, match="not UTF-8 text") as exc_info:
+            load(path)
+        assert path in str(exc_info.value)
+
+
 def test_canonicalize_labels():
     out = canonicalize_labels([5, 5, -1, 9, 5, 9])
     assert out.tolist() == [0, 0, -1, 1, 0, 1]

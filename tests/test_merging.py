@@ -188,6 +188,23 @@ def test_merge_coincident_representatives():
     assert len(np.unique(out)) == 2
 
 
+def test_coincident_representatives_merge_without_kept_edges():
+    # no representative edge survives, yet the representatives of
+    # clusters 1 and 4 share a projected point and so a vertex, which
+    # joins them even though their original-space rows differ
+    pts, labels = _two_pairs_layout()
+    pts = np.vstack([pts, pts[6:12]])
+    labels = np.concatenate([labels, np.full(6, 4)])
+    reps = compute_representatives(labels, pts)
+    original = np.hstack([reps.rep_coords_proj,
+                          100.0 * np.arange(5.0)[:, None]])
+    diag = {}
+    out = merge_clusters(labels, reps, original, -1e9, diagnostics=diag)
+    assert diag["n_rep_edges_kept"] == 0
+    assert np.all(out[24:] == out[6])
+    assert len(np.unique(out)) == 4
+
+
 def test_merge_threshold_matches_norm_oracle():
     # the merge stage measures representative edges in both spaces with
     # the norm of the row difference and applies pruning's sigma rule

@@ -59,7 +59,7 @@ def test_stage_composition_matches_component_labels():
 
     emb = pca2(pts)
     tri = triangulate(emb.coords)
-    sizes = triangle_sizes(tri, pts, emb.coords, "max_edge")
+    sizes = triangle_sizes(tri, pts, emb.coords)
     _, edges = prune(tri, sizes, 1.0)
     comp = connected_components(tri.n_vertices, edges)
     # small components become -1, the rest must match exactly (both sides
@@ -163,8 +163,10 @@ def test_param_validation():
         ClusterParams(tau=0).validate()
     with pytest.raises(ValueError):
         ClusterParams(anomaly_sensitivity=1.5).validate()
-    with pytest.raises(ValueError):
-        ClusterParams(size_mode="area").validate()
+    # size_mode and standardize are not parameters
+    for removed in ("size_mode", "standardize"):
+        with pytest.raises(TypeError):
+            ClusterParams(**{removed: None})
     # the sweep's search ranges do not bound the parameters: the
     # published defaults and values outside the ranges validate silently
     with warnings.catch_warnings():
@@ -181,20 +183,6 @@ def test_diagnostics_counters_present():
                 "ms_anomaly", "n_triangles", "n_triangles_kept",
                 "theta_prune", "merge_count", "n_components_initial"):
         assert key in d
-
-
-def test_standardize_flag():
-    rng = np.random.default_rng(23)
-    # one dominant-scale column; standardizing changes the projection
-    data = np.column_stack([rng.normal(0, 100.0, 60),
-                            rng.normal(0, 1.0, 60),
-                            rng.normal(0, 1.0, 60)])
-    raw = fit_predict(data, ClusterParams(prune_param=1.0))
-    std = fit_predict(data, ClusterParams(prune_param=1.0, standardize=True))
-    a = raw.diagnostics["embedding"].coords
-    b = std.diagnostics["embedding"].coords
-    assert not np.allclose(a, b)
-    assert len(std.labels) == 60
 
 
 def test_theta_merge_recorded_when_k_at_least_3():

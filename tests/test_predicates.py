@@ -110,8 +110,11 @@ def integer_sets():
 
 
 def scaled_integer_sets():
+    # below 1e-150 the float products underflow: incircle's near 1e-78
+    # and orient2d's near 1e-155
     for pts in integer_sets():
-        for factor in (1.0, 1e-150, 1e150):
+        for factor in (1.0, 1e-78, 1e-80, 1e-150, 1e-156, 1e-162, 1e-300,
+                       1e150):
             yield [(x * factor, y * factor) for x, y in pts]
 
 
@@ -159,6 +162,23 @@ def test_exact_stage_on_cocircular_and_collinear_integer_sets():
     assert all(saw_zero.values())
 
 
+def test_float_stage_agrees_with_rational_oracle_at_underflowing_scales():
+    # products of coordinates below about 1e-162 underflow; the float
+    # stage must hand such calls to the exact stage, never read a sign
+    # off a product rounded to zero or to a subnormal
+    rng = random.Random(13)
+    for exponent in range(160, 301):
+        scale = 10.0 ** -exponent
+        for _ in range(40):
+            args = [rng.uniform(-1.0, 1.0) * scale for _ in range(6)]
+            assert orient2d(*args) == orient2d_oracle(*args), args
+        for _ in range(10):
+            args = [rng.uniform(-1.0, 1.0) * scale for _ in range(8)]
+            assert incircle(*args) == incircle_oracle(*args), args
+    assert orient2d(0.0, 0.0, 1e-200, 0.0, 0.0, 1e-200) == 1
+    assert orient2d(0.0, 0.0, 0.0, 1e-200, 1e-200, 0.0) == -1
+
+
 def test_exact_stage_takes_integers_beyond_float_precision():
     # Python ints are exact at any size; 2**60 + 1 is no float64, and
     # rounded to floats these three points are collinear
@@ -167,3 +187,28 @@ def test_exact_stage_takes_integers_beyond_float_precision():
     assert _orient2d_exact(*args) == orient2d_oracle(*args) == -1
     args = (big, 0, 0, big, -big, 0, 0, -big - 1)
     assert _incircle_exact(*args) == incircle_oracle(*args) == -1
+
+
+def test_ints_whose_products_leave_the_float_range():
+    # the float stage cannot convert such products; the exact stage decides
+    big = 10**160
+    args = (0, 0, big, 0, 0, big)
+    assert orient2d(*args) == orient2d_oracle(*args) == 1
+    args = (big, 0, 0, big, -big, 0, 0, -big - 1)
+    assert incircle(*args) == incircle_oracle(*args) == -1
+    args = (big, 0, 0, big, -big, 0, 0.0, -1e150)
+    assert incircle(*args) == incircle_oracle(*args) == 1
+
+
+def test_orient2d_when_one_product_underflows_to_zero():
+    # (a - c).x * (b - c).y rounds up to the smallest subnormal and
+    # (a - c).y * (b - c).x down to zero, yet the exact second product is
+    # the larger, since (b - c).y rounded up and (b - c).x down: the
+    # signs of the rounded products alone would give +1
+    args = tuple(float.fromhex(h) for h in (
+        "0x1.fff0000020004p-541", "0x1.000800001ffffp-540",
+        "0x1.0000000001000p-500", "0x1.fffe000200fe1p-500",
+        "0x1.fff0000000002p-541", "0x1.0007fffffffffp-540"))
+    assert (args[0] - args[4]) * (args[3] - args[5]) == 5e-324
+    assert (args[1] - args[5]) * (args[2] - args[4]) == 0.0
+    assert orient2d(*args) == orient2d_oracle(*args) == -1

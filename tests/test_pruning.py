@@ -41,14 +41,14 @@ def bfs_components(n, edges):
     return labels
 
 
-def test_triangle_size_modes():
-    # original-space edge lengths {3, 4, 5}
+def test_triangle_size_is_longest_edge():
+    # original-space edge lengths {3, 4, 5}, projected {1, 1, sqrt 2}
     orig = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
     proj = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tri = triangulate(proj)
-    assert triangle_sizes(tri, orig, proj, "max_edge").sizes[0] == pytest.approx(5.0)
-    assert triangle_sizes(tri, orig, proj, "sum_edges").sizes[0] == pytest.approx(12.0)
-    assert triangle_sizes(tri, orig, proj, "min_edge").sizes[0] == pytest.approx(3.0)
+    sizes = triangle_sizes(tri, orig, proj)
+    assert sizes.sizes[0] == pytest.approx(5.0)
+    assert sizes.sizes_proj[0] == pytest.approx(np.sqrt(2.0))
 
 
 def test_triangle_sizes_match_direct_recompute():
@@ -56,7 +56,7 @@ def test_triangle_sizes_match_direct_recompute():
     proj = rng.standard_normal((30, 2))
     orig = rng.standard_normal((30, 5))
     tri = triangulate(proj)
-    sizes = triangle_sizes(tri, orig, proj, "max_edge")
+    sizes = triangle_sizes(tri, orig, proj)
     for t, (i, j, k) in enumerate(tri.triangles.tolist()):
         expect = max(
             np.sqrt(((orig[i] - orig[j]) ** 2).sum()),
@@ -150,7 +150,7 @@ def test_prune_applies_sigma_rule_to_triangle_sizes():
     orig = rng.standard_normal((50, 4))
     proj = rng.standard_normal((50, 2))
     tri = triangulate(proj)
-    sizes = triangle_sizes(tri, orig, proj, "max_edge")
+    sizes = triangle_sizes(tri, orig, proj)
     res, _ = prune(tri, sizes, 0.7)
     want = sigma_rule(sizes.sizes, sizes.sizes_proj, 0.7)
     assert res.theta == want.theta
@@ -163,7 +163,7 @@ def test_prune_nothing_dropped_when_threshold_high():
     rng = np.random.default_rng(1)
     pts = rng.standard_normal((40, 2))
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     _, edges = prune(tri, sizes, 1e9)
     assert np.array_equal(edges, tri.edges)
 
@@ -172,7 +172,7 @@ def test_prune_everything_dropped_when_threshold_low():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((40, 2))
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     res, edges = prune(tri, sizes, -1e9)
     assert not res.keep_mask.any()
     assert len(edges) == 0
@@ -186,7 +186,7 @@ def test_prune_two_blobs_recovers_truth():
     b = rng.normal(0, 0.5, (20, 2)) + [50.0, 0.0]
     pts = np.vstack([a, b])
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     _, edges = prune(tri, sizes, 1.0)
     labels = connected_components(tri.n_vertices, edges)
     oracle = bfs_components(tri.n_vertices, edges.tolist())
@@ -223,7 +223,7 @@ def test_retention_monotonicity():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((60, 2)) * 3
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     prev = None
     for sigma_f in (-1.0, 0.0, 0.5, 1.0, 2.0):
         res, _ = prune(tri, sizes, sigma_f)
@@ -237,11 +237,11 @@ def test_scale_invariance_of_pruning():
     orig = rng.standard_normal((80, 6))
     proj = rng.standard_normal((80, 2))
     tri = triangulate(proj)
-    base_sizes = triangle_sizes(tri, orig, proj, "max_edge")
+    base_sizes = triangle_sizes(tri, orig, proj)
     base_res, base_edges = prune(tri, base_sizes, 1.0)
     base_labels = connected_components(tri.n_vertices, base_edges)
     for c in (1e-3, 1e3, 7.0):
-        sizes = triangle_sizes(tri, orig * c, proj, "max_edge")
+        sizes = triangle_sizes(tri, orig * c, proj)
         assert np.allclose(sizes.sizes, base_sizes.sizes * c, rtol=1e-12)
         res, edges = prune(tri, sizes, 1.0)
         assert np.array_equal(res.keep_mask, base_res.keep_mask)
@@ -255,7 +255,7 @@ def test_kept_edges_backed_by_kept_triangles():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((70, 2))
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     res, edges = prune(tri, sizes, 0.5)
     kept_edges = set()
     dropped_only = set()
@@ -271,7 +271,7 @@ def test_components_partition_vertices():
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((50, 2))
     tri = triangulate(pts)
-    sizes = triangle_sizes(tri, pts, pts, "max_edge")
+    sizes = triangle_sizes(tri, pts, pts)
     _, edges = prune(tri, sizes, 0.0)
     labels = connected_components(tri.n_vertices, edges)
     assert len(labels) == 50
