@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError
+from .errors import ConfigError, TriclusterError
 from .pipeline import MERGE_RANGE, PRUNE_RANGE, ClusterParams, fit_predict
 from .projection import embedding_from_array
 from .svg import scatter_svg
@@ -73,14 +73,18 @@ def run_seed(name: str, repeat: int) -> int:
 
 
 def run_suite(specs, svg_dir=None) -> BenchReport:
-    """Run each spec ``repeats`` times; failures are recorded, not fatal."""
+    """Run each spec ``repeats`` times.
+
+    A run that raises TriclusterError is recorded in ``errors`` and the
+    suite goes on; any other exception is a bug and propagates.
+    """
     report = BenchReport()
     for spec in specs:
         for rep in range(spec.repeats):
             seed = run_seed(spec.name, rep)
             try:
                 row = _run_one(spec, rep, seed, svg_dir)
-            except Exception as exc:  # keep the suite going
+            except TriclusterError as exc:  # keep the suite going
                 report.errors.append((spec.name, seed, str(exc)))
                 print(f"bench: {spec.name} rep={rep} failed: {exc}",
                       file=sys.stderr)

@@ -370,7 +370,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TriclusterError as exc:
+    except (TriclusterError, OSError) as exc:
+        # an OSError is an IoError on a path a command opens itself
         print(f"tricluster: {exc}", file=sys.stderr)
         return 2
 

@@ -109,16 +109,19 @@ def _hilbert_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Mesh:
-    """Mutable triangle soup used during construction."""
+    """Mutable triangle soup used during construction.
+
+    A Bowyer-Watson cavity holds no vertex, so its b triangles are always
+    refilled with b + 2: insertion rewrites the b slots in place and
+    appends two, and every slot holds a triangle of the current mesh.
+    """
 
     def __init__(self, xs, ys):
         self.xs = xs
         self.ys = ys
-        self.tv = []      # triangle vertices, GHOST normalized to slot 2
+        self.tv = []      # triangle vertices, GHOST in slot 2
         self.tn = []      # neighbor across edge opposite vertex i
-        self.alive = []
-        self.free = []
-        self.last = 0     # a live real triangle to start walks from
+        self.last = 0     # a real triangle to start walks from
 
     # -- primitive tests -------------------------------------------------
 
@@ -192,32 +195,14 @@ class _Mesh:
 
     # -- construction ----------------------------------------------------
 
-    def _new_tri(self, verts, neighbors):
-        if self.free:
-            t = self.free.pop()
-            self.tv[t] = verts
-            self.tn[t] = neighbors
-            self.alive[t] = True
-        else:
-            t = len(self.tv)
-            self.tv.append(verts)
-            self.tn.append(neighbors)
-            self.alive.append(True)
-        return t
-
     def init_triangle(self, a, b, c):
         xs, ys = self.xs, self.ys
         if orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
             b, c = c, b
-        t0 = self._new_tri([a, b, c], [0, 0, 0])
-        ga = self._new_tri([c, b, GHOST], [0, 0, 0])
-        gb = self._new_tri([a, c, GHOST], [0, 0, 0])
-        gc = self._new_tri([b, a, GHOST], [0, 0, 0])
-        self.tn[t0] = [ga, gb, gc]
-        self.tn[ga] = [gc, gb, t0]
-        self.tn[gb] = [ga, gc, t0]
-        self.tn[gc] = [gb, ga, t0]
-        self.last = t0
+        # slot 0 is (a, b, c); slots 1-3 are the ghosts across its sides
+        self.tv = [[a, b, c], [c, b, GHOST], [a, c, GHOST], [b, a, GHOST]]
+        self.tn = [[1, 2, 3], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
+        self.last = 0
 
     def insert(self, p):
         tv, tn = self.tv, self.tn
@@ -253,37 +238,36 @@ class _Mesh:
             if u == start:
                 break
 
-        for t in bad:
-            self.alive[t] = False
-            self.free.append(t)
-
-        k = len(ring)
-        new_ids = [self._new_tri(None, None) for _ in range(k)]
+        # the ring's k = b + 2 triangles (u, v, p) fill the cavity's b
+        # slots and two new ones; a ghost is rotated into slot 2, which
+        # keeps each vertex opposite its edge's neighbor
+        n = len(tv)
+        slots = [*bad, n, n + 1]
+        tv += [None, None]
+        tn += [None, None]
+        k = len(slots)
+        last = None
         for idx, (u, v, nb) in enumerate(ring):
-            t = new_ids[idx]
-            tv[t] = [u, v, p]
-            tn[t] = [new_ids[(idx + 1) % k], new_ids[(idx - 1) % k], nb]
+            t = slots[idx]
+            nxt, prv = slots[(idx + 1) % k], slots[idx - 1]
+            if u == GHOST:
+                tv[t] = [v, p, u]
+                tn[t] = [prv, nb, nxt]
+            elif v == GHOST:
+                tv[t] = [p, u, v]
+                tn[t] = [nb, nxt, prv]
+            else:
+                tv[t] = [u, v, p]
+                tn[t] = [nxt, prv, nb]
+                if last is None:
+                    last = t
             # patch the outer triangle's back-pointer
             vt = tv[nb]
             for j in range(3):
                 if vt[j] != u and vt[j] != v:
                     tn[nb][j] = t
                     break
-
-        # normalize ghost vertex into slot 2 (rotation keeps edge pairing)
-        for t in new_ids:
-            vt, nt = tv[t], tn[t]
-            if vt[0] == GHOST:
-                tv[t] = [vt[1], vt[2], vt[0]]
-                tn[t] = [nt[1], nt[2], nt[0]]
-            elif vt[1] == GHOST:
-                tv[t] = [vt[2], vt[0], vt[1]]
-                tn[t] = [nt[2], nt[0], nt[1]]
-
-        for t in new_ids:
-            if tv[t][2] != GHOST:
-                self.last = t
-                break
+        self.last = last
 
 
 def triangulate(coords: np.ndarray) -> Triangulation:
@@ -338,8 +322,7 @@ def triangulate(coords: np.ndarray) -> Triangulation:
 
     tv = np.fromiter(itertools.chain.from_iterable(mesh.tv), dtype=np.int64,
                      count=3 * len(mesh.tv)).reshape(-1, 3)
-    live = np.asarray(mesh.alive, dtype=bool) & (tv[:, 2] != GHOST)
-    tris = np.sort(tv[live], axis=1)
+    tris = np.sort(tv[tv[:, 2] != GHOST], axis=1)
     triangles = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
     edges, tri_edges = _edge_table(triangles, n_u)
 

@@ -10,14 +10,13 @@ product underflows, so a call whose products sum to less than ``_TINY``
 in magnitude takes the exact stage too. The returned sign is that of
 the true determinant.
 
-Coordinates are Python floats, np.float64 scalars or Python ints.
+Coordinates are float64: Python floats or np.float64 scalars.
 """
 
 from __future__ import annotations
 
 # Machine epsilon derived constants (error bounds for the f64 filter).
-_EPS = 7.105427357601002e-15  # (3 + 16 eps) * eps, eps = 2^-53
-_CCW_ERR = _EPS
+_CCW_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _ICC_ERR = (10.0 + 96.0 * 2.0**-53) * 2.0**-53
 # Below this sum of product magnitudes a product may have underflowed to
 # zero or a subnormal, whose absolute error of up to 2^-1075 the relative
@@ -31,36 +30,32 @@ def orient2d(ax, ay, bx, by, cx, cy) -> int:
     +1 if c lies left of the directed line a->b (counter-clockwise),
     -1 if right (clockwise), 0 if exactly collinear.
     """
-    try:
-        detleft = (ax - cx) * (by - cy)
-        detright = (ay - cy) * (bx - cx)
-        det = detleft - detright
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
 
-        # a product that underflows rounds to zero, so a zero product is
-        # exact only when one of its differences is zero
-        if detleft > 0.0:
-            if detright < 0.0:
-                return 1
-            detsum = detleft + detright
-        elif detleft < 0.0:
-            if detright > 0.0:
-                return -1
-            detsum = -detleft - detright
-        elif ax == cx or by == cy:
-            # det is -(ay - cy) * (bx - cx), whose factors' signs are exact
-            return _sign(cy - ay) * _sign(bx - cx)
-        else:
-            detsum = abs(detright)
+    # a product that underflows rounds to zero, so a zero product is
+    # exact only when one of its differences is zero
+    if detleft > 0.0:
+        if detright < 0.0:
+            return 1
+        detsum = detleft + detright
+    elif detleft < 0.0:
+        if detright > 0.0:
+            return -1
+        detsum = -detleft - detright
+    elif ax == cx or by == cy:
+        # det is -(ay - cy) * (bx - cx), whose factors' signs are exact
+        return _sign(cy - ay) * _sign(bx - cx)
+    else:
+        detsum = abs(detright)
 
-        if detsum >= _TINY:
-            errbound = _CCW_ERR * detsum
-            if det >= errbound:
-                return 1
-            if det <= -errbound:
-                return -1
-    except OverflowError:
-        # Python int inputs whose products leave the float range
-        pass
+    if detsum >= _TINY:
+        errbound = _CCW_ERR * detsum
+        if det >= errbound:
+            return 1
+        if det <= -errbound:
+            return -1
     return _orient2d_exact(ax, ay, bx, by, cx, cy)
 
 
@@ -75,46 +70,42 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     +1 inside, -1 outside, 0 exactly on the circle. The caller must supply
     (a, b, c) in counter-clockwise order for the sign convention to hold.
     """
-    try:
-        adx = ax - dx
-        ady = ay - dy
-        bdx = bx - dx
-        bdy = by - dy
-        cdx = cx - dx
-        cdy = cy - dy
+    adx = ax - dx
+    ady = ay - dy
+    bdx = bx - dx
+    bdy = by - dy
+    cdx = cx - dx
+    cdy = cy - dy
 
-        bdxcdy = bdx * cdy
-        cdxbdy = cdx * bdy
-        alift = adx * adx + ady * ady
+    bdxcdy = bdx * cdy
+    cdxbdy = cdx * bdy
+    alift = adx * adx + ady * ady
 
-        cdxady = cdx * ady
-        adxcdy = adx * cdy
-        blift = bdx * bdx + bdy * bdy
+    cdxady = cdx * ady
+    adxcdy = adx * cdy
+    blift = bdx * bdx + bdy * bdy
 
-        adxbdy = adx * bdy
-        bdxady = bdx * ady
-        clift = cdx * cdx + cdy * cdy
+    adxbdy = adx * bdy
+    bdxady = bdx * ady
+    clift = cdx * cdx + cdy * cdy
 
-        det = (
-            alift * (bdxcdy - cdxbdy)
-            + blift * (cdxady - adxcdy)
-            + clift * (adxbdy - bdxady)
-        )
+    det = (
+        alift * (bdxcdy - cdxbdy)
+        + blift * (cdxady - adxcdy)
+        + clift * (adxbdy - bdxady)
+    )
 
-        permanent = (
-            alift * (abs(bdxcdy) + abs(cdxbdy))
-            + blift * (abs(cdxady) + abs(adxcdy))
-            + clift * (abs(adxbdy) + abs(bdxady))
-        )
-        if permanent >= _TINY:
-            errbound = _ICC_ERR * permanent
-            if det > errbound:
-                return 1
-            if det < -errbound:
-                return -1
-    except OverflowError:
-        # Python int inputs whose products leave the float range
-        pass
+    permanent = (
+        alift * (abs(bdxcdy) + abs(cdxbdy))
+        + blift * (abs(cdxady) + abs(adxcdy))
+        + clift * (abs(adxbdy) + abs(bdxady))
+    )
+    if permanent >= _TINY:
+        errbound = _ICC_ERR * permanent
+        if det > errbound:
+            return 1
+        if det < -errbound:
+            return -1
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 
 

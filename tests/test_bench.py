@@ -1,8 +1,9 @@
 import csv
 
 import numpy as np
+import pytest
 
-from tricluster import ClusterParams, generate, SynthConfig
+from tricluster import ClusterParams, bench, generate, SynthConfig
 from tricluster.bench import (
     BenchSpec,
     REPORT_COLUMNS,
@@ -72,6 +73,15 @@ def test_run_suite_continues_after_failure():
     report = run_suite([bad, toy_spec(repeats=1)])
     assert len(report.errors) == 1
     assert len(report.rows) == 1
+
+
+def test_run_suite_propagates_errors_that_are_bugs(monkeypatch):
+    # only a TriclusterError is a failed run; anything else is a bug
+    def broken(data, params):
+        raise IndexError("bug")
+    monkeypatch.setattr(bench, "fit_predict", broken)
+    with pytest.raises(IndexError, match="bug"):
+        run_suite([toy_spec(repeats=1)])
 
 
 def test_ablations_variants():

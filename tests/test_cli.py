@@ -301,6 +301,45 @@ def test_demo_without_seeds_is_config_error(tmp_path, capsys, which, seeds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [
+    "cluster --svg", "cluster --diag", "demo --out", "sweep --trace",
+    "bench --out", "bench --scaling --out",
+])
+def test_unwritable_output_path_is_io_error(tmp_path, capsys, flag):
+    data = str(tmp_path / "toy.csv")
+    truth = str(tmp_path / "toy.labels")
+    run_cli(capsys, "gen", "--n", "60", "--clusters", "2", "--dim", "2",
+            "--seed", "1", "--out", data, "--truth", truth)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{
+        "name": "tiny",
+        "generator": {"n_points": 60, "n_clusters": 2, "n_dim": 2}}]))
+    # a path below a regular file: not even makedirs can create it
+    bad = str(tmp_path / "toy.csv" / "out")
+    labels = str(tmp_path / "p.labels")
+    argv = {
+        "cluster --svg": ["cluster", "--input", data, "--out", labels,
+                          "--svg", bad],
+        "cluster --diag": ["cluster", "--input", data, "--out", labels,
+                           "--diag", bad],
+        "demo --out": ["demo", "--which", "backprojection", "--seeds", "1",
+                       "--out", bad],
+        "sweep --trace": ["sweep", "--input", data, "--truth", truth,
+                          "--prune-grid", "1.0", "--merge-grid", "-1.9",
+                          "--trace", bad],
+        "bench --out": ["bench", "--suite", str(suite), "--out", bad],
+        "bench --scaling --out": ["bench", "--scaling", "--n-list", "60",
+                                  "--d-list", "2", "--out", bad],
+    }[flag]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and bad in errors[0]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["cluster", "eval"])
 def test_non_utf8_text_input_is_parse_error(tmp_path, capsys, command):
     binary = str(tmp_path / "m.bin")
