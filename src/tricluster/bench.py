@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -86,8 +85,6 @@ def run_suite(specs, svg_dir=None) -> BenchReport:
                 row = _run_one(spec, rep, seed, svg_dir)
             except TriclusterError as exc:  # keep the suite going
                 report.errors.append((spec.name, seed, str(exc)))
-                print(f"bench: {spec.name} rep={rep} failed: {exc}",
-                      file=sys.stderr)
                 continue
             report.rows.append(row)
     return report
@@ -159,11 +156,10 @@ def _check_seeds(n_seeds):
 
 
 def degradation_sweep(eps_list=(2.0, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5),
-                      n_seeds: int = 10, prune_param: float = 0.8):
+                      n_seeds: int = 10):
     """Fraction of seeds recovering exactly the two strips, per gap value."""
     _check_seeds(n_seeds)
-    params = ClusterParams(prune_param=prune_param,
-                           anomaly_sensitivity=1.0)
+    params = ClusterParams(prune_param=0.8, anomaly_sensitivity=1.0)
     results = []
     for eps in eps_list:
         successes = 0
@@ -176,20 +172,18 @@ def degradation_sweep(eps_list=(2.0, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5),
     return results
 
 
-def backprojection_demo(n_seeds: int = 5, n_dim: int = 10, n_tail: int = 25,
-                        n_points: int = 500):
+def backprojection_demo(n_seeds: int = 5):
     """Tail-anomaly recall with back-projection on vs off.
 
-    The imported embedding is the first two coordinates, so the displaced
+    Each seed draws 500 points in 10-D, 25 of them tail points. The
+    imported embedding is the first two coordinates, so the displaced
     tail points sit inside the cluster footprint in 2-D and only the
     original-space test can expose them.
     """
     _check_seeds(n_seeds)
     rows = []
     for s in range(n_seeds):
-        data, truth = generate_backprojection_demo(
-            n_dim, n_tail, seed=2000 + s, n_points=n_points
-        )
+        data, truth = generate_backprojection_demo(10, 25, seed=2000 + s)
         emb = embedding_from_array(data[:, :2].copy(), data)
         base = ClusterParams(prune_param=1.0, anomaly_sensitivity=1.0)
         with_bp = fit_predict(data, base, external_embedding=emb)
@@ -243,7 +237,7 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
     return best[1], trace
 
 
-def runtime_scaling(n_list, d_list, repeats: int = 1):
+def runtime_scaling(n_list, d_list):
     """Wall-clock of the full pipeline per (n, d) plus fitted exponents."""
     rows = []
     for d in d_list:
@@ -252,12 +246,10 @@ def runtime_scaling(n_list, d_list, repeats: int = 1):
                               overlap=0.08, anomaly_fraction=0.02,
                               random_state=7)
             data, _ = generate(cfg)
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fit_predict(data, ClusterParams(prune_param=1.0))
-                times.append(time.perf_counter() - t0)
-            rows.append({"n": n, "d": d, "seconds": min(times)})
+            t0 = time.perf_counter()
+            fit_predict(data, ClusterParams(prune_param=1.0))
+            rows.append({"n": n, "d": d,
+                         "seconds": time.perf_counter() - t0})
 
     def fitted_exponent(pairs):
         if len(pairs) < 2:

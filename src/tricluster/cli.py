@@ -46,8 +46,16 @@ def _comma_list(kind):
     return parse
 
 
-def _add_param_flags(p):
-    # every dest is a ClusterParams field name
+def _add_job_flags(p):
+    """The input and ClusterParams flags of cluster, ablate and sweep."""
+    p.add_argument("--input", required=True)
+    p.add_argument("--format", default="csv", choices=("csv", "binary"))
+    p.add_argument("--header", action="store_true")
+    p.add_argument("--embedding", default=None,
+                   help="import a 2-column embedding instead of PCA")
+    p.add_argument("--embedding-format", default="csv",
+                   choices=("csv", "binary"))
+    # every dest below is a ClusterParams field name
     d = PARAM_DEFAULTS
     p.add_argument("--prune", dest="prune_param", type=float,
                    default=d["prune_param"],
@@ -67,14 +75,24 @@ def _add_param_flags(p):
     p.add_argument("--proj-off", dest="back_projection",
                    action="store_false", default=d["back_projection"],
                    help="disable back-projection (embedding-only sizes)")
-    p.add_argument("--embedding", default=None,
-                   help="import a 2-column embedding instead of PCA")
-    p.add_argument("--embedding-format", default="csv",
-                   choices=("csv", "binary"))
 
 
 def _params_from_args(args) -> ClusterParams:
     return ClusterParams(**{k: getattr(args, k) for k in PARAM_DEFAULTS})
+
+
+def _check_outputs(files=(), dirs=()):
+    """Fail before any work when an output path cannot be created: a file
+    path needs an existing parent directory, and each directory in
+    ``dirs`` is created here. None entries are unset options."""
+    for path in files:
+        if path is not None and not os.path.isdir(
+                os.path.dirname(path) or os.curdir):
+            raise IoError(f"cannot write {path}: its parent is not "
+                          "an existing directory")
+    for path in dirs:
+        if path is not None:
+            os.makedirs(path, exist_ok=True)
 
 
 def _load_input(args):
@@ -90,28 +108,22 @@ def _load_input(args):
 
 
 def _write_diag(diag_dir, result):
-    os.makedirs(diag_dir, exist_ok=True)
     tri = result.diagnostics["triangulation"]
     sizes = result.diagnostics["sizes"]
     pres = result.diagnostics["prune_result"]
+    # csv.writer's dialect: CRLF line ends, header first
+    table = dict(delimiter=",", newline="\r\n", comments="")
     with open(os.path.join(diag_dir, "triangles.csv"), "w",
               encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "k"])
-        for row in tri.triangles:
-            w.writerow([int(v) for v in row])
+        np.savetxt(fh, tri.triangles, fmt="%d", header="i,j,k", **table)
     with open(os.path.join(diag_dir, "pruning.csv"), "w",
               encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "k", "s", "s_proj", "z", "z_proj", "kept"])
-        for t in range(len(tri.triangles)):
-            i, j, k = (int(v) for v in tri.triangles[t])
-            w.writerow([
-                i, j, k,
-                f"{sizes.sizes[t]:.17g}", f"{sizes.sizes_proj[t]:.17g}",
-                f"{pres.z[t]:.17g}", f"{pres.z_proj[t]:.17g}",
-                int(pres.keep_mask[t]),
-            ])
+        # vertex indices stay exact in float64 up to 2^53
+        columns = np.column_stack([
+            tri.triangles, sizes.sizes, sizes.sizes_proj,
+            pres.z, pres.z_proj, pres.keep_mask])
+        np.savetxt(fh, columns, fmt=["%d"] * 3 + ["%.17g"] * 4 + ["%d"],
+                   header="i,j,k,s,s_proj,z,z_proj,kept", **table)
     with open(os.path.join(diag_dir, "anomaly.csv"), "w",
               encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
@@ -126,6 +138,8 @@ def _write_diag(diag_dir, result):
 
 
 def _cmd_gen(args):
+    truth_path = args.truth or args.out + ".labels"
+    _check_outputs(files=(args.out, truth_path))
     cfg = SynthConfig(
         n_points=args.n, n_clusters=args.clusters, n_dim=args.dim,
         overlap=args.overlap, anomaly_fraction=args.anomaly_frac,
@@ -133,7 +147,6 @@ def _cmd_gen(args):
     )
     data, truth = generate(cfg)
     io.save_matrix(data, args.out, fmt=args.format)
-    truth_path = args.truth or args.out + ".labels"
     io.save_labels(truth, truth_path)
     _emit({"out": args.out, "truth": truth_path,
            "n_points": int(len(data)), "n_dims": int(data.shape[1]),
@@ -142,15 +155,17 @@ def _cmd_gen(args):
 
 
 def _cmd_cluster(args):
+    _check_outputs(files=(args.out, args.svg), dirs=(args.diag,))
     data, emb = _load_input(args)
     params = _params_from_args(args)
     result = fit_predict(data, params, external_embedding=emb)
-    io.save_labels(result.labels, args.out)
     if args.svg:
         coords = result.diagnostics["embedding"].coords
         scatter_svg(coords, result.labels, args.svg)
     if args.diag:
         _write_diag(args.diag, result)
+    # last, so a failed job leaves no labels file
+    io.save_labels(result.labels, args.out)
     _emit({"out": args.out, "n_clusters": result.n_clusters,
            "n_anomalies": result.n_anomalies})
     return 0
@@ -179,6 +194,7 @@ def _cmd_eval(args):
 
 
 def _cmd_bench(args):
+    _check_outputs(files=(args.out,), dirs=(args.svg_dir,))
     if args.scaling:
         report = bench_mod.runtime_scaling(args.n_list, args.d_list)
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -216,8 +232,6 @@ def _cmd_bench(args):
             name=sd["name"], generator=generator,
             params=cluster_params, repeats=repeats,
         ))
-    if args.svg_dir:
-        os.makedirs(args.svg_dir, exist_ok=True)
     report = bench_mod.run_suite(specs, svg_dir=args.svg_dir)
     report.write_csv(args.out, include_timings=args.measure_timings)
     for name, seed, msg in report.errors:
@@ -228,6 +242,7 @@ def _cmd_bench(args):
 
 
 def _cmd_ablate(args):
+    _check_outputs(files=(args.out_prefix,))
     data, emb = _load_input(args)
     params = _params_from_args(args)
     truth = io.load_labels(args.truth) if args.truth else None
@@ -243,6 +258,7 @@ def _cmd_ablate(args):
 
 
 def _cmd_demo(args):
+    _check_outputs(files=(args.out,))
     if args.which == "backprojection":
         rows = bench_mod.backprojection_demo(n_seeds=args.seeds)
     else:
@@ -255,11 +271,9 @@ def _cmd_demo(args):
 
 
 def _cmd_sweep(args):
-    data = io.load_matrix(args.input, fmt=args.format, header=args.header)
+    _check_outputs(files=(args.trace,))
+    data, emb = _load_input(args)
     truth = io.load_labels(args.truth)
-    emb = None
-    if args.embedding:
-        emb = import_embedding(args.embedding, data, fmt=args.embedding_format)
     base = _params_from_args(args)
     best, trace = bench_mod.grid_sweep(
         data, truth, prune_values=args.prune_grid,
@@ -298,14 +312,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("cluster", help="cluster a point matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default="csv", choices=("csv", "binary"))
-    p.add_argument("--header", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.add_argument("--diag", default=None,
                    help="directory for diagnostic CSV dumps")
-    _add_param_flags(p)
+    _add_job_flags(p)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("eval", help="score predicted against true labels")
@@ -331,13 +342,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("ablate", help="run ablation variants")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default="csv", choices=("csv", "binary"))
-    p.add_argument("--header", action="store_true")
     p.add_argument("--truth", default=None)
     p.add_argument("--variants", default="merge_off,proj_off,anom_merged")
     p.add_argument("--out-prefix", default="ablation")
-    _add_param_flags(p)
+    _add_job_flags(p)
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("demo", help="run a built-in experiment")
@@ -348,9 +356,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep against truth")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default="csv", choices=("csv", "binary"))
-    p.add_argument("--header", action="store_true")
     p.add_argument("--truth", required=True)
     p.add_argument("--probes", type=int, default=0,
                    help="random probes; 0 means exhaustive grid")
@@ -359,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the random probes")
     p.add_argument("--trace", default=None, help="trace CSV path")
-    _add_param_flags(p)
+    _add_job_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

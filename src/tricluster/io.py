@@ -119,10 +119,9 @@ def save_matrix(values: np.ndarray, path, fmt: str = "csv") -> None:
         raise EmptyError("matrix must be 2-D and non-empty")
     if fmt == "csv":
         try:
+            # an open handle, so a ".gz" name is not compressed
             with open(path, "w", encoding="utf-8") as fh:
-                for row in values:
-                    fh.write(",".join(f"{v:.17g}" for v in row))
-                    fh.write("\n")
+                np.savetxt(fh, values, fmt="%.17g", delimiter=",")
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from exc
     elif fmt == "binary":

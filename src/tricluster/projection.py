@@ -65,10 +65,9 @@ def pca2(data: np.ndarray) -> Embedding:
     return Embedding(coords=coords, source="pca_native")
 
 
-def import_embedding(path, data: np.ndarray, fmt: str = "csv",
-                     header: bool = False) -> Embedding:
+def import_embedding(path, data: np.ndarray, fmt: str = "csv") -> Embedding:
     """Load an externally computed 2-column embedding aligned with data."""
-    coords = io.load_matrix(path, fmt=fmt, header=header)
+    coords = io.load_matrix(path, fmt=fmt)
     return embedding_from_array(coords, data)
 
 

@@ -128,8 +128,7 @@ def generate(config: SynthConfig):
     return np.vstack(parts), np.asarray(labels, dtype=np.int64)
 
 
-def generate_degradation_pair(epsilon: float, seed: int,
-                              disk_rings: int = 6, band_rows: int = 3):
+def generate_degradation_pair(epsilon: float, seed: int):
     """A lattice disk and a concentric point band with radial gap epsilon.
 
     The two manifolds are parallel (constant normal distance epsilon) and
@@ -141,6 +140,8 @@ def generate_degradation_pair(epsilon: float, seed: int,
     """
     if epsilon <= 0:
         raise ConfigError("epsilon must be positive")
+    disk_rings = 6  # rings of the disk, the centre point included
+    band_rows = 3   # rings of the band
     arc = 0.90    # spacing along each ring
     radial = 0.86  # spacing between rings
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

@@ -165,7 +165,7 @@ def test_criterion_4_perfect_separation():
 # -- criterion 5: back-projection demo --------------------------------------
 
 def test_criterion_5_backprojection_beats_ablation():
-    rows = backprojection_demo(n_seeds=5, n_dim=10, n_tail=25, n_points=500)
+    rows = backprojection_demo(n_seeds=5)
     for row in rows:
         assert row["recall_backprojection"] > row["recall_projection_only"]
     mean_on = np.mean([r["recall_backprojection"] for r in rows])

@@ -145,7 +145,7 @@ def test_backprojection_demo_rows():
 
 
 def test_runtime_scaling_smoke():
-    report = runtime_scaling([300, 600], [4], repeats=1)
+    report = runtime_scaling([300, 600], [4])
     assert len(report["rows"]) == 2
     assert all(r["seconds"] > 0 for r in report["rows"])
     assert np.isfinite(report["exponent_n"])

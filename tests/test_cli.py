@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,10 +13,14 @@ import tricluster
 from tricluster import (
     ClusterParams,
     DelaunayClusterer,
+    fit_predict,
     load_labels,
+    load_matrix,
     save_labels,
     save_matrix,
 )
+from tricluster import bench as bench_mod
+from tricluster import cli
 from tricluster.cli import _params_from_args, build_parser, main
 
 
@@ -134,6 +140,49 @@ def test_cluster_svg_and_diag(tmp_path, capsys):
     assert header == "i,j,k,s,s_proj,z,z_proj,kept"
 
 
+def test_diag_tables_match_csv_writer(tmp_path, capsys):
+    # oracle: the csv.writer rows np.savetxt replaced
+    data = tmp_path / "d.csv"
+    save_matrix(np.random.default_rng(4).standard_normal((200, 5)), data)
+    diag = tmp_path / "diag"
+    code, _, _ = run_cli(capsys, "cluster", "--input", str(data),
+                         "--prune", "1.0", "--out", str(tmp_path / "p.labels"),
+                         "--diag", str(diag))
+    assert code == 0
+    result = fit_predict(load_matrix(data), ClusterParams(prune_param=1.0))
+    tri = result.diagnostics["triangulation"]
+    sizes = result.diagnostics["sizes"]
+    pres = result.diagnostics["prune_result"]
+    tables = {
+        "triangles.csv": [["i", "j", "k"]]
+        + [[int(v) for v in row] for row in tri.triangles],
+        "pruning.csv": [["i", "j", "k", "s", "s_proj", "z", "z_proj", "kept"]]
+        + [[*(int(v) for v in tri.triangles[t]),
+            f"{sizes.sizes[t]:.17g}", f"{sizes.sizes_proj[t]:.17g}",
+            f"{pres.z[t]:.17g}", f"{pres.z_proj[t]:.17g}",
+            int(pres.keep_mask[t])] for t in range(len(tri.triangles))],
+    }
+    for name, rows in tables.items():
+        want = io.StringIO()
+        csv.writer(want).writerows(rows)
+        assert (diag / name).read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_failed_cluster_leaves_no_labels_file(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    save_matrix(np.random.default_rng(5).standard_normal((60, 3)), data)
+    labels = tmp_path / "p.labels"
+    # an existing directory passes the up-front check; opening it fails
+    code, stdout, err = run_cli(capsys, "cluster", "--input", str(data),
+                                "--out", str(labels), "--svg", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert not labels.exists()
+
+
 def test_bench_suite(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([{
@@ -149,6 +198,36 @@ def test_bench_suite(tmp_path, capsys):
     assert code == 0
     assert json.loads(stdout)["rows"] == 2
     assert out.read_text().splitlines()[0].startswith("name,seed,n,d,")
+
+
+def test_bench_suite_svg_dir(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{
+        "name": "tiny",
+        "generator": {"n_points": 120, "n_clusters": 3, "n_dim": 3},
+        "repeats": 2,
+    }]))
+    svg_dir = tmp_path / "plots"
+    code, _, _ = run_cli(capsys, "bench", "--suite", str(suite),
+                         "--out", str(tmp_path / "report.csv"),
+                         "--svg-dir", str(svg_dir))
+    assert code == 0
+    assert sorted(os.listdir(svg_dir)) == ["tiny_0.svg", "tiny_1.svg"]
+    for name in os.listdir(svg_dir):
+        assert (svg_dir / name).read_text().startswith("<svg")
+
+
+def test_bench_failed_run_is_reported_once(tmp_path, capsys):
+    # one dimension projects onto a line: the run fails, the suite goes on
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{
+        "name": "flat",
+        "generator": {"n_points": 60, "n_clusters": 2, "n_dim": 1}}]))
+    code, stdout, err = run_cli(capsys, "bench", "--suite", str(suite),
+                                "--out", str(tmp_path / "report.csv"))
+    assert code == 0
+    assert json.loads(stdout)["errors"] == 1
+    assert len(err.splitlines()) == 1 and "collinear" in err
 
 
 def test_bench_suite_unknown_param_is_config_error(tmp_path, capsys):
@@ -302,10 +381,12 @@ def test_demo_without_seeds_is_config_error(tmp_path, capsys, which, seeds):
 
 
 @pytest.mark.parametrize("flag", [
-    "cluster --svg", "cluster --diag", "demo --out", "sweep --trace",
-    "bench --out", "bench --scaling --out",
+    "cluster --out", "cluster --svg", "cluster --diag", "ablate --out-prefix",
+    "gen --out", "gen --truth", "demo --out", "sweep --trace",
+    "bench --out", "bench --svg-dir", "bench --scaling --out",
 ])
-def test_unwritable_output_path_is_io_error(tmp_path, capsys, flag):
+def test_unwritable_output_path_is_io_error(tmp_path, capsys, monkeypatch,
+                                            flag):
     data = str(tmp_path / "toy.csv")
     truth = str(tmp_path / "toy.labels")
     run_cli(capsys, "gen", "--n", "60", "--clusters", "2", "--dim", "2",
@@ -318,19 +399,41 @@ def test_unwritable_output_path_is_io_error(tmp_path, capsys, flag):
     bad = str(tmp_path / "toy.csv" / "out")
     labels = str(tmp_path / "p.labels")
     argv = {
+        "cluster --out": ["cluster", "--input", data, "--out", bad],
         "cluster --svg": ["cluster", "--input", data, "--out", labels,
                           "--svg", bad],
         "cluster --diag": ["cluster", "--input", data, "--out", labels,
                            "--diag", bad],
+        "ablate --out-prefix": ["ablate", "--input", data,
+                                "--out-prefix", bad],
+        "gen --out": ["gen", "--n", "60", "--clusters", "2", "--dim", "2",
+                      "--out", bad],
+        "gen --truth": ["gen", "--n", "60", "--clusters", "2", "--dim", "2",
+                        "--out", str(tmp_path / "g.csv"), "--truth", bad],
         "demo --out": ["demo", "--which", "backprojection", "--seeds", "1",
                        "--out", bad],
         "sweep --trace": ["sweep", "--input", data, "--truth", truth,
                           "--prune-grid", "1.0", "--merge-grid", "-1.9",
                           "--trace", bad],
         "bench --out": ["bench", "--suite", str(suite), "--out", bad],
+        "bench --svg-dir": ["bench", "--suite", str(suite),
+                            "--out", str(tmp_path / "r.csv"),
+                            "--svg-dir", bad],
         "bench --scaling --out": ["bench", "--scaling", "--n-list", "60",
                                   "--d-list", "2", "--out", bad],
     }[flag]
+
+    # the path is checked before any work
+    def work(*args, **kwargs):
+        raise AssertionError(f"{flag}: work ran before the output check")
+    for module, name in ((cli, "fit_predict"), (cli, "generate"),
+                         (bench_mod, "backprojection_demo"),
+                         (bench_mod, "degradation_sweep"),
+                         (bench_mod, "grid_sweep"),
+                         (bench_mod, "run_ablations"),
+                         (bench_mod, "run_suite"),
+                         (bench_mod, "runtime_scaling")):
+        monkeypatch.setattr(module, name, work)
     code, stdout, err = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""

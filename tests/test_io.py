@@ -65,6 +65,21 @@ def test_csv_roundtrip_exact(tmp_path):
     assert np.array_equal(back, m)
 
 
+def test_csv_save_bytes_match_the_row_loop(tmp_path):
+    # oracle: the per-row loop np.savetxt replaced
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((400, 7)) * 10.0 ** rng.integers(-300, 300,
+                                                             (400, 7))
+    m[0, 0] = -0.0
+    m[1, 1] = 5e-324
+    m[2, 2] = np.finfo(np.float64).max
+    p = tmp_path / "m.csv"
+    save_matrix(m, p, fmt="csv")
+    want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+    assert p.read_bytes() == want.encode("utf-8")
+    assert p.read_text().startswith("-0,")
+
+
 def test_binary_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     m = rng.standard_normal((23, 5))
