@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen, cluster, eval, bench, ablate, demo, sweep. stdout
+Subcommands: gen, cluster, eval, bench, scaling, ablate, demo, sweep. stdout
 carries machine-readable JSON only; human-oriented notes go to stderr.
 Exit codes: 0 success, 1 usage error, 2 data error. All subcommands are
 deterministic under fixed seeds.
@@ -195,12 +195,6 @@ def _cmd_eval(args):
 
 def _cmd_bench(args):
     _check_outputs(files=(args.out,), dirs=(args.svg_dir,))
-    if args.scaling:
-        report = bench_mod.runtime_scaling(args.n_list, args.d_list)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-        _emit({"out": args.out, "rows": len(report["rows"])})
-        return 0
     try:
         with open(args.suite, "r", encoding="utf-8") as fh:
             spec_dicts = json.load(fh)
@@ -238,6 +232,15 @@ def _cmd_bench(args):
         print(f"bench error: {name} seed={seed}: {msg}", file=sys.stderr)
     _emit({"out": args.out, "rows": len(report.rows),
            "errors": len(report.errors)})
+    return 0
+
+
+def _cmd_scaling(args):
+    _check_outputs(files=(args.out,))
+    report = bench_mod.runtime_scaling(args.n_list, args.d_list)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, sort_keys=True, indent=2)
+    _emit({"out": args.out, "rows": len(report["rows"])})
     return 0
 
 
@@ -327,19 +330,20 @@ def build_parser() -> _Parser:
                         "(anomaly P/R/F1 always use all rows)")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="run a benchmark suite or scaling probe")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--suite", default=None, help="suite JSON file")
-    source.add_argument("--scaling", action="store_true",
-                        help="run the runtime scaling probe instead")
+    p = sub.add_parser("bench", help="run a benchmark suite")
+    p.add_argument("--suite", required=True, help="suite JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--svg-dir", default=None)
     p.add_argument("--measure-timings", action="store_true",
                    help="include wall-clock columns in the report "
                         "(makes the file run-dependent)")
+    p.set_defaults(func=_cmd_bench)
+
+    p = sub.add_parser("scaling", help="run the runtime scaling probe")
     p.add_argument("--n-list", type=_comma_list(int), default="1000,2000")
     p.add_argument("--d-list", type=_comma_list(int), default="5,20")
-    p.set_defaults(func=_cmd_bench)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("ablate", help="run ablation variants")
     p.add_argument("--truth", default=None)

@@ -90,8 +90,6 @@ def _hilbert_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     d = np.zeros(len(x), dtype=np.int64)
     s = side >> 1
-    xi = xi.copy()
-    yi = yi.copy()
     while s > 0:
         rx = ((xi & s) > 0).astype(np.int64)
         ry = ((yi & s) > 0).astype(np.int64)
@@ -114,13 +112,18 @@ class _Mesh:
     A Bowyer-Watson cavity holds no vertex, so its b triangles are always
     refilled with b + 2: insertion rewrites the b slots in place and
     appends two, and every slot holds a triangle of the current mesh.
+    ``tv[t]`` lists t's vertices counterclockwise, GHOST in slot 2, and
+    ``tn[t][i]`` is t's neighbor across the edge opposite vertex i.
     """
 
-    def __init__(self, xs, ys):
+    def __init__(self, xs, ys, a, b, c):
+        """Slot 0 is (a, b, c) counterclockwise; slots 1-3 are its ghosts."""
+        if orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
+            b, c = c, b
         self.xs = xs
         self.ys = ys
-        self.tv = []      # triangle vertices, GHOST in slot 2
-        self.tn = []      # neighbor across edge opposite vertex i
+        self.tv = [[a, b, c], [c, b, GHOST], [a, c, GHOST], [b, a, GHOST]]
+        self.tn = [[1, 2, 3], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
         self.last = 0     # a real triangle to start walks from
 
     # -- primitive tests -------------------------------------------------
@@ -162,7 +165,7 @@ class _Mesh:
         return orient2d(xs[a], ys[a], xs[b], ys[b], px, py) < 0
 
     def _locate(self, p):
-        """Walk from the last created triangle to one whose disk holds p.
+        """Walk from the last ring's first real triangle to a disk holding p.
 
         The walk steps across the first edge that has p strictly on its
         far side. It terminates because the mesh is a Delaunay
@@ -195,59 +198,45 @@ class _Mesh:
 
     # -- construction ----------------------------------------------------
 
-    def init_triangle(self, a, b, c):
-        xs, ys = self.xs, self.ys
-        if orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
-            b, c = c, b
-        # slot 0 is (a, b, c); slots 1-3 are the ghosts across its sides
-        self.tv = [[a, b, c], [c, b, GHOST], [a, c, GHOST], [b, a, GHOST]]
-        self.tn = [[1, 2, 3], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
-        self.last = 0
-
     def insert(self, p):
+        """Dig the cavity of the triangles whose disk holds p; refill it.
+
+        The cavity holds no vertex, so its dual graph is a tree: a
+        depth-first dig from the located triangle enters each cavity
+        triangle once and meets the ring edges in counterclockwise order.
+        """
         tv, tn = self.tv, self.tn
-
         seed = self._locate(p)
-
-        # grow the cavity of triangles whose circumdisk contains p
-        bad = {seed}
-        stack = [seed]
-        while stack:
-            t = stack.pop()
-            for nb in tn[t]:
-                if nb not in bad and self._in_disk(nb, p):
-                    bad.add(nb)
-                    stack.append(nb)
-
-        # boundary of the cavity as a directed cycle u -> (v, outside)
-        bound = {}
-        for t in bad:
-            vt = tv[t]
-            nt = tn[t]
-            for i in range(3):
-                if nt[i] not in bad:
-                    bound[vt[(i + 1) % 3]] = (vt[(i + 2) % 3], nt[i])
-
-        start = next(iter(bound))
+        a, b, c = tv[seed]
+        ns = tn[seed]
+        # a step (u, v, t, s) crosses the cavity edge (u, v) of s into t
+        stack = [(c, a, ns[1], seed), (b, c, ns[0], seed), (a, b, ns[2], seed)]
+        slots = [seed]
         ring = []
-        u = start
-        while True:
-            v, nb = bound[u]
-            ring.append((u, v, nb))
-            u = v
-            if u == start:
-                break
+        while stack:
+            u, v, t, s = stack.pop()
+            # t's side facing s; recorded now, before any slot is rewritten
+            j = tn[t].index(s)
+            if not self._in_disk(t, p):
+                ring.append((u, v, t, j))
+                continue
+            # t is (v, u, w); its far sides are (u, w) and (w, v)
+            w = tv[t][j]
+            nt = tn[t]
+            stack.append((w, v, nt[(j + 2) % 3], t))
+            stack.append((u, w, nt[(j + 1) % 3], t))
+            slots.append(t)
 
         # the ring's k = b + 2 triangles (u, v, p) fill the cavity's b
         # slots and two new ones; a ghost is rotated into slot 2, which
         # keeps each vertex opposite its edge's neighbor
         n = len(tv)
-        slots = [*bad, n, n + 1]
+        slots += [n, n + 1]
         tv += [None, None]
         tn += [None, None]
         k = len(slots)
         last = None
-        for idx, (u, v, nb) in enumerate(ring):
+        for idx, (u, v, nb, j) in enumerate(ring):
             t = slots[idx]
             nxt, prv = slots[(idx + 1) % k], slots[idx - 1]
             if u == GHOST:
@@ -261,12 +250,7 @@ class _Mesh:
                 tn[t] = [nxt, prv, nb]
                 if last is None:
                     last = t
-            # patch the outer triangle's back-pointer
-            vt = tv[nb]
-            for j in range(3):
-                if vt[j] != u and vt[j] != v:
-                    tn[nb][j] = t
-                    break
+            tn[nb][j] = t
         self.last = last
 
 
@@ -311,14 +295,10 @@ def triangulate(coords: np.ndarray) -> Triangulation:
     if p2 is None:
         raise CollinearError("all points are collinear")
 
-    mesh = _Mesh(xs, ys)
-    mesh.init_triangle(p0, p1, p2)
-    seeded = {p0, p1, p2}
-    for idx in range(2, n_u):
-        p = int(order[idx])
-        if p in seeded:
-            continue
-        mesh.insert(p)
+    mesh = _Mesh(xs, ys, p0, p1, p2)
+    for p in order[2:].tolist():
+        if p != p2:
+            mesh.insert(p)
 
     tv = np.fromiter(itertools.chain.from_iterable(mesh.tv), dtype=np.int64,
                      count=3 * len(mesh.tv)).reshape(-1, 3)

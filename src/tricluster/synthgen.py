@@ -173,20 +173,20 @@ def generate_degradation_pair(epsilon: float, seed: int):
     return pts, np.asarray(labels, dtype=np.int64)
 
 
-def generate_backprojection_demo(n_dim: int, n_tail: int, seed: int,
-                                 n_points: int = 500):
+def generate_backprojection_demo(n_dim: int, n_tail: int, seed: int):
     """Gaussian blob with tail points displaced along collapsed dimensions.
 
-    The last n_tail rows are pushed 8 sigma away from the center along the
-    dimensions beyond the first two, so an embedding built from the first
-    two coordinates places them inside the cluster footprint. The n_tail
-    largest-distance-from-center points are labeled -1 (by construction,
-    exactly the displaced rows).
+    The blob has 500 points. The last n_tail rows are pushed 8 sigma away
+    from the center along the dimensions beyond the first two, so an
+    embedding built from the first two coordinates places them inside the
+    cluster footprint. The n_tail largest-distance-from-center points are
+    labeled -1 (by construction, exactly the displaced rows).
     """
     if n_dim < 3:
         raise ConfigError("backprojection demo needs n_dim >= 3")
+    n_points = 500
     if not 0 <= n_tail < n_points:
-        raise ConfigError("n_tail must lie in [0, n_points)")
+        raise ConfigError(f"n_tail must lie in [0, {n_points})")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     data = rng.normal(0.0, 1.0, size=(n_points, n_dim))
     if n_tail > 0:

@@ -309,7 +309,7 @@ def test_bad_param_value_is_config_error(tmp_path, capsys, monkeypatch,
 
 def test_bad_comma_list_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(["bench", "--scaling", "--n-list", "a",
+        main(["scaling", "--n-list", "a",
               "--out", str(tmp_path / "s.json")])
     assert exc_info.value.code == 1
     err = capsys.readouterr().err
@@ -327,14 +327,18 @@ def test_bench_missing_suite_file_is_io_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bench_needs_suite_or_scaling(tmp_path, capsys):
+def test_bench_needs_suite_and_takes_no_scaling_flags(tmp_path, capsys):
     out = str(tmp_path / "report.csv")
-    for argv in (["bench", "--out", out],
-                 ["bench", "--suite", "s.json", "--scaling", "--out", out]):
+    suite = ["bench", "--suite", "s.json", "--out", out]
+    for argv, named in ((["bench", "--out", out], "--suite"),
+                        (suite + ["--scaling"], "--scaling"),
+                        (suite + ["--n-list", "60"], "--n-list"),
+                        (["scaling", "--svg-dir", "plots", "--out", out],
+                         "--svg-dir")):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 1
-        assert "--suite" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
 
 def test_ablate(tmp_path, capsys):
@@ -383,7 +387,7 @@ def test_demo_without_seeds_is_config_error(tmp_path, capsys, which, seeds):
 @pytest.mark.parametrize("flag", [
     "cluster --out", "cluster --svg", "cluster --diag", "ablate --out-prefix",
     "gen --out", "gen --truth", "demo --out", "sweep --trace",
-    "bench --out", "bench --svg-dir", "bench --scaling --out",
+    "bench --out", "bench --svg-dir", "scaling --out",
 ])
 def test_unwritable_output_path_is_io_error(tmp_path, capsys, monkeypatch,
                                             flag):
@@ -419,8 +423,8 @@ def test_unwritable_output_path_is_io_error(tmp_path, capsys, monkeypatch,
         "bench --svg-dir": ["bench", "--suite", str(suite),
                             "--out", str(tmp_path / "r.csv"),
                             "--svg-dir", bad],
-        "bench --scaling --out": ["bench", "--scaling", "--n-list", "60",
-                                  "--d-list", "2", "--out", bad],
+        "scaling --out": ["scaling", "--n-list", "60", "--d-list", "2",
+                          "--out", bad],
     }[flag]
 
     # the path is checked before any work

@@ -160,17 +160,23 @@ def pinned_inputs():
     rng = np.random.default_rng(0)
     grid = lattice(12, 9)
     ring = np.vstack([pythagorean_ring(65), [[0.0, 0.0]]])
+    gaussian = np.random.default_rng(1).normal(size=(1000, 2))
     return {
         "shuffled_lattice": grid[rng.permutation(len(grid))],
         "anisotropic_lattice":
             (grid * [0.25, 3.0] + 1e3)[rng.permutation(len(grid))],
         "ring_with_centre": ring[rng.permutation(len(ring))],
         "duplicate_grid": rng.integers(0, 6, (150, 2)).astype(np.float64),
+        "gaussian": gaussian,
+        "gaussian_1e-170": gaussian * 1e-170,
+        "gaussian_1e150": gaussian * 1e150,
     }
 
 
 # sha256 of the triangles from the construction that flipped cocircular
-# quads after insertion; breaking ties inside the in-disk test must match
+# quads after insertion; breaking ties inside the in-disk test must match.
+# The Gaussian sets are in general position, and their hashes come from
+# the insertion that grew the cavity as a set and walked its boundary.
 PINNED_TRIANGLES_SHA256 = {
     "shuffled_lattice":
         "d4bb1eb78cc557e4c03a14363ce6030f5330961b51182a5087c619a3785542dd",
@@ -180,6 +186,12 @@ PINNED_TRIANGLES_SHA256 = {
         "38bcf516476ce940c6b05cd002c49e9eeafba8207bca4190aa42b0d956a80a02",
     "duplicate_grid":
         "ca724e098e532dde877bb191243d32c1941fd06cf1309c6784a24ff209afafb0",
+    "gaussian":
+        "1444f947afa9bfac02652490d6f3dc8113652f92803262d11b8c5b6c2502f370",
+    "gaussian_1e-170":
+        "1444f947afa9bfac02652490d6f3dc8113652f92803262d11b8c5b6c2502f370",
+    "gaussian_1e150":
+        "1444f947afa9bfac02652490d6f3dc8113652f92803262d11b8c5b6c2502f370",
 }
 
 
