@@ -1,23 +1,38 @@
-"""2-D Delaunay triangulation via incremental Bowyer-Watson insertion.
+"""2-D Delaunay triangulation built in numpy rounds of splits and flips.
 
-The hull is represented with ghost triangles (third vertex ``GHOST``),
-which makes the insertion of points outside the current hull symbolic
-instead of relying on a finite super-triangle. All in-circle and
-orientation tests go through the robust predicates, so the mesh is exact
-for any float64 input.
+The strict convex hull is found first and fanned from one corner, so
+every other point lies in a closed triangle of a real mesh and no ghost
+or super-triangle is needed. Then each round inserts, into every
+triangle that holds pending points, the one nearest its centroid: a
+point strictly inside splits its triangle in three, a point on an
+interior edge splits the two triangles of that edge in four, and a point
+on a hull edge splits its triangle in two. One round of independent
+Lawson flips follows each insertion round, over the sides not yet found
+locally Delaunay, and flip rounds go on after the last insertion until
+every edge is; flipping reaches the Delaunay triangulation from any
+triangulation (Lawson 1977), and the rounds follow the GPU
+split-and-flip scheme of Cao, Nanjappa, Gao & Tan (2014).
+
+Every sign comes from a float filter over whole arrays with the error
+bounds of ``predicates``; an element the filter cannot decide goes to
+the exact scalar ``orient2d`` or ``incircle``. Before that, the
+coordinates are scaled by one power of two so that the largest lies in
+[1, 2), when the scaling is exact for every coordinate: the signs do not
+change, and the filters no longer under- or overflow at extreme scales.
+When every scaled coordinate is then a multiple of 2^-10, every
+determinant is evaluated exactly in float64, and no element falls back.
 
 Exact duplicate points are collapsed to one representative before
 triangulating; the resulting Triangulation carries the mapping so callers
 can re-expand per-point labels afterwards. Exact cocircular ties are
 broken inside the in-disk test by a symbolic perturbation (Edelsbrunner &
-Muecke 1990, Simulation of Simplicity), so insertion alone builds the one
-mesh in which every cocircular quad keeps the diagonal whose lower
-endpoint index is smaller.
+Muecke 1990, Simulation of Simplicity). Under it the Delaunay mesh is
+unique: every cocircular quad keeps the diagonal whose lower endpoint
+index is smaller, whatever the order of insertions and flips.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +43,22 @@ from .errors import (
     ShapeMismatchError,
     TooFewPointsError,
 )
-from .predicates import incircle, orient2d
+from .predicates import _CCW_ERR, _ICC_ERR, _TINY, incircle, orient2d
 
-GHOST = -1
+# Multiples of this with magnitude below 2 have exact float determinants:
+# coordinate differences are below 2^12 units, an incircle term below
+# 2^25 * 2^25, and the sum of three terms below 2^52 < 2^53.
+_GRID = 1024.0
+_TURN = np.arange(3)
+# per split kind (1 -> 3, 1 -> 2 at the hull, 2 -> 4) and ring column:
+# whether the column is in the ring, and the columns before and after it
+_RING_VALID = np.array([[1, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=bool)
+_RING_NEXT = np.array([[1, 3, -1, 0], [-1, -1, -1, 0], [1, 2, 3, 0]])
+_RING_PREV = np.array([[3, 0, -1, 1], [3, -1, -1, -1], [3, 0, 1, 2]])
+# the sides that face each other inside a split's ring, (x, y, p) and its
+# next, and inside a flipped pair; the outer sides are linked apart
+_SPLIT_TWINS = np.array([1, 0, -1])
+_FLIP_TWINS = np.array([-1, 1, -1])
 
 
 @dataclass(frozen=True)
@@ -73,185 +101,415 @@ def collapse_duplicates(coords: np.ndarray):
     return np.sort(first_row), first_row[group]
 
 
-def _hilbert_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Insertion order along a 16-bit Hilbert curve over the bounding box.
+class _Signs:
+    """orient2d, incircle and in-disk tests over arrays of vertex ids.
 
-    Spatial locality keeps the point-location walk short; the order is a
-    pure function of the coordinates, so construction is deterministic.
-    """
-    order = 16
-    side = 1 << order
-    xmin, xmax = float(x.min()), float(x.max())
-    ymin, ymax = float(y.min()), float(y.max())
-    sx = (side - 1) / (xmax - xmin) if xmax > xmin else 0.0
-    sy = (side - 1) / (ymax - ymin) if ymax > ymin else 0.0
-    xi = ((x - xmin) * sx).astype(np.int64)
-    yi = ((y - ymin) * sy).astype(np.int64)
-
-    d = np.zeros(len(x), dtype=np.int64)
-    s = side >> 1
-    while s > 0:
-        rx = ((xi & s) > 0).astype(np.int64)
-        ry = ((yi & s) > 0).astype(np.int64)
-        d += s * s * ((3 * rx) ^ ry)
-        # rotate quadrant
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        xi_f = np.where(flip, s - 1 - xi, xi)
-        yi_f = np.where(flip, s - 1 - yi, yi)
-        xi_new = np.where(swap, yi_f, xi_f)
-        yi_new = np.where(swap, xi_f, yi_f)
-        xi, yi = xi_new, yi_new
-        s >>= 1
-    return np.argsort(d, kind="stable")
-
-
-class _Mesh:
-    """Mutable triangle soup used during construction.
-
-    A Bowyer-Watson cavity holds no vertex, so its b triangles are always
-    refilled with b + 2: insertion rewrites the b slots in place and
-    appends two, and every slot holds a triangle of the current mesh.
-    ``tv[t]`` lists t's vertices counterclockwise, GHOST in slot 2, and
-    ``tn[t][i]`` is t's neighbor across the edge opposite vertex i.
+    ``orient`` and ``incircle`` return float arrays whose signs are
+    those of the exact determinants. Their filters use the bounds of
+    ``predicates``; numpy warns where Python floats silently overflow,
+    hence ``errstate``. An element a filter leaves undecided takes the
+    sign of this module's scalar ``orient2d`` or ``incircle``, so a
+    counter wrapped around those sees every fallback. With ``grid`` set
+    every float determinant is exact.
     """
 
-    def __init__(self, xs, ys, a, b, c):
-        """Slot 0 is (a, b, c) counterclockwise; slots 1-3 are its ghosts."""
-        if orient2d(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
-            b, c = c, b
-        self.xs = xs
-        self.ys = ys
-        self.tv = [[a, b, c], [c, b, GHOST], [a, c, GHOST], [b, a, GHOST]]
-        self.tn = [[1, 2, 3], [3, 2, 0], [1, 3, 0], [2, 1, 0]]
-        self.last = 0     # a real triangle to start walks from
+    def __init__(self, xs, ys, grid):
+        self.xs, self.ys, self.grid = xs, ys, grid
 
-    # -- primitive tests -------------------------------------------------
+    def orient(self, a, b, c):
+        xs, ys = self.xs, self.ys
+        ab = np.concatenate((a, b)).reshape(2, -1)
+        with np.errstate(all="ignore"):
+            # rows (ax - cx, bx - cx) and (ay - cy, by - cy)
+            dx = xs[ab] - xs[c]
+            dy = ys[ab] - ys[c]
+            left = dx[0] * dy[1]
+            right = dy[0] * dx[1]
+            det = left - right
+            if self.grid:
+                return det
+            # predicates.orient2d's detsum is |left| + |right| wherever
+            # the signs of left and right alone do not decide; where
+            # they do, the bound decides too unless the products are
+            # below _TINY, and the scalar call then decides by the signs
+            total = np.abs(left) + np.abs(right)
+            rest = np.flatnonzero(~((total >= _TINY)
+                                    & (np.abs(det) >= _CCW_ERR * total)))
+        if rest.size:
+            a, b, c = a[rest], b[rest], c[rest]
+            det[rest] = [orient2d(*args) for args in zip(
+                *(v.tolist() for v in (xs[a], ys[a], xs[b], ys[b],
+                                       xs[c], ys[c])))]
+        return det
 
-    def _in_disk(self, t, p):
-        """Is vertex ``p`` inside the circumdisk of triangle ``t``?
+    def incircle(self, a, b, c, d):
+        xs, ys = self.xs, self.ys
+        abc = np.concatenate((a, b, c, a, b)).reshape(5, -1)
+        with np.errstate(all="ignore"):
+            # rows adx, bdx, cdx, adx, bdx and the same for y
+            dx = xs[abc] - xs[d]
+            dy = ys[abc] - ys[d]
+            lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
+            # bdx * cdy, cdx * ady, adx * bdy and their mirror products
+            plus = dx[1:4] * dy[2:]
+            minus = dx[2:] * dy[1:4]
+            det = (lift * (plus - minus)).sum(axis=0)
+            if self.grid:
+                return det
+            permanent = (lift * (np.abs(plus) + np.abs(minus))).sum(axis=0)
+            rest = np.flatnonzero(~((permanent >= _TINY)
+                                    & (np.abs(det) > _ICC_ERR * permanent)))
+        if rest.size:
+            a, b, c, d = a[rest], b[rest], c[rest], d[rest]
+            det[rest] = [incircle(*args) for args in zip(
+                *(v.tolist() for v in (xs[a], ys[a], xs[b], ys[b],
+                                       xs[c], ys[c], xs[d], ys[d])))]
+        return det
+
+    def surely_left(self, u, v, c):
+        """Is each c strictly left of the line u -> v by the float filter
+        alone? False wherever the filter cannot tell."""
+        xs, ys = self.xs, self.ys
+        cx, cy = xs[c], ys[c]
+        with np.errstate(all="ignore"):
+            left = (xs[u] - cx) * (ys[v] - cy)
+            right = (ys[u] - cy) * (xs[v] - cx)
+            det = left - right
+            if self.grid:
+                return det > 0.0
+            total = np.abs(left) + np.abs(right)
+            return (total >= _TINY) & (det >= _CCW_ERR * total)
+
+    def in_disk(self, a, b, c, p):
+        """Is p inside the circumdisk of counterclockwise (a, b, c)?
 
         An exact tie (p on the circle) is broken as if the lifted point of
         the smallest vertex id among a, b, c and p sat lowest, so each
-        cocircular cell is fanned from its smallest id. The
-        orientations that decide a tie are never 0: three distinct
-        cocircular points are not collinear.
+        cocircular cell is fanned from its smallest id: p is inside when
+        it is that id, or else when the triangle with that id replaced by
+        p is clockwise. Three distinct cocircular points are not
+        collinear, so that orientation is never 0.
         """
-        a, b, c = self.tv[t]
-        xs, ys = self.xs, self.ys
-        px, py = xs[p], ys[p]
-        if c == GHOST:
-            o = orient2d(xs[a], ys[a], xs[b], ys[b], px, py)
-            if o > 0:
-                return True
-            if o < 0:
-                return False
-            # collinear with the hull edge: inside iff strictly between
-            if xs[a] != xs[b]:
-                lo, hi = (xs[a], xs[b]) if xs[a] < xs[b] else (xs[b], xs[a])
-                return lo < px < hi
-            lo, hi = (ys[a], ys[b]) if ys[a] < ys[b] else (ys[b], ys[a])
-            return lo < py < hi
-        s = incircle(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], px, py)
-        if s:
-            return s > 0
-        m = min(a, b, c, p)
-        if m == p:
-            return True
-        if m == a:
-            return orient2d(px, py, xs[b], ys[b], xs[c], ys[c]) < 0
-        if m == b:
-            return orient2d(xs[a], ys[a], px, py, xs[c], ys[c]) < 0
-        return orient2d(xs[a], ys[a], xs[b], ys[b], px, py) < 0
+        det = self.incircle(a, b, c, p)
+        inside = det > 0
+        tie = np.flatnonzero(det == 0)
+        if tie.size:
+            a, b, c, p = a[tie], b[tie], c[tie], p[tie]
+            m = np.minimum(np.minimum(a, b), np.minimum(c, p))
+            o = self.orient(np.where(a == m, p, a), np.where(b == m, p, b),
+                            np.where(c == m, p, c))
+            inside[tie] = (m == p) | (o < 0)
+        return inside
 
-    def _locate(self, p):
-        """Walk from the last ring's first real triangle to a disk holding p.
 
-        The walk steps across the first edge that has p strictly on its
-        far side. It terminates because the mesh is a Delaunay
-        triangulation, on which the visibility relation towards any point
-        is acyclic (Edelsbrunner 1990; Devillers, Pion & Teillaud 2002);
-        exact orient2d is antisymmetric, so it never steps straight back.
-        It stops at a real triangle that contains p (p is not a vertex,
-        so p is strictly inside its disk) or at the ghost of a hull edge
-        that p lies strictly beyond, whose half-plane holds p.
-        """
-        xs, ys = self.xs, self.ys
-        px, py = xs[p], ys[p]
-        tv, tn = self.tv, self.tn
-        t = self.last
+def _hull(signs) -> list:
+    """Corners of the strict convex hull, counterclockwise from the
+    lowest-x, then lowest-y point (Andrew's monotone chain).
+
+    Points strictly inside a polygon of extreme points in 16 directions
+    are corners of nothing and are dropped first (Akl & Toussaint 1978).
+    The extremes come from float projections, which is safe: a point
+    strictly left of each side of a closed polygon lies strictly inside
+    the hull of its corners.
+    """
+    xs, ys = signs.xs, signs.ys
+    angle = np.arange(16) * (np.pi / 8)
+    # near the float range a projection may overflow; any polygon is safe
+    with np.errstate(over="ignore", invalid="ignore"):
+        ring = np.argmax(np.outer(np.cos(angle), xs)
+                         + np.outer(np.sin(angle), ys), axis=1)
+    ring = ring[ring != np.roll(ring, 1)]
+    inside = np.arange(len(xs))
+    for u, v in zip(ring.tolist(), np.roll(ring, -1).tolist()):
+        inside = inside[signs.surely_left(u, v, inside)]
+    keep = np.delete(np.arange(len(xs)), inside)
+    keep = keep[np.lexsort((ys[keep], xs[keep]))].tolist()
+    px, py = xs.tolist(), ys.tolist()
+
+    def chain(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2 and orient2d(
+                    px[out[-2]], py[out[-2]], px[out[-1]], py[out[-1]],
+                    px[i], py[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(keep)[:-1] + chain(reversed(keep))[:-1]
+
+
+class _Rounds:
+    """The mesh under construction and the points still to insert.
+
+    ``tv[t]`` lists triangle t's vertices counterclockwise and ``tn[t, i]``
+    is its neighbor across the side opposite vertex i, -1 on the hull;
+    that neighbor's side facing t is ``tw[t, i]``. Pending point
+    ``pend[k]`` lies in the closed triangle ``home[k]``.
+
+    A round replaces disjoint groups of triangles. ``stamp[t]`` is the
+    last round that replaced t, and ``heir[t, i]`` the side 3 * t' + i' of
+    the new triangle t' that took over t's side i in it, so two groups
+    replaced in one round link to each other.
+    """
+
+    def __init__(self, signs, hull):
+        n = len(signs.xs)
+        cap = 2 * n
+        self.signs = signs
+        self.thirds = signs.xs / 3.0, signs.ys / 3.0
+        self.tv = np.empty((cap, 3), dtype=np.int64)
+        self.tn = np.full((cap, 3), -1, dtype=np.int64)
+        self.tw = np.empty((cap, 3), dtype=np.int64)
+        self.heir = np.empty((cap, 3), dtype=np.int64)
+        self.stamp = np.full(cap, -1, dtype=np.int64)
+        self.split_at = np.empty(cap, dtype=np.int64)
+        self.apex = np.empty(cap, dtype=np.int64)
+        # triangles whose sides are to be tested; the last entry stands
+        # for the hull and stays set
+        self.listed = np.zeros(cap + 1, dtype=bool)
+        self.listed[-1] = True
+        self.round = 0
+
+        # the fan (h0, h[i], h[i+1]); its triangles are 0 .. m-1 in order
+        h = np.asarray(hull, dtype=np.int64)
+        m = len(h) - 2
+        self.tv[:m] = np.column_stack([np.full(m, h[0]), h[1:-1], h[2:]])
+        self.tn[:m - 1, 1] = np.arange(1, m)
+        self.tw[:m - 1, 1] = 2
+        self.tn[1:m, 2] = np.arange(m - 1)
+        self.tw[1:m, 2] = 1
+        self.count = m
+
+        # binary search for the last ray h0 -> h[i], i <= m, with p on
+        # its left or on it; p then lies in fan triangle i - 1
+        corner = np.zeros(n, dtype=bool)
+        corner[h] = True
+        self.pend = np.flatnonzero(~corner)
+        lo = np.ones(len(self.pend), dtype=np.int64)
+        hi = np.full(len(self.pend), m, dtype=np.int64)
         while True:
-            a, b, c = tv[t]
-            if c == GHOST:
-                return t
-            ax, ay = xs[a], ys[a]
-            bx, by = xs[b], ys[b]
-            cx, cy = xs[c], ys[c]
-            if orient2d(ax, ay, bx, by, px, py) < 0:
-                t = tn[t][2]
-            elif orient2d(bx, by, cx, cy, px, py) < 0:
-                t = tn[t][0]
-            elif orient2d(cx, cy, ax, ay, px, py) < 0:
-                t = tn[t][1]
-            else:
-                return t
+            act = np.flatnonzero(lo < hi)
+            if not act.size:
+                break
+            mid = (lo[act] + hi[act] + 1) // 2
+            left = signs.orient(np.full(len(act), h[0]), h[mid],
+                                self.pend[act]) >= 0
+            lo[act] = np.where(left, mid, lo[act])
+            hi[act] = np.where(left, hi[act], mid - 1)
+        self.home = lo - 1
 
-    # -- construction ----------------------------------------------------
+    def build(self) -> np.ndarray:
+        """Insert every pending point; the mesh's triangles, unsorted.
 
-    def insert(self, p):
-        """Dig the cavity of the triangles whose disk holds p; refill it.
-
-        The cavity holds no vertex, so its dual graph is a tree: a
-        depth-first dig from the located triangle enters each cavity
-        triangle once and meets the ring edges in counterclockwise order.
+        Insertion needs a triangulation, not a Delaunay one, so each
+        round also runs one round of flips, and flipping goes on after
+        the last insertion until no listed side is left to flip.
         """
-        tv, tn = self.tv, self.tn
-        seed = self._locate(p)
-        a, b, c = tv[seed]
-        ns = tn[seed]
-        # a step (u, v, t, s) crosses the cavity edge (u, v) of s into t
-        stack = [(c, a, ns[1], seed), (b, c, ns[0], seed), (a, b, ns[2], seed)]
-        slots = [seed]
-        ring = []
-        while stack:
-            u, v, t, s = stack.pop()
-            # t's side facing s; recorded now, before any slot is rewritten
-            j = tn[t].index(s)
-            if not self._in_disk(t, p):
-                ring.append((u, v, t, j))
-                continue
-            # t is (v, u, w); its far sides are (u, w) and (w, v)
-            w = tv[t][j]
-            nt = tn[t]
-            stack.append((w, v, nt[(j + 2) % 3], t))
-            stack.append((u, w, nt[(j + 1) % 3], t))
-            slots.append(t)
+        listed = self.listed
+        listed[:self.count] = True
+        while self.pend.size or listed[:self.count].any():
+            if self.pend.size:
+                listed[self.insert()] = True
+            self.flip()
+        return self.tv[:self.count]
 
-        # the ring's k = b + 2 triangles (u, v, p) fill the cavity's b
-        # slots and two new ones; a ghost is rotated into slot 2, which
-        # keeps each vertex opposite its edge's neighbor
-        n = len(tv)
-        slots += [n, n + 1]
-        tv += [None, None]
-        tn += [None, None]
-        k = len(slots)
-        last = None
-        for idx, (u, v, nb, j) in enumerate(ring):
-            t = slots[idx]
-            nxt, prv = slots[(idx + 1) % k], slots[idx - 1]
-            if u == GHOST:
-                tv[t] = [v, p, u]
-                tn[t] = [prv, nb, nxt]
-            elif v == GHOST:
-                tv[t] = [p, u, v]
-                tn[t] = [nb, nxt, prv]
-            else:
-                tv[t] = [u, v, p]
-                tn[t] = [nxt, prv, nb]
-                if last is None:
-                    last = t
-            tn[nb][j] = t
-        self.last = last
+    def _rewrite(self, slot, tv, tn, tw, outer):
+        """Write the new triangles ``slot`` and link their outer sides.
+
+        ``outer`` lists, per outer side, (new triangle, its side, replaced
+        triangle, its side); the replaced triangles carry the stamp
+        ``self.round``. Across each, the new triangle meets the replaced
+        one's old neighbor, or that neighbor's heir when it was replaced
+        in this round too.
+        """
+        new, new_side, old, old_side = outer
+        self.heir[old, old_side] = 3 * new + new_side
+        nb = self.tn[old, old_side]
+        back = self.tw[old, old_side]
+        has = np.flatnonzero(nb >= 0)
+        nbh, bh = nb[has], back[has]
+        gone = self.stamp[nbh] == self.round
+        across = np.where(gone, self.heir[nbh, bh], 3 * nbh + bh)
+        nb[has], back[has] = np.divmod(across, 3)
+        self.tv[slot] = tv
+        self.tn[slot] = tn
+        self.tw[slot] = tw
+        self.tn[new, new_side] = nb
+        self.tw[new, new_side] = back
+        stay = has[~gone]
+        self.tn[nb[stay], back[stay]] = new[stay]
+        self.tw[nb[stay], back[stay]] = new_side[stay]
+
+    def _moved(self):
+        """Positions in ``pend`` of the points whose home this round
+        replaced."""
+        return np.flatnonzero(self.stamp[self.home] == self.round)
+
+    def insert(self) -> np.ndarray:
+        """One insertion round; returns the new triangles."""
+        signs, tv, tn = self.signs, self.tv, self.tn
+        pend, home = self.pend, self.home
+        n = len(signs.xs)
+
+        # per triangle, the pending point nearest its centroid, the
+        # smaller id on ties
+        corner = tv[home]
+        x3, y3 = self.thirds
+        with np.errstate(over="ignore"):
+            d2 = ((signs.xs[pend] - x3[corner].sum(axis=1)) ** 2
+                  + (signs.ys[pend] - y3[corner].sum(axis=1)) ** 2)
+        best = np.full(self.count, np.inf)
+        np.minimum.at(best, home, d2)
+        near = np.flatnonzero(d2 == best[home])
+        owner = np.full(self.count, n, dtype=np.int64)
+        np.minimum.at(owner, home[near], pend[near])
+        t = np.flatnonzero(owner < n)
+        p = owner[t]
+
+        # on side s of t when its orientation against that side is 0
+        v = tv[t]
+        on = signs.orient(v[:, [1, 2, 0]].T.ravel(), v[:, [2, 0, 1]].T.ravel(),
+                          np.concatenate((p, p, p))).reshape(3, -1) == 0
+        edge = on.any(axis=0)
+        s = on.argmax(axis=0)
+        u = np.where(edge, tn[t, s], -1)
+
+        # a split claims t, and u across an interior edge; it runs when it
+        # wins each, and each goes to the smallest point id claiming it
+        across = np.flatnonzero(u >= 0)
+        np.minimum.at(owner, u[across], p[across])
+        win = np.flatnonzero((owner[t] == p) & ((u < 0) | (owner[u] == p)))
+        p, t, s, u, edge = p[win], t[win], s[win], u[win], edge[win]
+
+        # the ring of sides (replaced triangle, side) around each p, in up
+        # to four columns: (t, s+2), (u, j+1), (u, j+2), (t, s+1) for a
+        # 2 -> 4 split, where u's side j faces t; (t, 2), (t, 0), (t, 1)
+        # for a 1 -> 3 split, which has s = 0; the first and the last for a
+        # 1 -> 2 split, whose ring is open at the hull. p and a ring side
+        # (x, y) make the new triangle (x, y, p).
+        kind = np.where(edge, np.where(u < 0, 1, 2), 0)
+        j = self.tw[t, s]
+        inside = kind == 0
+        tri = np.array([t, np.where(inside, t, u), u, t])
+        side = np.array([s + 2, np.where(inside, s, j + 1), j + 2, s + 1]) % 3
+        pos = np.flatnonzero(_RING_VALID[kind])
+        ring = pos // 4
+        col = pos % 4
+        kind_of = kind[ring]
+        old, old_side = tri[col, ring], side[col, ring]
+        slot = old.copy()
+        fresh = np.flatnonzero((col > 1) | ((col == 1) & (kind_of != 2)))
+        slot[fresh] = self.count + np.arange(fresh.size)
+        self.count += fresh.size
+        slot_at = np.full(4 * len(t) + 1, -1, dtype=np.int64)
+        slot_at[pos] = slot
+        after = _RING_NEXT[kind_of, col]
+        before = _RING_PREV[kind_of, col]
+
+        self.round += 1
+        mid = np.flatnonzero(kind == 2)
+        replaced = np.concatenate([t, u[mid]])
+        self.stamp[replaced] = self.round
+        self.split_at[replaced] = np.concatenate([p, p[mid]])
+        # the vertex of a replaced triangle opposite the split edge; -1
+        # for a 1 -> 3 split, whose first test is against vertex 0
+        self.apex[replaced] = np.concatenate([np.where(inside, -1, s), j[mid]])
+
+        # drop the inserted points; keep the old rows of the others' homes
+        done = np.zeros(n, dtype=bool)
+        done[p] = True
+        alive = np.flatnonzero(~done[pend])
+        self.pend, self.home = pend[alive], home[alive]
+        moved = self._moved()
+        was = self.home[moved]
+        was_tv = tv[was]
+
+        tn_new = np.full((len(slot), 3), -1, dtype=np.int64)
+        # slot_at[-1] is -1: a missing neighbor in an open ring
+        tn_new[:, 0] = slot_at[np.where(after >= 0, 4 * ring + after, -1)]
+        tn_new[:, 1] = slot_at[np.where(before >= 0, 4 * ring + before, -1)]
+        self._rewrite(slot,
+                      np.array([tv[old, (old_side + 1) % 3],
+                                tv[old, (old_side + 2) % 3], p[ring]]).T,
+                      tn_new, _SPLIT_TWINS,
+                      (slot, np.full(len(slot), 2), old, old_side))
+
+        # the new triangle (x, y, p) is the closed cone at p from x to y;
+        # one test against the apex picks between its two cones, and a
+        # second settles the cone opposite vertex 0 of a 1 -> 3 split
+        q = self.pend[moved]
+        sp = self.split_at[was]
+        ap = self.apex[was]
+        first = np.maximum(ap, 0)
+        left = signs.orient(sp, was_tv[np.arange(len(was)), first], q) >= 0
+        side = np.where(left, (first + 2) % 3, (first + 1) % 3)
+        three = np.flatnonzero(ap < 0)
+        if three.size:
+            lt = left[three]
+            w = np.where(lt, was_tv[three, 1], was_tv[three, 2])
+            o = signs.orient(sp[three], w, q[three])
+            beyond = np.where(lt, o > 0, o < 0)
+            side[three[beyond]] = 0
+        self.home[moved] = self.heir[was, side] // 3
+        return slot
+
+    def flip(self):
+        """One round of Lawson flips over the sides of the listed
+        triangles; the flipped and the losing triangles are listed again."""
+        signs, tv, tn, listed = self.signs, self.tv, self.tn, self.listed
+        cand = np.flatnonzero(listed[:self.count])
+        t = np.repeat(cand, 3)
+        o = tn[cand].ravel()
+        # each side once, from its smaller triangle when both are listed;
+        # hull sides meet the always listed entry -1
+        keep = np.flatnonzero((t < o) | ~listed[o])
+        listed[cand] = False
+        t, o, s, j = t[keep], o[keep], keep % 3, self.tw[cand].ravel()[keep]
+        # t as (c, x, y), whose side (x, y) faces o's apex d
+        cxy = tv[t[:, None], (s[:, None] + _TURN) % 3]
+        d = tv[o, j]
+        bad = np.flatnonzero(
+            signs.in_disk(cxy[:, 0], cxy[:, 1], cxy[:, 2], d))
+        if not bad.size:
+            return
+        t, o, s, j, cxy, d = t[bad], o[bad], s[bad], j[bad], cxy[bad], d[bad]
+
+        # a flip claims both triangles and runs when it wins both
+        key = np.arange(t.size)
+        owner = np.full(self.count, t.size, dtype=np.int64)
+        np.minimum.at(owner, t, key)
+        np.minimum.at(owner, o, key)
+        win = (owner[t] == key) & (owner[o] == key)
+        listed[t[~win]] = True
+        listed[o[~win]] = True
+        t, o, s, j, cxy, d = t[win], o[win], s[win], j[win], cxy[win], d[win]
+
+        # (c, x, y) and (d, y, x) become (c, x, d) and (d, y, c)
+        c, x, y = cxy.T
+        slot = np.concatenate([t, o])
+        self.round += 1
+        self.stamp[slot] = self.round
+        tn_new = np.full((slot.size, 3), -1, dtype=np.int64)
+        tn_new[:, 1] = np.concatenate([o, t])
+        self._rewrite(
+            slot,
+            np.array([np.concatenate((c, d)), np.concatenate((x, y)),
+                      np.concatenate((d, c))]).T,
+            tn_new, _FLIP_TWINS,
+            (np.concatenate((slot, slot)), np.repeat([0, 2], slot.size),
+             np.concatenate([o, t, t, o]),
+             np.concatenate([j + 1, s + 1, s + 2, j + 2]) % 3))
+
+        # a pending point stays unless it is strictly left of the new
+        # diagonal (tv[t, 0], tv[t, 2]), which faces the partner
+        moved = self._moved()
+        if moved.size:
+            was = self.home[moved]
+            stays = signs.orient(tv[was, 0], tv[was, 2],
+                                 self.pend[moved]) <= 0
+            self.home[moved] = np.where(stays, was, tn[was, 1])
+        listed[slot] = True
 
 
 def triangulate(coords: np.ndarray) -> Triangulation:
@@ -279,30 +537,23 @@ def triangulate(coords: np.ndarray) -> Triangulation:
     vertex_of_row[unique_rows] = np.arange(n_u, dtype=np.int64)
     rep_u = vertex_of_row[rep_of]
 
+    # one power of two brings the largest |coordinate| into [1, 2); the
+    # predicates are homogeneous, so no sign changes when it is exact
     pts = coords[unique_rows]
-    xs = pts[:, 0].tolist()
-    ys = pts[:, 1].tolist()
-    order = _hilbert_order(pts[:, 0], pts[:, 1])
+    shift = 1 - int(np.frexp(np.abs(pts).max())[1])
+    scaled = np.ldexp(pts, shift)
+    grid = False
+    if np.array_equal(np.ldexp(scaled, -shift), pts):
+        pts = scaled
+        on_grid = pts * _GRID
+        grid = bool(np.array_equal(on_grid, np.rint(on_grid)))
+    signs = _Signs(np.ascontiguousarray(pts[:, 0]),
+                   np.ascontiguousarray(pts[:, 1]), grid)
 
-    # seed with the first non-collinear triple in insertion order
-    p0, p1 = int(order[0]), int(order[1])
-    p2 = None
-    for idx in range(2, n_u):
-        cand = int(order[idx])
-        if orient2d(xs[p0], ys[p0], xs[p1], ys[p1], xs[cand], ys[cand]) != 0:
-            p2 = cand
-            break
-    if p2 is None:
+    hull = _hull(signs)
+    if len(hull) < 3:
         raise CollinearError("all points are collinear")
-
-    mesh = _Mesh(xs, ys, p0, p1, p2)
-    for p in order[2:].tolist():
-        if p != p2:
-            mesh.insert(p)
-
-    tv = np.fromiter(itertools.chain.from_iterable(mesh.tv), dtype=np.int64,
-                     count=3 * len(mesh.tv)).reshape(-1, 3)
-    tris = np.sort(tv[tv[:, 2] != GHOST], axis=1)
+    tris = np.sort(_Rounds(signs, hull).build(), axis=1)
     triangles = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
     edges, tri_edges = _edge_table(triangles, n_u)
 

@@ -49,14 +49,17 @@ def ari(true_labels, pred_labels) -> float:
 def nmi(true_labels, pred_labels) -> float:
     """Mutual information normalized by the mean of the two entropies."""
     counts = _contingency(true_labels, pred_labels)
+    occupied = counts > 0
+    if (occupied.sum(axis=0) == 1).all() and (occupied.sum(axis=1) == 1).all():
+        # one partition relabels the other; the sums below may round
+        # to just under 1
+        return 1.0
     n = counts.sum()
     # every label in the table occurs, so no marginal is zero
     pt = counts.sum(axis=1) / n
     pp = counts.sum(axis=0) / n
     h_t = -np.sum(pt * np.log(pt))
     h_p = -np.sum(pp * np.log(pp))
-    if h_t == 0.0 and h_p == 0.0:
-        return 1.0  # both partitions trivial, hence identical
     if h_t == 0.0 or h_p == 0.0:
         return 0.0
     i, j = np.nonzero(counts)

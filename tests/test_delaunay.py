@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
+from tricluster import predicates
 from tricluster.delaunay import collapse_duplicates
 from tricluster.predicates import incircle, orient2d
 from tricluster.pruning import edge_lengths
+
+from bowyer_watson import bowyer_watson
 
 
 def brute_incircle_ok(pts, triangles):
@@ -199,6 +203,87 @@ PINNED_TRIANGLES_SHA256 = {
 def test_pinned_tie_heavy_triangles(name):
     tri = triangulate(pinned_inputs()[name])
     assert triangles_sha256(tri) == PINNED_TRIANGLES_SHA256[name]
+
+
+def assert_matches_bowyer_watson(pts):
+    tri = triangulate(pts)
+    triangles, edges, tri_edges = bowyer_watson(pts)
+    assert np.array_equal(tri.triangles, triangles)
+    assert np.array_equal(tri.edges, edges)
+    assert np.array_equal(tri.tri_edges, tri_edges)
+
+
+def gaussian_sets():
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 10, 57, 400):
+        yield rng.normal(size=(n, 2))
+    yield rng.normal(size=(300, 2)) * [1e-6, 1e6]
+    yield np.round(rng.normal(size=(500, 2)), 2)
+
+
+def test_matches_bowyer_watson_on_tie_heavy_inputs():
+    for pts in tie_heavy_inputs(np.random.default_rng(17)):
+        assert_matches_bowyer_watson(pts)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRIANGLES_SHA256))
+def test_matches_bowyer_watson_on_pinned_inputs(name):
+    assert_matches_bowyer_watson(pinned_inputs()[name])
+
+
+def test_matches_bowyer_watson_on_gaussian_sets():
+    for pts in gaussian_sets():
+        assert_matches_bowyer_watson(pts)
+
+
+def test_unscalable_and_float_range_sets_match_bowyer_watson():
+    # no power of two scales the first set exactly, since its smallest
+    # values would underflow; the second spans the float range; neither
+    # may warn
+    rng = np.random.default_rng(7)
+    sets = [np.vstack([rng.normal(size=(40, 2)) * 1e300,
+                       rng.normal(size=(40, 2)) * 1e-300]),
+            np.vstack([rng.uniform(-1.0, 1.0, (30, 2)) * 1.7e308,
+                       rng.normal(size=(5, 2)) * 1e-310])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts in sets:
+            assert_matches_bowyer_watson(pts)
+
+
+def exact_calls(monkeypatch, pts):
+    """Calls of the exact predicate stages while triangulating pts."""
+    calls = {"orient2d": 0, "incircle": 0}
+
+    def counted(name, stage):
+        def wrapper(*args):
+            calls[name] += 1
+            return stage(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(predicates, "_orient2d_exact",
+                      counted("orient2d", predicates._orient2d_exact))
+        patch.setattr(predicates, "_incircle_exact",
+                      counted("incircle", predicates._incircle_exact))
+        triangulate(pts)
+    return calls
+
+
+def test_integer_lattice_needs_no_exact_predicate(monkeypatch):
+    # every quad of the lattice is cocircular, yet on multiples of 2^-10
+    # below 2 in magnitude every float determinant is exact
+    pts = lattice(40, 40)[np.random.default_rng(3).permutation(1600)]
+    assert exact_calls(monkeypatch, pts) == {"orient2d": 0, "incircle": 0}
+
+
+def test_power_of_two_scaling_keeps_exact_calls(monkeypatch):
+    # unscaled, the float filters under- or overflow at these scales and
+    # nearly every sign would come from the exact stage
+    gaussian = pinned_inputs()["gaussian"]
+    want = exact_calls(monkeypatch, gaussian)
+    for factor in (1e-170, 1e150):
+        assert exact_calls(monkeypatch, gaussian * factor) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,6 +3,7 @@ import pytest
 
 from tricluster import (
     EmptyError,
+    IoError,
     NonFiniteError,
     ParseError,
     load_labels,
@@ -10,6 +11,7 @@ from tricluster import (
     save_labels,
     save_matrix,
 )
+from tricluster import io as tio
 from tricluster.io import canonicalize_labels
 
 
@@ -53,6 +55,77 @@ def test_csv_header_flag(tmp_path):
     p = write(tmp_path / "m.csv", "x,y\n1.0,2.0\n")
     m = load_matrix(p, fmt="csv", header=True)
     assert m.tolist() == [[1.0, 2.0]]
+
+
+def count_line_parses(monkeypatch):
+    calls = []
+    parse = tio._parse_csv_lines
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(tio, "_parse_csv_lines", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["1_000,2\n3,4\n", "1000,2\n  \t\n3,4\n"])
+def test_csv_python_float_grammar_goes_through_the_line_parser(
+        tmp_path, monkeypatch, text):
+    # numpy rejects digit underscores and whitespace-only lines, which
+    # Python's float and the line parser accept
+    calls = count_line_parses(monkeypatch)
+    m = load_matrix(write(tmp_path / "m.csv", text))
+    assert m.tolist() == [[1000.0, 2.0], [3.0, 4.0]]
+    assert len(calls) == 1
+
+
+def test_csv_lone_carriage_returns_end_rows(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\r3,4\r")
+    assert load_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert tio._parse_csv_lines(str(path), False).tolist() == [
+        [1.0, 2.0], [3.0, 4.0]]
+
+
+def test_csv_numpy_values_equal_python_float(tmp_path, monkeypatch):
+    calls = count_line_parses(monkeypatch)
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((30, 5)) * np.exp(rng.uniform(-300, 300, (30, 5)))
+    cells = [[repr(v) for v in row] for row in m.tolist()]
+    cells[0][0], cells[1][1], cells[2][2] = " +1.5e3 ", "-0.0", "4E-2"
+    text = "\n".join(",".join(row) for row in cells) + "\n"
+    got = load_matrix(write(tmp_path / "m.csv", text))
+    assert not calls
+    want = [[float(c) for c in row] for row in cells]
+    assert got.tolist() == want
+    assert np.signbit(got[1, 1])
+
+
+def test_csv_ragged_row_message(tmp_path):
+    p = write(tmp_path / "m.csv", "1,2\n\n3,4\n5\n")
+    with pytest.raises(ParseError, match="^row 4: expected 2 columns, got 1$"):
+        load_matrix(p, fmt="csv")
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "infinity", "-Infinity",
+                                  "inf"])
+def test_csv_nonfinite_row_and_column(tmp_path, cell):
+    p = write(tmp_path / "m.csv", f"x,y\n1,2\n3,{cell}\n")
+    with pytest.raises(NonFiniteError, match="row 3, column 2"):
+        load_matrix(p, fmt="csv", header=True)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", " \n", "x,y\n"])
+def test_csv_without_data_rows_is_empty(tmp_path, text):
+    p = write(tmp_path / "m.csv", text)
+    with pytest.raises(EmptyError, match="no data rows"):
+        load_matrix(p, fmt="csv", header=text == "x,y\n")
+
+
+def test_csv_missing_file_is_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot read"):
+        load_matrix(str(tmp_path / "absent.csv"), fmt="csv")
 
 
 def test_csv_roundtrip_exact(tmp_path):
