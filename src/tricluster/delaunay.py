@@ -7,11 +7,12 @@ triangle that holds pending points, the one nearest its centroid: a
 point strictly inside splits its triangle in three, a point on an
 interior edge splits the two triangles of that edge in four, and a point
 on a hull edge splits its triangle in two. One round of independent
-Lawson flips follows each insertion round, over the sides not yet found
-locally Delaunay, and flip rounds go on after the last insertion until
-every edge is; flipping reaches the Delaunay triangulation from any
-triangulation (Lawson 1977), and the rounds follow the GPU
-split-and-flip scheme of Cao, Nanjappa, Gao & Tan (2014).
+Lawson flips follows each insertion round, over the sides that a split
+or a flip may have made illegal, and flip rounds go on after the last
+insertion until every edge is locally Delaunay; flipping reaches the
+Delaunay triangulation from any triangulation (Lawson 1977), and the
+rounds follow the GPU split-and-flip scheme of Cao, Nanjappa, Gao & Tan
+(2014). A side is one integer, 3 * triangle + corner, in every array.
 
 Every sign comes from a float filter over whole arrays with the error
 bounds of ``predicates``; an element the filter cannot decide goes to
@@ -50,15 +51,20 @@ from .predicates import _CCW_ERR, _ICC_ERR, _TINY, incircle, orient2d
 # 2^25 * 2^25, and the sum of three terms below 2^52 < 2^53.
 _GRID = 1024.0
 _TURN = np.arange(3)
+# from corner 0, the first ends of sides 0, 1 and 2, then the second
+_SIDE_ENDS = np.array([1, 2, 0, 2, 0, 1])[:, None]
 # per split kind (1 -> 3, 1 -> 2 at the hull, 2 -> 4) and ring column:
-# whether the column is in the ring, and the columns before and after it
+# whether the column is in the ring; then, flat at 4 * kind + column,
+# whether it makes a new triangle rather than reuse its replaced one,
+# whether the new triangle's side 0 is half of the split edge, and the
+# columns after and before it, an empty one where the ring is open
 _RING_VALID = np.array([[1, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=bool)
-_RING_NEXT = np.array([[1, 3, -1, 0], [-1, -1, -1, 0], [1, 2, 3, 0]])
-_RING_PREV = np.array([[3, 0, -1, 1], [3, -1, -1, -1], [3, 0, 1, 2]])
-# the sides that face each other inside a split's ring, (x, y, p) and its
-# next, and inside a flipped pair; the outer sides are linked apart
-_SPLIT_TWINS = np.array([1, 0, -1])
-_FLIP_TWINS = np.array([-1, 1, -1])
+_RING_FRESH = np.array([0, 1, 0, 1, 0, 0, 0, 1, 0, 0, 1, 1], dtype=bool)
+_RING_HALF = np.array([0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0], dtype=bool)
+_RING_LINK = np.array([[1, 3, 2, 0, 1, 1, 1, 0, 1, 2, 3, 0],
+                       [3, 0, 2, 1, 3, 1, 1, 1, 3, 0, 1, 2]])
+# sides 0 and 1 of a new triangle face sides 1 and 0 of those two
+_SPLIT_TWINS = np.array([[1], [0]])
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,8 @@ class _Signs:
 
     def surely_left(self, u, v, c):
         """Is each c strictly left of the line u -> v by the float filter
-        alone? False wherever the filter cannot tell."""
+        alone, or, when every determinant is exact, on the line? False
+        wherever the filter cannot tell."""
         xs, ys = self.xs, self.ys
         cx, cy = xs[c], ys[c]
         with np.errstate(all="ignore"):
@@ -176,7 +183,7 @@ class _Signs:
             right = (ys[u] - cy) * (xs[v] - cx)
             det = left - right
             if self.grid:
-                return det > 0.0
+                return det >= 0.0
             total = np.abs(left) + np.abs(right)
             return (total >= _TINY) & (det >= _CCW_ERR * total)
 
@@ -210,7 +217,8 @@ def _hull(signs) -> list:
     are corners of nothing and are dropped first (Akl & Toussaint 1978).
     The extremes come from float projections, which is safe: a point
     strictly left of each side of a closed polygon lies strictly inside
-    the hull of its corners.
+    the hull of its corners. When every determinant is exact, the points
+    on a side but not at its ends go too: each lies between two points.
     """
     xs, ys = signs.xs, signs.ys
     angle = np.arange(16) * (np.pi / 8)
@@ -219,7 +227,7 @@ def _hull(signs) -> list:
         ring = np.argmax(np.outer(np.cos(angle), xs)
                          + np.outer(np.sin(angle), ys), axis=1)
     ring = ring[ring != np.roll(ring, 1)]
-    inside = np.arange(len(xs))
+    inside = np.delete(np.arange(len(xs)), ring)
     for u, v in zip(ring.tolist(), np.roll(ring, -1).tolist()):
         inside = inside[signs.surely_left(u, v, inside)]
     keep = np.delete(np.arange(len(xs)), inside)
@@ -242,15 +250,29 @@ def _hull(signs) -> list:
 class _Rounds:
     """The mesh under construction and the points still to insert.
 
-    ``tv[t]`` lists triangle t's vertices counterclockwise and ``tn[t, i]``
-    is its neighbor across the side opposite vertex i, -1 on the hull;
-    that neighbor's side facing t is ``tw[t, i]``. Pending point
-    ``pend[k]`` lies in the closed triangle ``home[k]``.
+    Side i of triangle t, the side opposite its vertex i, has the id
+    3 * t + i, and every per-side array is flat and indexed by it; the
+    id also names the corner at vertex i. ``tv[3 * t + i]`` is that
+    vertex, the triangle's vertices running counterclockwise, and
+    ``twin[k]`` is the side across side k, -1 on the hull. ``succ[k]``
+    and ``pred[k]`` are the next and the previous side of k's triangle.
+    Pending point ``pend[j]`` lies in the closed triangle ``home[j]``.
 
     A round replaces disjoint groups of triangles. ``stamp[t]`` is the
-    last round that replaced t, and ``heir[t, i]`` the side 3 * t' + i' of
-    the new triangle t' that took over t's side i in it, so two groups
-    replaced in one round link to each other.
+    last round that replaced t, and ``heir[k]`` the side of a new
+    triangle that took over side k in it, so two groups replaced in one
+    round link to each other.
+
+    ``listed[k]`` marks side k for the next flip round; an interior side
+    listed from neither triangle is locally Delaunay. A split lists the
+    sides around its point and the two halves of a split interior edge.
+    Its other spokes are legal under any tie rule: a point strictly
+    inside a triangle leaves each spoke's quad non-convex, and a point
+    strictly inside an edge is collinear with the two points opposite
+    its spoke to an apex, which puts the fourth point strictly outside
+    the circle through the other three. A flip lists the four outer
+    sides of its pair but not the new diagonal, the one the tie rule
+    keeps; a flip that loses a triangle to another lists its side again.
     """
 
     def __init__(self, signs, hull):
@@ -258,27 +280,30 @@ class _Rounds:
         cap = 2 * n
         self.signs = signs
         self.thirds = signs.xs / 3.0, signs.ys / 3.0
-        self.tv = np.empty((cap, 3), dtype=np.int64)
-        self.tn = np.full((cap, 3), -1, dtype=np.int64)
-        self.tw = np.empty((cap, 3), dtype=np.int64)
-        self.heir = np.empty((cap, 3), dtype=np.int64)
+        self.tv = np.empty(3 * cap, dtype=np.int64)
+        self.twin = np.full(3 * cap, -1, dtype=np.int64)
+        self.heir = np.empty(3 * cap, dtype=np.int64)
+        side = np.arange(3 * cap, dtype=np.int64).reshape(cap, 3)
+        self.succ = np.roll(side, -1, axis=1).ravel()
+        self.pred = np.roll(side, 1, axis=1).ravel()
         self.stamp = np.full(cap, -1, dtype=np.int64)
         self.split_at = np.empty(cap, dtype=np.int64)
         self.apex = np.empty(cap, dtype=np.int64)
-        # triangles whose sides are to be tested; the last entry stands
-        # for the hull and stays set
-        self.listed = np.zeros(cap + 1, dtype=bool)
+        # the last entry stands for the hull and stays set
+        self.listed = np.zeros(3 * cap + 1, dtype=bool)
         self.listed[-1] = True
         self.round = 0
 
-        # the fan (h0, h[i], h[i+1]); its triangles are 0 .. m-1 in order
+        # the fan (h0, h[i], h[i+1]); its triangles are 0 .. m-1 in order,
+        # side 1 of each facing side 2 of the next
         h = np.asarray(hull, dtype=np.int64)
         m = len(h) - 2
-        self.tv[:m] = np.column_stack([np.full(m, h[0]), h[1:-1], h[2:]])
-        self.tn[:m - 1, 1] = np.arange(1, m)
-        self.tw[:m - 1, 1] = 2
-        self.tn[1:m, 2] = np.arange(m - 1)
-        self.tw[1:m, 2] = 1
+        self.tv[:3 * m] = np.column_stack(
+            [np.full(m, h[0]), h[1:-1], h[2:]]).ravel()
+        inner = 3 * np.arange(m - 1) + 1
+        self.twin[inner] = inner + 4
+        self.twin[inner + 4] = inner
+        self.listed[:3 * m] = True
         self.count = m
 
         # binary search for the last ray h0 -> h[i], i <= m, with p on
@@ -304,61 +329,53 @@ class _Rounds:
 
         Insertion needs a triangulation, not a Delaunay one, so each
         round also runs one round of flips, and flipping goes on after
-        the last insertion until no listed side is left to flip.
+        the last insertion until no side is listed.
         """
-        listed = self.listed
-        listed[:self.count] = True
-        while self.pend.size or listed[:self.count].any():
+        while self.pend.size or self.listed[:3 * self.count].any():
             if self.pend.size:
-                listed[self.insert()] = True
+                self.insert()
             self.flip()
-        return self.tv[:self.count]
+        return self.tv[:3 * self.count].reshape(-1, 3)
 
-    def _rewrite(self, slot, tv, tn, tw, outer):
-        """Write the new triangles ``slot`` and link their outer sides.
+    def _rewrite(self, slot, corners, new, old):
+        """Write the new triangles ``slot``, with vertices ``corners``,
+        and link their outer sides; the caller links the inner ones.
 
-        ``outer`` lists, per outer side, (new triangle, its side, replaced
-        triangle, its side); the replaced triangles carry the stamp
-        ``self.round``. Across each, the new triangle meets the replaced
-        one's old neighbor, or that neighbor's heir when it was replaced
-        in this round too.
+        The new side ``new[k]`` takes the place of side ``old[k]`` of a
+        triangle replaced in this round. Across it lies the old side's
+        twin, or that twin's heir when it was replaced in this round too.
         """
-        new, new_side, old, old_side = outer
-        self.heir[old, old_side] = 3 * new + new_side
-        nb = self.tn[old, old_side]
-        back = self.tw[old, old_side]
+        twin, heir = self.twin, self.heir
+        self.tv[3 * slot + _TURN[:, None]] = corners
+        nb = twin[old]
+        heir[old] = new
         has = np.flatnonzero(nb >= 0)
-        nbh, bh = nb[has], back[has]
-        gone = self.stamp[nbh] == self.round
-        across = np.where(gone, self.heir[nbh, bh], 3 * nbh + bh)
-        nb[has], back[has] = np.divmod(across, 3)
-        self.tv[slot] = tv
-        self.tn[slot] = tn
-        self.tw[slot] = tw
-        self.tn[new, new_side] = nb
-        self.tw[new, new_side] = back
+        across = nb[has]
+        gone = self.stamp[across // 3] == self.round
+        nb[has] = np.where(gone, heir[across], across)
+        twin[new] = nb
         stay = has[~gone]
-        self.tn[nb[stay], back[stay]] = new[stay]
-        self.tw[nb[stay], back[stay]] = new_side[stay]
+        twin[nb[stay]] = new[stay]
 
     def _moved(self):
         """Positions in ``pend`` of the points whose home this round
         replaced."""
         return np.flatnonzero(self.stamp[self.home] == self.round)
 
-    def insert(self) -> np.ndarray:
-        """One insertion round; returns the new triangles."""
-        signs, tv, tn = self.signs, self.tv, self.tn
+    def insert(self):
+        """One insertion round."""
+        signs, tv, twin = self.signs, self.tv, self.twin
+        succ, pred = self.succ, self.pred
         pend, home = self.pend, self.home
         n = len(signs.xs)
 
         # per triangle, the pending point nearest its centroid, the
         # smaller id on ties
-        corner = tv[home]
         x3, y3 = self.thirds
+        corner = tv[3 * home + _TURN[:, None]]
         with np.errstate(over="ignore"):
-            d2 = ((signs.xs[pend] - x3[corner].sum(axis=1)) ** 2
-                  + (signs.ys[pend] - y3[corner].sum(axis=1)) ** 2)
+            d2 = ((signs.xs[pend] - x3[corner].sum(axis=0)) ** 2
+                  + (signs.ys[pend] - y3[corner].sum(axis=0)) ** 2)
         best = np.full(self.count, np.inf)
         np.minimum.at(best, home, d2)
         near = np.flatnonzero(d2 == best[home])
@@ -367,149 +384,146 @@ class _Rounds:
         t = np.flatnonzero(owner < n)
         p = owner[t]
 
-        # on side s of t when its orientation against that side is 0
-        v = tv[t]
-        on = signs.orient(v[:, [1, 2, 0]].T.ravel(), v[:, [2, 0, 1]].T.ravel(),
-                          np.concatenate((p, p, p))).reshape(3, -1) == 0
+        # on side e of t when its orientation against that side is 0
+        e = 3 * t
+        ends = tv[e + _SIDE_ENDS].reshape(2, -1)
+        on = signs.orient(ends[0], ends[1],
+                          np.tile(p, 3)).reshape(3, -1) == 0
         edge = on.any(axis=0)
-        s = on.argmax(axis=0)
-        u = np.where(edge, tn[t, s], -1)
+        e += on.argmax(axis=0)
+        f = np.where(edge, twin[e], -1)
+        u = f // 3
 
         # a split claims t, and u across an interior edge; it runs when it
         # wins each, and each goes to the smallest point id claiming it
         across = np.flatnonzero(u >= 0)
         np.minimum.at(owner, u[across], p[across])
         win = np.flatnonzero((owner[t] == p) & ((u < 0) | (owner[u] == p)))
-        p, t, s, u, edge = p[win], t[win], s[win], u[win], edge[win]
+        p, t, e, f, u, edge = p[win], t[win], e[win], f[win], u[win], edge[win]
 
-        # the ring of sides (replaced triangle, side) around each p, in up
-        # to four columns: (t, s+2), (u, j+1), (u, j+2), (t, s+1) for a
-        # 2 -> 4 split, where u's side j faces t; (t, 2), (t, 0), (t, 1)
-        # for a 1 -> 3 split, which has s = 0; the first and the last for a
-        # 1 -> 2 split, whose ring is open at the hull. p and a ring side
-        # (x, y) make the new triangle (x, y, p).
-        kind = np.where(edge, np.where(u < 0, 1, 2), 0)
-        j = self.tw[t, s]
+        # the ring of old sides around each p, in up to four columns:
+        # pred[e], succ[f], pred[f], succ[e] for a 2 -> 4 split, where f
+        # is u's side facing t's side e; t's sides 2, 0, 1 for a 1 -> 3
+        # split, which has e = 3 * t; the first and the last for a 1 -> 2
+        # split, whose ring is open at the hull. p and a ring side (x, y)
+        # make the new triangle (x, y, p).
+        kind = edge.astype(np.int64) + (u >= 0)
         inside = kind == 0
-        tri = np.array([t, np.where(inside, t, u), u, t])
-        side = np.array([s + 2, np.where(inside, s, j + 1), j + 2, s + 1]) % 3
+        sides = np.column_stack(
+            [pred[e], np.where(inside, e, succ[f]), pred[f], succ[e]])
         pos = np.flatnonzero(_RING_VALID[kind])
         ring = pos // 4
-        col = pos % 4
-        kind_of = kind[ring]
-        old, old_side = tri[col, ring], side[col, ring]
-        slot = old.copy()
-        fresh = np.flatnonzero((col > 1) | ((col == 1) & (kind_of != 2)))
+        key = pos + 4 * (kind[ring] - ring)
+        old = sides.ravel()[pos]
+        slot = old // 3
+        fresh = np.flatnonzero(_RING_FRESH[key])
         slot[fresh] = self.count + np.arange(fresh.size)
         self.count += fresh.size
-        slot_at = np.full(4 * len(t) + 1, -1, dtype=np.int64)
+        slot_at = np.full(4 * len(t), -1, dtype=np.int64)
         slot_at[pos] = slot
-        after = _RING_NEXT[kind_of, col]
-        before = _RING_PREV[kind_of, col]
 
         self.round += 1
         mid = np.flatnonzero(kind == 2)
         replaced = np.concatenate([t, u[mid]])
         self.stamp[replaced] = self.round
         self.split_at[replaced] = np.concatenate([p, p[mid]])
-        # the vertex of a replaced triangle opposite the split edge; -1
+        # the corner of a replaced triangle opposite the split edge; -1
         # for a 1 -> 3 split, whose first test is against vertex 0
-        self.apex[replaced] = np.concatenate([np.where(inside, -1, s), j[mid]])
+        self.apex[replaced] = np.concatenate([np.where(inside, -1, e), f[mid]])
 
-        # drop the inserted points; keep the old rows of the others' homes
+        # drop the inserted points, and find the cone at p that holds
+        # each point whose home was replaced: the new triangle (x, y, p)
+        # is the closed cone at p from x to y; one test against the apex
+        # picks between its two cones, and a second settles the cone
+        # opposite vertex 0 of a 1 -> 3 split
         done = np.zeros(n, dtype=bool)
         done[p] = True
         alive = np.flatnonzero(~done[pend])
         self.pend, self.home = pend[alive], home[alive]
         moved = self._moved()
         was = self.home[moved]
-        was_tv = tv[was]
-
-        tn_new = np.full((len(slot), 3), -1, dtype=np.int64)
-        # slot_at[-1] is -1: a missing neighbor in an open ring
-        tn_new[:, 0] = slot_at[np.where(after >= 0, 4 * ring + after, -1)]
-        tn_new[:, 1] = slot_at[np.where(before >= 0, 4 * ring + before, -1)]
-        self._rewrite(slot,
-                      np.array([tv[old, (old_side + 1) % 3],
-                                tv[old, (old_side + 2) % 3], p[ring]]).T,
-                      tn_new, _SPLIT_TWINS,
-                      (slot, np.full(len(slot), 2), old, old_side))
-
-        # the new triangle (x, y, p) is the closed cone at p from x to y;
-        # one test against the apex picks between its two cones, and a
-        # second settles the cone opposite vertex 0 of a 1 -> 3 split
         q = self.pend[moved]
         sp = self.split_at[was]
-        ap = self.apex[was]
-        first = np.maximum(ap, 0)
-        left = signs.orient(sp, was_tv[np.arange(len(was)), first], q) >= 0
-        side = np.where(left, (first + 2) % 3, (first + 1) % 3)
-        three = np.flatnonzero(ap < 0)
+        a = self.apex[was]
+        three = np.flatnonzero(a < 0)
+        a[three] = 3 * was[three]
+        nx, pv = succ[a], pred[a]
+        left = signs.orient(sp, tv[a], q) >= 0
+        cone = np.where(left, pv, nx)
         if three.size:
             lt = left[three]
-            w = np.where(lt, was_tv[three, 1], was_tv[three, 2])
-            o = signs.orient(sp[three], w, q[three])
-            beyond = np.where(lt, o > 0, o < 0)
-            side[three[beyond]] = 0
-        self.home[moved] = self.heir[was, side] // 3
-        return slot
+            o = signs.orient(sp[three], tv[np.where(lt, nx[three], pv[three])],
+                             q[three])
+            beyond = three[np.where(lt, o > 0, o < 0)]
+            cone[beyond] = a[beyond]
+
+        # sides 0 and 1 of each new triangle face sides 1 and 0 of the
+        # next and the previous triangle in its ring; where the ring is
+        # open, the table points at an empty column and the link is -1
+        new = 3 * slot
+        link = slot_at[4 * ring + np.take(_RING_LINK, key, axis=1)]
+        link = np.maximum(3 * link + _SPLIT_TWINS, -1)
+        self._rewrite(slot, [tv[succ[old]], tv[pred[old]], p[ring]],
+                      new + 2, old)
+        twin[new + _TURN[:2, None]] = link
+        self.home[moved] = self.heir[cone] // 3
+        self.listed[new] = _RING_HALF[key]
+        self.listed[new + 1] = False
+        self.listed[new + 2] = True
 
     def flip(self):
-        """One round of Lawson flips over the sides of the listed
-        triangles; the flipped and the losing triangles are listed again."""
-        signs, tv, tn, listed = self.signs, self.tv, self.tn, self.listed
-        cand = np.flatnonzero(listed[:self.count])
-        t = np.repeat(cand, 3)
-        o = tn[cand].ravel()
-        # each side once, from its smaller triangle when both are listed;
-        # hull sides meet the always listed entry -1
-        keep = np.flatnonzero((t < o) | ~listed[o])
-        listed[cand] = False
-        t, o, s, j = t[keep], o[keep], keep % 3, self.tw[cand].ravel()[keep]
-        # t as (c, x, y), whose side (x, y) faces o's apex d
-        cxy = tv[t[:, None], (s[:, None] + _TURN) % 3]
-        d = tv[o, j]
-        bad = np.flatnonzero(
-            signs.in_disk(cxy[:, 0], cxy[:, 1], cxy[:, 2], d))
+        """One round of Lawson flips over the listed sides."""
+        signs, tv, twin, listed = self.signs, self.tv, self.twin, self.listed
+        e = np.flatnonzero(listed[:3 * self.count])
+        f = twin[e]
+        # each side once, from its smaller id when both are listed; hull
+        # sides meet the always listed entry -1
+        keep = np.flatnonzero((e < f) | ~listed[f])
+        listed[:3 * self.count] = False
+        e, f = e[keep], f[keep]
+        # rows e, succ[e], pred[e], f and their corners c, x, y, d (a
+        # corner's id is that of the side it faces): e's triangle is
+        # (c, x, y), and its side (x, y) faces f's apex d
+        quad = np.concatenate((e, self.succ[e], self.pred[e], f))
+        quad = np.concatenate((quad, tv[quad])).reshape(8, -1)
+        bad = np.flatnonzero(signs.in_disk(*quad[4:]))
         if not bad.size:
             return
-        t, o, s, j, cxy, d = t[bad], o[bad], s[bad], j[bad], cxy[bad], d[bad]
+        quad = np.take(quad, bad, axis=1)
 
         # a flip claims both triangles and runs when it wins both
-        key = np.arange(t.size)
-        owner = np.full(self.count, t.size, dtype=np.int64)
-        np.minimum.at(owner, t, key)
-        np.minimum.at(owner, o, key)
-        win = (owner[t] == key) & (owner[o] == key)
-        listed[t[~win]] = True
-        listed[o[~win]] = True
-        t, o, s, j, cxy, d = t[win], o[win], s[win], j[win], cxy[win], d[win]
+        pair = quad[:4:3] // 3
+        key = np.arange(bad.size)
+        owner = np.full(self.count, bad.size, dtype=np.int64)
+        np.minimum.at(owner, pair.ravel(), np.tile(key, 2))
+        won = (owner[pair] == key).all(axis=0)
+        listed[quad[0][~won]] = True
+        win = np.flatnonzero(won)
+        quad = np.take(quad, win, axis=1)
+        slot = np.take(pair, win, axis=1).ravel()
 
-        # (c, x, y) and (d, y, x) become (c, x, d) and (d, y, c)
-        c, x, y = cxy.T
-        slot = np.concatenate([t, o])
+        # (c, x, y) and (d, y, x) become (c, x, d) and (d, y, c), linked
+        # across their sides 1
         self.round += 1
         self.stamp[slot] = self.round
-        tn_new = np.full((slot.size, 3), -1, dtype=np.int64)
-        tn_new[:, 1] = np.concatenate([o, t])
-        self._rewrite(
-            slot,
-            np.array([np.concatenate((c, d)), np.concatenate((x, y)),
-                      np.concatenate((d, c))]).T,
-            tn_new, _FLIP_TWINS,
-            (np.concatenate((slot, slot)), np.repeat([0, 2], slot.size),
-             np.concatenate([o, t, t, o]),
-             np.concatenate([j + 1, s + 1, s + 2, j + 2]) % 3))
+        new = 3 * slot
+        outer = np.concatenate((new, new + 2))
+        f = quad[3]
+        self._rewrite(slot, quad[[4, 7, 5, 6, 7, 4]].reshape(3, -1), outer,
+                      np.concatenate((self.succ[f], quad[1], quad[2],
+                                      self.pred[f])))
+        twin[new + 1] = np.roll(new + 1, win.size)
 
         # a pending point stays unless it is strictly left of the new
-        # diagonal (tv[t, 0], tv[t, 2]), which faces the partner
+        # diagonal from corner 0 to corner 2, which faces the partner
         moved = self._moved()
         if moved.size:
-            was = self.home[moved]
-            stays = signs.orient(tv[was, 0], tv[was, 2],
+            was = 3 * self.home[moved]
+            stays = signs.orient(tv[was], tv[was + 2],
                                  self.pend[moved]) <= 0
-            self.home[moved] = np.where(stays, was, tn[was, 1])
-        listed[slot] = True
+            self.home[moved] = np.where(stays, was, twin[was + 1]) // 3
+        listed[outer] = True
+        listed[new + 1] = False
 
 
 def triangulate(coords: np.ndarray) -> Triangulation:
@@ -554,8 +568,11 @@ def triangulate(coords: np.ndarray) -> Triangulation:
     if len(hull) < 3:
         raise CollinearError("all points are collinear")
     tris = np.sort(_Rounds(signs, hull).build(), axis=1)
-    triangles = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
-    edges, tri_edges = _edge_table(triangles, n_u)
+    edges, tri_edges = _edge_table(tris, n_u)
+    # a side's row orders it as (a, b) does, so this key, below 3 n^2,
+    # orders the triangles by their vertices
+    order = np.argsort(tri_edges[:, 0] * n_u + tris[:, 2])
+    triangles, tri_edges = tris[order], tri_edges[order]
 
     return Triangulation(
         n_input=n_input,
@@ -578,4 +595,4 @@ def _edge_table(triangles: np.ndarray, n_vertices: int):
     hi = triangles[:, [1, 2, 2]].T.ravel()
     keys, side_edge = np.unique(lo * n_vertices + hi, return_inverse=True)
     edges = np.column_stack([keys // n_vertices, keys % n_vertices])
-    return edges, side_edge.reshape(3, m).T.copy()
+    return edges, side_edge.reshape(3, m).T

@@ -15,6 +15,8 @@ are undefined on non-finite values.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 import warnings
 
@@ -112,6 +114,9 @@ def _parse_csv_lines(path, header: bool) -> np.ndarray:
 
 
 def _load_binary(path) -> np.ndarray:
+    """Read the payload straight into the array, after checking the size
+    that the header claims against the file's, so a bad header cannot
+    make it allocate; a pipe's size shows only once it is read."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(4 + 4 + 8 + 8)
@@ -120,19 +125,20 @@ def _load_binary(path) -> np.ndarray:
             version, n_points, n_dims = struct.unpack("<IQQ", head[4:])
             if version != VERSION:
                 raise ParseError(f"{path}: unsupported DTRC version {version}")
-            payload = fh.read()
+            if n_points == 0 or n_dims == 0:
+                raise EmptyError(f"{path}: zero-sized matrix")
+            expected = n_points * n_dims * 8
+            info = os.fstat(fh.fileno())
+            size = (info.st_size - len(head) if stat.S_ISREG(info.st_mode)
+                    else expected)
+            if size == expected:
+                values = np.empty((n_points, n_dims), dtype="<f8")
+                size = fh.readinto(values) + len(fh.read())
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-
-    if n_points == 0 or n_dims == 0:
-        raise EmptyError(f"{path}: zero-sized matrix")
-    expected = n_points * n_dims * 8
-    if len(payload) != expected:
-        raise ParseError(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(n_points, n_dims)
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    if size != expected:
+        raise ParseError(f"{path}: payload is {size} bytes, expected {expected}")
+    values = values.astype(np.float64, copy=False)
     _validate_finite(values)
     return values
 

@@ -13,7 +13,7 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
-from tricluster import predicates
+from tricluster import delaunay, predicates
 from tricluster.delaunay import collapse_duplicates
 from tricluster.predicates import incircle, orient2d
 from tricluster.pruning import edge_lengths
@@ -249,6 +249,31 @@ def test_unscalable_and_float_range_sets_match_bowyer_watson():
         warnings.simplefilter("error")
         for pts in sets:
             assert_matches_bowyer_watson(pts)
+
+
+def test_unlisted_sides_stay_locally_delaunay(monkeypatch):
+    # a flip round tests only the listed sides, so after every round each
+    # interior side listed from neither of its triangles must already
+    # pass the in-disk test, seen from either of them
+    checked = []
+    flip = delaunay._Rounds.flip
+
+    def checked_flip(rounds):
+        flip(rounds)
+        side = np.arange(3 * rounds.count)
+        twin = rounds.twin[side]
+        idle = side[(twin >= 0) & ~rounds.listed[side] & ~rounds.listed[twin]]
+        c, x, y, d = rounds.tv[np.array([idle, rounds.succ[idle],
+                                         rounds.pred[idle],
+                                         rounds.twin[idle]])]
+        assert not rounds.signs.in_disk(c, x, y, d).any()
+        checked.append(idle.size)
+
+    monkeypatch.setattr(delaunay._Rounds, "flip", checked_flip)
+    for pts in itertools.chain(tie_heavy_inputs(np.random.default_rng(17)),
+                               pinned_inputs().values(), gaussian_sets()):
+        triangulate(pts)
+    assert sum(checked) > 0
 
 
 def exact_calls(monkeypatch, pts):

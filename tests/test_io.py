@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,46 @@ def test_binary_truncated_payload(tmp_path):
     p.write_bytes(raw[:-8])
     with pytest.raises(ParseError, match="payload"):
         load_matrix(p, fmt="binary")
+
+
+def test_binary_header_claiming_more_than_the_file_holds(tmp_path):
+    # 2^40 rows of 3 columns would need 24 TiB; the size check comes
+    # before any allocation, so this is a ParseError, not a MemoryError
+    p = tmp_path / "m.dtrc"
+    with open(p, "wb") as fh:
+        fh.write(b"DTRC" + struct.pack("<IQQ", 1, 2 ** 40, 3))
+        fh.write(np.ones(6, dtype="<f8").tobytes())
+    with pytest.raises(ParseError,
+                       match=rf"payload is 48 bytes, expected {2 ** 40 * 24}"):
+        load_matrix(p, fmt="binary")
+
+
+def test_binary_payload_longer_than_the_header_says(tmp_path):
+    p = tmp_path / "m.dtrc"
+    save_matrix(np.ones((4, 3)), p, fmt="binary")
+    p.write_bytes(p.read_bytes() + b"\0" * 8)
+    with pytest.raises(ParseError, match="payload is 104 bytes, expected 96"):
+        load_matrix(p, fmt="binary")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_binary_from_a_pipe():
+    # a pipe has no size before it is read; its payload is checked after
+    m = np.arange(12, dtype=np.float64).reshape(4, 3)
+    for payload in (m.tobytes(), m.tobytes()[:-8], m.tobytes() + bytes(8)):
+        r, w = os.pipe()
+        os.write(w, b"DTRC" + struct.pack("<IQQ", 1, 4, 3) + payload)
+        os.close(w)
+        try:
+            if len(payload) == m.nbytes:
+                assert np.array_equal(
+                    load_matrix(f"/dev/fd/{r}", fmt="binary"), m)
+            else:
+                with pytest.raises(ParseError,
+                                   match=f"payload is {len(payload)} bytes"):
+                    load_matrix(f"/dev/fd/{r}", fmt="binary")
+        finally:
+            os.close(r)
 
 
 def test_binary_nan_rejected(tmp_path):
