@@ -40,7 +40,8 @@ def pca2(data: np.ndarray) -> Embedding:
 
     centered = data - data.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = centered.T @ centered / (n - 1)
+        cov = centered.T @ centered
+        cov /= n - 1
     if not np.isfinite(cov).all():
         raise NumericalError("the covariance overflows float64; rescale the data")
     try:
@@ -49,12 +50,9 @@ def pca2(data: np.ndarray) -> Embedding:
         raise NumericalError(f"PCA eigensolver failed: {exc}") from exc
 
     # order by descending eigenvalue; ties by first nonzero component's axis
-    def tie_key(idx):
-        v = eigvecs[:, idx]
-        nz = np.nonzero(v)[0]
-        return int(nz[0]) if len(nz) else d
-
-    order = sorted(range(d), key=lambda i: (-eigvals[i], tie_key(i)))
+    nonzero = eigvecs != 0
+    tie = np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), d)
+    order = np.lexsort((tie, -eigvals))
     coords = np.zeros((n, 2), dtype=np.float64)
     for out_col, idx in enumerate(order[:2]):
         v = eigvecs[:, idx].copy()

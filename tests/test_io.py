@@ -1,5 +1,7 @@
+import decimal
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -301,3 +303,203 @@ def test_canonicalize_labels_matches_loop_oracle():
         for lab in labels.tolist():
             want.append(-1 if lab < 0 else mapping.setdefault(lab, len(mapping)))
         assert canonicalize_labels(labels).tolist() == want
+
+
+# --- the exact parallel CSV reader (io._read_csv_exact) ---
+
+needs_reader = pytest.mark.skipif(
+    not tio._LONGDOUBLE_HOLDS_HALFWAYS,
+    reason="the long double cannot hold the halfway points between doubles")
+
+
+def fuzz_cells(seed, n):
+    """About n cells: %.17g of random bit patterns, exact decimal halfway
+    points between neighbouring doubles and cells a hair off them,
+    random digit strings, and the ends of the range."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 63, n // 2, dtype=np.uint64)
+    bits |= rng.integers(0, 2, len(bits), dtype=np.uint64) << np.uint64(63)
+    doubles = bits.view(np.float64)
+    cells = [f"{v:.17g}" for v in doubles[np.isfinite(doubles)]]
+    # halfway points from 2^-1074 to 2^1023, most of them between 2^-70
+    # and 2^70, where a 54-bit value needs no more than ~80 digits
+    lows = np.ldexp(rng.uniform(1.0, 2.0, n // 10),
+                    rng.integers(-70, 70, n // 10))
+    lows[:40] = np.ldexp(rng.integers(0, 2 ** 52, 40), -1074)
+    lows[40:60] = np.ldexp(rng.uniform(1.0, 2.0, 20),
+                           rng.integers(-1022, 1023, 20))
+    lows[60:] *= np.where(rng.random(len(lows) - 60) < 0.5, -1.0, 1.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800
+        for low in lows:
+            high = np.nextafter(low, np.copysign(np.inf, low))
+            mid = (decimal.Decimal(low) + decimal.Decimal(float(high))) / 2
+            hair = abs(mid).scaleb(-25)  # far below a long double's ulp
+            cells += [f"{mid:e}", f"{mid - hair:e}", f"{mid + hair:E}"]
+    for _ in range(n // 5):
+        digits = "".join(rng.choice(list("0123456789"),
+                                    int(rng.integers(1, 30))))
+        point = int(rng.integers(0, len(digits) + 1))
+        cell = rng.choice(["", "-", "+"]) + digits[:point] + "." + \
+            digits[point:]
+        if rng.random() < 0.2:
+            cell = cell.replace(".", "")
+        if rng.random() < 0.7:
+            cell += (rng.choice(["e", "E"]) + rng.choice(["", "-", "+"])
+                     + str(int(rng.integers(0, 270))))
+        cells.append(cell)
+    cells += ["-0", "0", "+0", ".5", "5.", "-.5", "1E+05", "1e-05",
+              "00012", "5e-324", "2.4703282292062327e-324",
+              "2.4703282292062328e-324", "2.2250738585072011e-308",
+              "2.2250738585072014e-308", "1.7976931348623157e308",
+              "1.7976931348623158e308", "-1.7976931348623158e308",
+              "1e-400", "-1e-400"]
+    return cells
+
+
+def csv_of(cells, d):
+    cells = cells + ["0"] * (-len(cells) % d)
+    return "".join(",".join(cells[i:i + d]) + "\n"
+                   for i in range(0, len(cells), d)), cells
+
+
+def forbid_fallbacks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reader declined")
+
+    monkeypatch.setattr(tio.np, "loadtxt", refuse)
+    monkeypatch.setattr(tio, "_parse_csv_lines", refuse)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}, None])
+def test_csv_reader_equals_python_float_bit_for_bit(tmp_path, monkeypatch,
+                                                    cpus):
+    if cpus is None:  # the platform gate forced off: numpy's parser runs
+        monkeypatch.setattr(tio, "_LONGDOUBLE_HOLDS_HALFWAYS", False)
+    elif not tio._LONGDOUBLE_HOLDS_HALFWAYS:
+        pytest.skip("the long double cannot hold the halfway points")
+    else:
+        forbid_fallbacks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                            raising=False)
+    text, cells = csv_of(fuzz_cells(11, 20000), 7)
+    assert len(cells) >= 20000
+    path = write(tmp_path / "m.csv", text)
+    assert os.path.getsize(path) > 4 * tio._CHUNK_BYTES  # several chunks
+    # more threads than cores, switching often: a lost row shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = load_matrix(path)
+    finally:
+        sys.setswitchinterval(interval)
+    want = np.array([float(c) for c in cells]).reshape(-1, 7)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@needs_reader
+@pytest.mark.parametrize("cell, where", [
+    ("1e400", "row 2, column 3"),
+    ("-1.7976931348623159e308", "row 2, column 3"),
+    ("1e5000", "row 2, column 3"),
+])
+def test_csv_reader_overflow_is_non_finite(tmp_path, monkeypatch, cell,
+                                           where):
+    forbid_fallbacks(monkeypatch)
+    p = write(tmp_path / "m.csv", f"1,2,3\n4,5,{cell}\n")
+    with pytest.raises(NonFiniteError, match=where):
+        load_matrix(p)
+
+
+def outcome(path, header):
+    try:
+        return load_matrix(path, header=header).view(np.uint64).tolist()
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("raw, header, taken", [
+    (b"1,2\n3,4", False, True),
+    (b"x,y\n1,2\n3,4\n", True, True),
+    (b"\xef\xbb\xbfx,y\n1.5,-2\n", True, True),
+    (b"1,2\n \n3,4\n", False, False),
+    (b"1,2\n\n3,4\n", False, False),
+    (b"1\n\n2\n", False, False),
+    (b"1,2\n3,4\n\n", False, False),
+    (b"1,2\r\n3,4\r\n", False, False),
+    (b"1,2\r3,4\r", False, False),
+    (b"1_000,2\n3,4\n", False, False),
+    (b"1,nan\n", False, False),
+    (b"inf,2\n", False, False),
+    (b"1,2\n3\n", False, False),
+    (b"1\n2,3\n", False, False),
+    (b"1,2\n3,4,5\n6\n", False, False),
+    (b"1,2,\n3,4,\n", False, False),
+    (b"1, 2\n3,4\n", False, False),
+    (b"0x1p3,1\n", False, False),
+    (b"1e,2\n", False, False),
+    (b"1.2.3,4\n", False, False),
+    (b"1,,2\n", False, False),
+    (b"\xff,2\n", False, False),
+    (b"x\ry\n1,2\n", True, False),
+    (b"\xff,y\n1,2\n", True, False),
+    (b"", False, False),
+    (b"\n", False, False),
+    (b"x,y\n", True, False),
+    (b"x,y", True, False),
+])
+def test_csv_reader_takes_or_declines_with_todays_outcome(
+        tmp_path, monkeypatch, raw, header, taken):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    if tio._LONGDOUBLE_HOLDS_HALFWAYS:
+        assert (tio._read_csv_exact(str(path), header) is not None) == taken
+    got = outcome(str(path), header)
+    monkeypatch.setattr(tio, "_LONGDOUBLE_HOLDS_HALFWAYS", False)
+    assert got == outcome(str(path), header)
+
+
+@needs_reader
+def test_csv_reader_allocates_no_more_than_the_file_fills(tmp_path):
+    # 10^5 cells on the first line and 10^5 more lines would make 8e10
+    # bytes of rows; the reader declines before it allocates
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1" + b",1" * 99999 + b"\n" + b"1\n" * 100000)
+    assert tio._read_csv_exact(str(path), False) is None
+    with pytest.raises(ParseError,
+                       match="^row 2: expected 100000 columns, got 1$"):
+        load_matrix(str(path))
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_from_a_pipe(tmp_path):
+    # the reader leaves a pipe unread, and numpy's parser reads it whole
+    # within one pipe buffer (64 KiB on Linux), so the write cannot block
+    text, _ = csv_of([f"{v:.17g}" for v in np.linspace(-3, 7, 901)], 3)
+    want = load_matrix(write(tmp_path / "m.csv", text))
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    try:
+        assert tio._read_csv_exact(f"/dev/fd/{r}", False) is None
+        got = load_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@needs_reader
+def test_csv_reader_raises_what_a_thread_raised(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    parse = tio._parse_rows
+
+    def failing(values, chunk, row, rows):
+        if row:
+            raise MemoryError("chunk")
+        return parse(values, chunk, row, rows)
+
+    monkeypatch.setattr(tio, "_parse_rows", failing)
+    text, _ = csv_of(["1.25"] * 200000, 4)
+    with pytest.raises(MemoryError, match="chunk"):
+        load_matrix(write(tmp_path / "m.csv", text))

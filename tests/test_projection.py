@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,39 @@ def test_import_embedding_needs_two_columns(tmp_path):
 def test_embedding_from_array_validates():
     with pytest.raises(ShapeMismatchError):
         embedding_from_array(np.zeros((5, 2)), np.zeros((6, 3)))
+
+
+def general_rows():
+    rng = np.random.default_rng(21)
+    return rng.standard_normal((300, 9)) @ rng.uniform(-2.0, 2.0, (9, 9))
+
+
+def tie_heavy_rows():
+    # every sign pattern of 5 columns: the covariance is diagonal, and
+    # axes 0, 2 and 3 tie for the largest eigenvalue
+    signs = 1.0 - 2.0 * ((np.arange(32)[:, None] >> np.arange(5)) & 1)
+    return signs * np.array([2.0, 1.0, 2.0, 2.0, 1.0])
+
+
+def sha256(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_pinned_embedding_bits():
+    # a change to the embedding's bits must be deliberate. The tie-heavy
+    # rows make every BLAS and LAPACK step exact, so their pin holds on
+    # any build; the general rows' pin holds where the BLAS and LAPACK
+    # calls themselves give the bits they gave where it was taken
+    tie = pca2(tie_heavy_rows()).coords
+    assert tie[:2].tolist() == [[2.0, 2.0], [-2.0, 2.0]]
+    assert sha256(tie) == (
+        "6d7233721e3cdd1c4f36715b9199e5e19af800568439e7ee16abc8e9473d4021")
+    data = general_rows()
+    x = data - data.mean(axis=0)
+    cov = x.T @ x / (len(x) - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if sha256(cov, eigvals, eigvecs, x @ eigvecs[:, -1]) != (
+            "9c48b817ac8990c7a25707f2081a47e5d23466e9724a73550c5055ceb4ddd245"):
+        pytest.skip("this BLAS or LAPACK rounds differently from the pin's")
+    assert sha256(pca2(data).coords) == (
+        "b1499ac6772dbd0299dd7e8525657bc5c14874e13fa866d85b51149adfa22586")
