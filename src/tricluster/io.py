@@ -56,7 +56,7 @@ _CHUNK_BYTES = 1 << 17
 # two doubles, subnormal ones too, is a long double
 _LONGDOUBLE_HOLDS_HALFWAYS = np.finfo(np.longdouble).nmant in (63, 112)
 # the bytes of a cell that strtold may read, and "," for the line end;
-# any other byte becomes "!", at which strtold and np.fromstring stop
+# any other byte becomes "!", and a chunk holding one is declined
 _CELL_BYTES = bytes(
     b if chr(b) in "0123456789.+-eE," else 44 if b == 10 else 33
     for b in range(256))
@@ -180,8 +180,6 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
     """Run ``_parse_rows`` over the chunks on ``workers`` threads, each
     reading its next chunk when it is done with the last; False once one
     declines. An exception in a thread is raised here."""
-    if workers < 2:
-        return all(_parse_rows(values, *chunk) for chunk in chunks)
     lock = threading.Lock()
     verdicts = []  # False, or the exception a thread raised
 
@@ -198,10 +196,16 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
             verdicts.append(exc)
 
     threads = [threading.Thread(target=work) for _ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    # older numpy warns, rather than raises, where a cell stops strtold;
+    # set here, as catch_warnings is not thread-safe
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "error", "string or file could not be read to its end",
+            DeprecationWarning)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     for verdict in verdicts:
         if verdict is not False:
             raise verdict
@@ -215,6 +219,8 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
     body = chunk.translate(_CELL_BYTES)
+    if b"!" in body:
+        return False
     seps = np.flatnonzero(np.frombuffer(body, np.uint8) == 44)
     d = values.shape[1]
     # the chunk has `rows` line ends: if separator k * d is one for every
@@ -224,7 +230,7 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
         return False
     try:
         cells = np.fromstring(body, dtype=np.longdouble, sep=",")
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return False
     if cells.size != seps.size:
         return False

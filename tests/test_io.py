@@ -2,6 +2,7 @@ import decimal
 import os
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +458,34 @@ def test_csv_reader_takes_or_declines_with_todays_outcome(
     got = outcome(str(path), header)
     monkeypatch.setattr(tio, "_LONGDOUBLE_HOLDS_HALFWAYS", False)
     assert got == outcome(str(path), header)
+
+
+@pytest.mark.parametrize("old_numpy", [False, True])
+@pytest.mark.parametrize("raw", [b"1, 2\n3,4\n", b"1e,2\n", b"1.2.3,4\n",
+                                 b"1,,2\n"])
+def test_csv_reader_declines_under_warnings_as_errors(tmp_path, monkeypatch,
+                                                      raw, old_numpy):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    want = outcome(str(path), False)
+    if old_numpy:  # older numpy warns and returns the cells it read
+        fromstring = np.fromstring
+
+        def warning_fromstring(string, dtype, sep):
+            try:
+                return fromstring(string, dtype=dtype, sep=sep)
+            except ValueError:
+                warnings.warn("string or file could not be read to its end "
+                              "due to unmatched data", DeprecationWarning)
+                return np.zeros(0, dtype)
+
+        monkeypatch.setattr(tio.np, "fromstring", warning_fromstring)
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert tio._read_csv_exact(str(path), False) is None
+            assert outcome(str(path), False) == want
+        assert not caught
 
 
 @needs_reader
