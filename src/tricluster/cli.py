@@ -294,13 +294,7 @@ def _cmd_sweep(args):
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="tricluster",
-                     description="triangulation-based clustering toolkit")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("gen", help="generate a synthetic benchmark dataset")
+def _gen_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--clusters", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -312,54 +306,54 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", default=None,
                    help="ground-truth label path (default <out>.labels)")
     p.add_argument("--format", default="csv", choices=("csv", "binary"))
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("cluster", help="cluster a point matrix")
+
+def _cluster_flags(p):
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None)
     p.add_argument("--diag", default=None,
                    help="directory for diagnostic CSV dumps")
     _add_job_flags(p)
-    p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("eval", help="score predicted against true labels")
+
+def _eval_flags(p):
     p.add_argument("--true", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--exclude-true-anomalies", action="store_true",
                    help="drop true -1 rows from ARI/NMI "
                         "(anomaly P/R/F1 always use all rows)")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="run a benchmark suite")
+
+def _bench_flags(p):
     p.add_argument("--suite", required=True, help="suite JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--svg-dir", default=None)
     p.add_argument("--measure-timings", action="store_true",
                    help="include wall-clock columns in the report "
                         "(makes the file run-dependent)")
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("scaling", help="run the runtime scaling probe")
+
+def _scaling_flags(p):
     p.add_argument("--n-list", type=_comma_list(int), default="1000,2000")
     p.add_argument("--d-list", type=_comma_list(int), default="5,20")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_scaling)
 
-    p = sub.add_parser("ablate", help="run ablation variants")
+
+def _ablate_flags(p):
     p.add_argument("--truth", default=None)
     p.add_argument("--variants", default="merge_off,proj_off,anom_merged")
     p.add_argument("--out-prefix", default="ablation")
     _add_job_flags(p)
-    p.set_defaults(func=_cmd_ablate)
 
-    p = sub.add_parser("demo", help="run a built-in experiment")
+
+def _demo_flags(p):
     p.add_argument("--which", required=True,
                    choices=("backprojection", "degradation"))
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("sweep", help="hyperparameter sweep against truth")
+
+def _sweep_flags(p):
     p.add_argument("--truth", required=True)
     p.add_argument("--probes", type=int, default=0,
                    help="random probes; 0 means exhaustive grid")
@@ -369,14 +363,46 @@ def build_parser() -> _Parser:
                    help="seed of the random probes")
     p.add_argument("--trace", default=None, help="trace CSV path")
     _add_job_flags(p)
-    p.set_defaults(func=_cmd_sweep)
 
+
+# name: (help, flags, command), in the order the help lists them
+_COMMANDS = {
+    "gen": ("generate a synthetic benchmark dataset", _gen_flags, _cmd_gen),
+    "cluster": ("cluster a point matrix", _cluster_flags, _cmd_cluster),
+    "eval": ("score predicted against true labels", _eval_flags, _cmd_eval),
+    "bench": ("run a benchmark suite", _bench_flags, _cmd_bench),
+    "scaling": ("run the runtime scaling probe", _scaling_flags,
+                _cmd_scaling),
+    "ablate": ("run ablation variants", _ablate_flags, _cmd_ablate),
+    "demo": ("run a built-in experiment", _demo_flags, _cmd_demo),
+    "sweep": ("hyperparameter sweep against truth", _sweep_flags,
+              _cmd_sweep),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The CLI's parser; given a ``command``, with that subcommand's
+    parser alone. Its usage line still names every subcommand, as the
+    top-level parser prints it for an argument the subcommand leaves."""
+    parser = _Parser(prog="tricluster",
+                     description="triangulation-based clustering toolkit")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name, (help_text, add_flags, run) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_flags(p)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a run builds the parser of its own subcommand only; help, a missing
+    # or an unknown subcommand get every one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (TriclusterError, OSError) as exc:

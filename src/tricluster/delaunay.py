@@ -50,9 +50,9 @@ from .predicates import _CCW_ERR, _ICC_ERR, _TINY, incircle, orient2d
 # coordinate differences are below 2^12 units, an incircle term below
 # 2^25 * 2^25, and the sum of three terms below 2^52 < 2^53.
 _GRID = 1024.0
-_TURN = np.arange(3)
+_TURN = np.arange(3)[:, None]
 # from corner 0, the first ends of sides 0, 1 and 2, then the second
-_SIDE_ENDS = np.array([1, 2, 0, 2, 0, 1])[:, None]
+_SIDE_ENDS = np.array([[1, 2, 0], [2, 0, 1]])[:, :, None]
 # per split kind (1 -> 3, 1 -> 2 at the hull, 2 -> 4) and ring column:
 # whether the column is in the ring; then, flat at 4 * kind + column,
 # whether it makes a new triangle rather than reuse its replaced one,
@@ -110,82 +110,87 @@ def collapse_duplicates(coords: np.ndarray):
 class _Signs:
     """orient2d, incircle and in-disk tests over arrays of vertex ids.
 
-    ``orient`` and ``incircle`` return float arrays whose signs are
-    those of the exact determinants. Their filters use the bounds of
-    ``predicates``; numpy warns where Python floats silently overflow,
-    hence ``errstate``. An element a filter leaves undecided takes the
-    sign of this module's scalar ``orient2d`` or ``incircle``, so a
-    counter wrapped around those sees every fallback. With ``grid`` set
-    every float determinant is exact.
+    Point i is the complex number ``z[i]`` = x + iy: one gather fetches
+    both coordinates, and numpy subtracts complex numbers part by part,
+    so a difference of two points holds the float differences of their
+    coordinates. The id arguments of ``orient`` and ``incircle``
+    broadcast together; both return float arrays whose signs are those
+    of the exact determinants. Their filters use the bounds of
+    ``predicates``. numpy warns where Python floats silently overflow,
+    so the caller holds ``np.errstate(all="ignore")``. An element a
+    filter leaves undecided takes the sign of this module's scalar
+    ``orient2d`` or ``incircle``, so a counter wrapped around those sees
+    every fallback. With ``grid`` set every float determinant is exact.
     """
 
-    def __init__(self, xs, ys, grid):
-        self.xs, self.ys, self.grid = xs, ys, grid
+    def __init__(self, z, grid):
+        self.z, self.grid = z, grid
+        self.xs, self.ys = z.real, z.imag
+
+    def _points(self, rest, shape, *ids):
+        """Python float arguments of the scalar predicate at the
+        positions ``rest`` of the broadcast ids."""
+        pts = [self.z[np.broadcast_to(i, shape)[rest]] for i in ids]
+        return zip(*(part.tolist() for p in pts for part in (p.real, p.imag)))
 
     def orient(self, a, b, c):
-        xs, ys = self.xs, self.ys
-        ab = np.concatenate((a, b)).reshape(2, -1)
-        with np.errstate(all="ignore"):
-            # rows (ax - cx, bx - cx) and (ay - cy, by - cy)
-            dx = xs[ab] - xs[c]
-            dy = ys[ab] - ys[c]
-            left = dx[0] * dy[1]
-            right = dy[0] * dx[1]
-            det = left - right
-            if self.grid:
-                return det
-            # predicates.orient2d's detsum is |left| + |right| wherever
-            # the signs of left and right alone do not decide; where
-            # they do, the bound decides too unless the products are
-            # below _TINY, and the scalar call then decides by the signs
-            total = np.abs(left) + np.abs(right)
-            rest = np.flatnonzero(~((total >= _TINY)
-                                    & (np.abs(det) >= _CCW_ERR * total)))
-        if rest.size:
-            a, b, c = a[rest], b[rest], c[rest]
-            det[rest] = [orient2d(*args) for args in zip(
-                *(v.tolist() for v in (xs[a], ys[a], xs[b], ys[b],
-                                       xs[c], ys[c])))]
+        z = self.z
+        zc = z[c]
+        ca = z[a] - zc
+        cb = z[b] - zc
+        # (ax - cx) * (by - cy) and (ay - cy) * (bx - cx)
+        left = ca.real * cb.imag
+        right = ca.imag * cb.real
+        det = left - right
+        if self.grid:
+            return det
+        # predicates.orient2d's detsum is |left| + |right| wherever the
+        # signs of left and right alone do not decide; where they do, the
+        # bound decides too unless the products are below _TINY, and the
+        # scalar call then decides by the signs
+        total = np.abs(left) + np.abs(right)
+        rest = (~((total >= _TINY)
+                  & (np.abs(det) >= _CCW_ERR * total))).nonzero()
+        if rest[0].size:
+            det[rest] = [orient2d(*args)
+                         for args in self._points(rest, det.shape, a, b, c)]
         return det
 
     def incircle(self, a, b, c, d):
-        xs, ys = self.xs, self.ys
-        abc = np.concatenate((a, b, c, a, b)).reshape(5, -1)
-        with np.errstate(all="ignore"):
-            # rows adx, bdx, cdx, adx, bdx and the same for y
-            dx = xs[abc] - xs[d]
-            dy = ys[abc] - ys[d]
-            lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
-            # bdx * cdy, cdx * ady, adx * bdy and their mirror products
-            plus = dx[1:4] * dy[2:]
-            minus = dx[2:] * dy[1:4]
-            det = (lift * (plus - minus)).sum(axis=0)
-            if self.grid:
-                return det
-            permanent = (lift * (np.abs(plus) + np.abs(minus))).sum(axis=0)
-            rest = np.flatnonzero(~((permanent >= _TINY)
-                                    & (np.abs(det) > _ICC_ERR * permanent)))
-        if rest.size:
-            a, b, c, d = a[rest], b[rest], c[rest], d[rest]
-            det[rest] = [incircle(*args) for args in zip(
-                *(v.tolist() for v in (xs[a], ys[a], xs[b], ys[b],
-                                       xs[c], ys[c], xs[d], ys[d])))]
+        # rows a - d, b - d, c - d, a - d, b - d
+        diff = self.z[np.array((a, b, c, a, b))] - self.z[d]
+        dx, dy = diff.real, diff.imag
+        lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
+        # bdx * cdy, cdx * ady, adx * bdy and their mirror products
+        plus = dx[1:4] * dy[2:]
+        minus = dx[2:] * dy[1:4]
+        det = np.add.reduce(lift * (plus - minus), axis=0)
+        if self.grid:
+            return det
+        permanent = np.add.reduce(lift * (np.abs(plus) + np.abs(minus)),
+                                  axis=0)
+        rest = (~((permanent >= _TINY)
+                  & (np.abs(det) > _ICC_ERR * permanent))).nonzero()
+        if rest[0].size:
+            det[rest] = [incircle(*args) for args in
+                         self._points(rest, det.shape, a, b, c, d)]
         return det
 
     def surely_left(self, u, v, c):
         """Is each c strictly left of the line u -> v by the float filter
         alone, or, when every determinant is exact, on the line? False
         wherever the filter cannot tell."""
-        xs, ys = self.xs, self.ys
-        cx, cy = xs[c], ys[c]
-        with np.errstate(all="ignore"):
-            left = (xs[u] - cx) * (ys[v] - cy)
-            right = (ys[u] - cy) * (xs[v] - cx)
-            det = left - right
-            if self.grid:
-                return det >= 0.0
-            total = np.abs(left) + np.abs(right)
-            return (total >= _TINY) & (det >= _CCW_ERR * total)
+        z = self.z
+        zc = z[c]
+        cu = z[u] - zc
+        cv = z[v] - zc
+        left = cu.real * cv.imag
+        right = cu.imag * cv.real
+        det = left - right
+        if self.grid:
+            return det >= 0.0
+        total = np.abs(left) + np.abs(right)
+        return (total >= _TINY) & (det >= _CCW_ERR * total)
 
     def in_disk(self, a, b, c, p):
         """Is p inside the circumdisk of counterclockwise (a, b, c)?
@@ -199,12 +204,12 @@ class _Signs:
         """
         det = self.incircle(a, b, c, p)
         inside = det > 0
-        tie = np.flatnonzero(det == 0)
+        tie = (det == 0).nonzero()[0]
         if tie.size:
-            a, b, c, p = a[tie], b[tie], c[tie], p[tie]
-            m = np.minimum(np.minimum(a, b), np.minimum(c, p))
-            o = self.orient(np.where(a == m, p, a), np.where(b == m, p, b),
-                            np.where(c == m, p, c))
+            abc = np.array((a, b, c)).take(tie, axis=1)
+            p = p[tie]
+            m = np.minimum(np.minimum.reduce(abc), p)
+            o = self.orient(*np.where(abc == m, p, abc))
             inside[tie] = (m == p) | (o < 0)
         return inside
 
@@ -223,12 +228,11 @@ def _hull(signs) -> list:
     xs, ys = signs.xs, signs.ys
     angle = np.arange(16) * (np.pi / 8)
     # near the float range a projection may overflow; any polygon is safe
-    with np.errstate(over="ignore", invalid="ignore"):
-        ring = np.argmax(np.outer(np.cos(angle), xs)
-                         + np.outer(np.sin(angle), ys), axis=1)
-    ring = ring[ring != np.roll(ring, 1)]
+    ring = np.argmax(np.outer(np.cos(angle), xs)
+                     + np.outer(np.sin(angle), ys), axis=1)
+    ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))].tolist()
     inside = np.delete(np.arange(len(xs)), ring)
-    for u, v in zip(ring.tolist(), np.roll(ring, -1).tolist()):
+    for u, v in zip(ring, ring[1:] + ring[:1]):
         inside = inside[signs.surely_left(u, v, inside)]
     keep = np.delete(np.arange(len(xs)), inside)
     keep = keep[np.lexsort((ys[keep], xs[keep]))].tolist()
@@ -261,7 +265,10 @@ class _Rounds:
     A round replaces disjoint groups of triangles. ``stamp[t]`` is the
     last round that replaced t, and ``heir[k]`` the side of a new
     triangle that took over side k in it, so two groups replaced in one
-    round link to each other.
+    round link to each other. The last entries of ``twin``, ``heir``
+    and ``stamp`` stand for the hull, which side -1 and triangle -1 (the
+    floor of -1 / 3) index: no round stamps it, and the rounds write
+    there freely.
 
     ``listed[k]`` marks side k for the next flip round; an interior side
     listed from neither triangle is locally Delaunay. A split lists the
@@ -276,17 +283,18 @@ class _Rounds:
     """
 
     def __init__(self, signs, hull):
-        n = len(signs.xs)
+        n = len(signs.z)
         cap = 2 * n
         self.signs = signs
-        self.thirds = signs.xs / 3.0, signs.ys / 3.0
+        # each point over 3, part by part
+        self.third = (signs.z.view(np.float64) / 3.0).view(np.complex128)
         self.tv = np.empty(3 * cap, dtype=np.int64)
-        self.twin = np.full(3 * cap, -1, dtype=np.int64)
-        self.heir = np.empty(3 * cap, dtype=np.int64)
+        self.twin = np.full(3 * cap + 1, -1, dtype=np.int64)
+        self.heir = np.empty(3 * cap + 1, dtype=np.int64)
         side = np.arange(3 * cap, dtype=np.int64).reshape(cap, 3)
-        self.succ = np.roll(side, -1, axis=1).ravel()
-        self.pred = np.roll(side, 1, axis=1).ravel()
-        self.stamp = np.full(cap, -1, dtype=np.int64)
+        self.succ = (side + [1, 1, -2]).ravel()
+        self.pred = (side + [2, -1, -1]).ravel()
+        self.stamp = np.full(cap + 1, -1, dtype=np.int64)
         self.split_at = np.empty(cap, dtype=np.int64)
         self.apex = np.empty(cap, dtype=np.int64)
         # the last entry stands for the hull and stays set
@@ -298,8 +306,10 @@ class _Rounds:
         # side 1 of each facing side 2 of the next
         h = np.asarray(hull, dtype=np.int64)
         m = len(h) - 2
-        self.tv[:3 * m] = np.column_stack(
-            [np.full(m, h[0]), h[1:-1], h[2:]]).ravel()
+        fan = self.tv[:3 * m].reshape(m, 3)
+        fan[:, 0] = h[0]
+        fan[:, 1] = h[1:-1]
+        fan[:, 2] = h[2:]
         inner = 3 * np.arange(m - 1) + 1
         self.twin[inner] = inner + 4
         self.twin[inner + 4] = inner
@@ -310,16 +320,15 @@ class _Rounds:
         # its left or on it; p then lies in fan triangle i - 1
         corner = np.zeros(n, dtype=bool)
         corner[h] = True
-        self.pend = np.flatnonzero(~corner)
+        self.pend = (~corner).nonzero()[0]
         lo = np.ones(len(self.pend), dtype=np.int64)
         hi = np.full(len(self.pend), m, dtype=np.int64)
         while True:
-            act = np.flatnonzero(lo < hi)
+            act = (lo < hi).nonzero()[0]
             if not act.size:
                 break
             mid = (lo[act] + hi[act] + 1) // 2
-            left = signs.orient(np.full(len(act), h[0]), h[mid],
-                                self.pend[act]) >= 0
+            left = signs.orient(h[0], h[mid], self.pend[act]) >= 0
             lo[act] = np.where(left, mid, lo[act])
             hi[act] = np.where(left, hi[act], mid - 1)
         self.home = lo - 1
@@ -337,58 +346,53 @@ class _Rounds:
             self.flip()
         return self.tv[:3 * self.count].reshape(-1, 3)
 
-    def _rewrite(self, slot, corners, new, old):
-        """Write the new triangles ``slot``, with vertices ``corners``,
-        and link their outer sides; the caller links the inner ones.
+    def _rewrite(self, new, old):
+        """Link the outer sides of the new triangles; the caller writes
+        their vertices and links the inner sides.
 
         The new side ``new[k]`` takes the place of side ``old[k]`` of a
         triangle replaced in this round. Across it lies the old side's
         twin, or that twin's heir when it was replaced in this round too.
         """
         twin, heir = self.twin, self.heir
-        self.tv[3 * slot + _TURN[:, None]] = corners
         nb = twin[old]
         heir[old] = new
-        has = np.flatnonzero(nb >= 0)
-        across = nb[has]
-        gone = self.stamp[across // 3] == self.round
-        nb[has] = np.where(gone, heir[across], across)
+        gone = self.stamp[nb // 3] == self.round
+        nb = np.where(gone, heir[nb], nb)
         twin[new] = nb
-        stay = has[~gone]
+        stay = ~gone
         twin[nb[stay]] = new[stay]
 
     def _moved(self):
         """Positions in ``pend`` of the points whose home this round
         replaced."""
-        return np.flatnonzero(self.stamp[self.home] == self.round)
+        return (self.stamp[self.home] == self.round).nonzero()[0]
 
     def insert(self):
         """One insertion round."""
         signs, tv, twin = self.signs, self.tv, self.twin
         succ, pred = self.succ, self.pred
         pend, home = self.pend, self.home
-        n = len(signs.xs)
+        n = len(signs.z)
 
         # per triangle, the pending point nearest its centroid, the
         # smaller id on ties
-        x3, y3 = self.thirds
-        corner = tv[3 * home + _TURN[:, None]]
-        with np.errstate(over="ignore"):
-            d2 = ((signs.xs[pend] - x3[corner].sum(axis=0)) ** 2
-                  + (signs.ys[pend] - y3[corner].sum(axis=0)) ** 2)
+        off = signs.z[pend] - np.add.reduce(self.third[tv[3 * home + _TURN]],
+                                            axis=0)
+        d2 = off.real ** 2 + off.imag ** 2
         best = np.full(self.count, np.inf)
         np.minimum.at(best, home, d2)
-        near = np.flatnonzero(d2 == best[home])
-        owner = np.full(self.count, n, dtype=np.int64)
+        near = (d2 == best[home]).nonzero()[0]
+        # the last entry takes the claims on no second triangle below
+        owner = np.full(self.count + 1, n, dtype=np.int64)
         np.minimum.at(owner, home[near], pend[near])
-        t = np.flatnonzero(owner < n)
+        t = (owner < n).nonzero()[0]
         p = owner[t]
 
         # on side e of t when its orientation against that side is 0
         e = 3 * t
-        ends = tv[e + _SIDE_ENDS].reshape(2, -1)
-        on = signs.orient(ends[0], ends[1],
-                          np.tile(p, 3)).reshape(3, -1) == 0
+        ends = tv[e + _SIDE_ENDS]
+        on = signs.orient(ends[0], ends[1], p) == 0
         edge = on.any(axis=0)
         e += on.argmax(axis=0)
         f = np.where(edge, twin[e], -1)
@@ -396,9 +400,8 @@ class _Rounds:
 
         # a split claims t, and u across an interior edge; it runs when it
         # wins each, and each goes to the smallest point id claiming it
-        across = np.flatnonzero(u >= 0)
-        np.minimum.at(owner, u[across], p[across])
-        win = np.flatnonzero((owner[t] == p) & ((u < 0) | (owner[u] == p)))
+        np.minimum.at(owner, u, p)
+        win = ((owner[t] == p) & ((u < 0) | (owner[u] == p))).nonzero()[0]
         p, t, e, f, u, edge = p[win], t[win], e[win], f[win], u[win], edge[win]
 
         # the ring of old sides around each p, in up to four columns:
@@ -409,21 +412,21 @@ class _Rounds:
         # make the new triangle (x, y, p).
         kind = edge.astype(np.int64) + (u >= 0)
         inside = kind == 0
-        sides = np.column_stack(
-            [pred[e], np.where(inside, e, succ[f]), pred[f], succ[e]])
-        pos = np.flatnonzero(_RING_VALID[kind])
+        sides = np.array((pred[e], np.where(inside, e, succ[f]), pred[f],
+                          succ[e]))
+        pos = _RING_VALID[kind].ravel().nonzero()[0]
         ring = pos // 4
         key = pos + 4 * (kind[ring] - ring)
-        old = sides.ravel()[pos]
+        old = sides.T.ravel()[pos]
         slot = old // 3
-        fresh = np.flatnonzero(_RING_FRESH[key])
+        fresh = _RING_FRESH[key].nonzero()[0]
         slot[fresh] = self.count + np.arange(fresh.size)
         self.count += fresh.size
         slot_at = np.full(4 * len(t), -1, dtype=np.int64)
         slot_at[pos] = slot
 
         self.round += 1
-        mid = np.flatnonzero(kind == 2)
+        mid = (kind == 2).nonzero()[0]
         replaced = np.concatenate([t, u[mid]])
         self.stamp[replaced] = self.round
         self.split_at[replaced] = np.concatenate([p, p[mid]])
@@ -438,14 +441,14 @@ class _Rounds:
         # opposite vertex 0 of a 1 -> 3 split
         done = np.zeros(n, dtype=bool)
         done[p] = True
-        alive = np.flatnonzero(~done[pend])
+        alive = (~done[pend]).nonzero()[0]
         self.pend, self.home = pend[alive], home[alive]
         moved = self._moved()
         was = self.home[moved]
         q = self.pend[moved]
         sp = self.split_at[was]
         a = self.apex[was]
-        three = np.flatnonzero(a < 0)
+        three = (a < 0).nonzero()[0]
         a[three] = 3 * was[three]
         nx, pv = succ[a], pred[a]
         left = signs.orient(sp, tv[a], q) >= 0
@@ -461,11 +464,11 @@ class _Rounds:
         # next and the previous triangle in its ring; where the ring is
         # open, the table points at an empty column and the link is -1
         new = 3 * slot
-        link = slot_at[4 * ring + np.take(_RING_LINK, key, axis=1)]
+        link = slot_at[4 * ring + _RING_LINK.take(key, axis=1)]
         link = np.maximum(3 * link + _SPLIT_TWINS, -1)
-        self._rewrite(slot, [tv[succ[old]], tv[pred[old]], p[ring]],
-                      new + 2, old)
-        twin[new + _TURN[:2, None]] = link
+        tv[new + _TURN] = (tv[succ[old]], tv[pred[old]], p[ring])
+        self._rewrite(new + 2, old)
+        twin[new + _TURN[:2]] = link
         self.home[moved] = self.heir[cone] // 3
         self.listed[new] = _RING_HALF[key]
         self.listed[new + 1] = False
@@ -474,33 +477,35 @@ class _Rounds:
     def flip(self):
         """One round of Lawson flips over the listed sides."""
         signs, tv, twin, listed = self.signs, self.tv, self.twin, self.listed
-        e = np.flatnonzero(listed[:3 * self.count])
+        e = listed[:3 * self.count].nonzero()[0]
         f = twin[e]
         # each side once, from its smaller id when both are listed; hull
         # sides meet the always listed entry -1
-        keep = np.flatnonzero((e < f) | ~listed[f])
+        keep = ((e < f) | ~listed[f]).nonzero()[0]
         listed[:3 * self.count] = False
         e, f = e[keep], f[keep]
         # rows e, succ[e], pred[e], f and their corners c, x, y, d (a
         # corner's id is that of the side it faces): e's triangle is
         # (c, x, y), and its side (x, y) faces f's apex d
-        quad = np.concatenate((e, self.succ[e], self.pred[e], f))
-        quad = np.concatenate((quad, tv[quad])).reshape(8, -1)
-        bad = np.flatnonzero(signs.in_disk(*quad[4:]))
+        quad = np.array((e, self.succ[e], self.pred[e], f))
+        quad = np.concatenate((quad, tv[quad]))
+        bad = signs.in_disk(*quad[4:]).nonzero()[0]
         if not bad.size:
             return
-        quad = np.take(quad, bad, axis=1)
+        quad = quad.take(bad, axis=1)
 
         # a flip claims both triangles and runs when it wins both
         pair = quad[:4:3] // 3
         key = np.arange(bad.size)
         owner = np.full(self.count, bad.size, dtype=np.int64)
-        np.minimum.at(owner, pair.ravel(), np.tile(key, 2))
-        won = (owner[pair] == key).all(axis=0)
+        np.minimum.at(owner, pair[0], key)
+        np.minimum.at(owner, pair[1], key)
+        won = owner[pair] == key
+        won = won[0] & won[1]
         listed[quad[0][~won]] = True
-        win = np.flatnonzero(won)
-        quad = np.take(quad, win, axis=1)
-        slot = np.take(pair, win, axis=1).ravel()
+        win = won.nonzero()[0]
+        quad = quad.take(win, axis=1)
+        slot = pair.take(win, axis=1).ravel()
 
         # (c, x, y) and (d, y, x) become (c, x, d) and (d, y, c), linked
         # across their sides 1
@@ -509,10 +514,11 @@ class _Rounds:
         new = 3 * slot
         outer = np.concatenate((new, new + 2))
         f = quad[3]
-        self._rewrite(slot, quad[[4, 7, 5, 6, 7, 4]].reshape(3, -1), outer,
-                      np.concatenate((self.succ[f], quad[1], quad[2],
-                                      self.pred[f])))
-        twin[new + 1] = np.roll(new + 1, win.size)
+        tv[new + _TURN] = quad[[4, 7, 5, 6, 7, 4]].reshape(3, -1)
+        self._rewrite(outer, np.concatenate((self.succ[f], quad[1], quad[2],
+                                             self.pred[f])))
+        diagonal = new.reshape(2, -1) + 1
+        twin[diagonal] = diagonal[::-1]
 
         # a pending point stays unless it is strictly left of the new
         # diagonal from corner 0 to corner 2, which faces the partner
@@ -561,13 +567,15 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         pts = scaled
         on_grid = pts * _GRID
         grid = bool(np.array_equal(on_grid, np.rint(on_grid)))
-    signs = _Signs(np.ascontiguousarray(pts[:, 0]),
-                   np.ascontiguousarray(pts[:, 1]), grid)
+    signs = _Signs(np.ascontiguousarray(pts).view(np.complex128)[:, 0], grid)
 
-    hull = _hull(signs)
-    if len(hull) < 3:
-        raise CollinearError("all points are collinear")
-    tris = np.sort(_Rounds(signs, hull).build(), axis=1)
+    # numpy's overflow warnings are noise here: the filters hand any
+    # element they cannot bound to the scalar predicates
+    with np.errstate(all="ignore"):
+        hull = _hull(signs)
+        if len(hull) < 3:
+            raise CollinearError("all points are collinear")
+        tris = np.sort(_Rounds(signs, hull).build(), axis=1)
     edges, tri_edges = _edge_table(tris, n_u)
     # a side's row orders it as (a, b) does, so this key, below 3 n^2,
     # orders the triangles by their vertices

@@ -35,6 +35,7 @@ import stat
 import struct
 import threading
 import warnings
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -80,10 +81,31 @@ def load_matrix(path, fmt: str = "csv", header: bool = False) -> np.ndarray:
     raise ParseError(f"unknown matrix format {fmt!r}")
 
 
-def _read_lines(path) -> list:
-    """The lines of a UTF-8 text file."""
+def _open_text(path, data=None):
+    """``path`` opened as UTF-8 text; or, given ``data``, the bytes read
+    from it before, wrapped to read as the file would."""
+    if data is None:
+        return open(path, "r", encoding="utf-8")
+    return TextIOWrapper(BytesIO(data), encoding="utf-8")
+
+
+def _stream_bytes(path):
+    """All bytes of ``path`` when it is not a regular file, such as a
+    pipe, which can be read only once; None for a regular file, and for
+    a path that cannot be opened."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _read_lines(path, data=None) -> list:
+    """The lines of a UTF-8 text file, or of its bytes ``data``."""
+    try:
+        with _open_text(path, data) as fh:
             return fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
@@ -105,21 +127,24 @@ def _load_csv(path, header: bool) -> np.ndarray:
     and reads them to the same values. Whatever it rejects or reads as
     empty goes to the line parser, which accepts the rest (``1_000``,
     whitespace-only lines) and raises the errors with their row and
-    column; so does a file it cannot open.
+    column; so does a file it cannot open. A pipe is read once, and
+    both parsers read the same bytes.
     """
     values = _read_csv_exact(path, header)
     if values is None:
+        data = _stream_bytes(path)
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning)
-                values = np.loadtxt(path, delimiter=",", dtype=np.float64,
-                                    comments=None, ndmin=2,
-                                    skiprows=int(header), encoding="utf-8")
+                values = np.loadtxt(
+                    path if data is None else _open_text(path, data),
+                    delimiter=",", dtype=np.float64, comments=None, ndmin=2,
+                    skiprows=int(header), encoding="utf-8")
         except (OSError, ValueError, UnicodeDecodeError):
-            return _parse_csv_lines(path, header)
+            return _parse_csv_lines(path, header, data)
         if not len(values):
-            return _parse_csv_lines(path, header)
+            return _parse_csv_lines(path, header, data)
     _validate_finite(values, n_header_rows=int(header))
     return values
 
@@ -248,8 +273,8 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
     return True
 
 
-def _parse_csv_lines(path, header: bool) -> np.ndarray:
-    lines = _read_lines(path)
+def _parse_csv_lines(path, header: bool, data=None) -> np.ndarray:
+    lines = _read_lines(path, data)
     start = 1 if header else 0
     rows = []
     n_cols = None

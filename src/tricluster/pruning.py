@@ -60,6 +60,15 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     return out
 
 
+def _longest_side(edge_len, tri_edges):
+    """Per triangle, the largest length among its three sides: one
+    elementwise maximum of three gathers, where a max over rows of three
+    pays numpy's reduction set-up per row."""
+    side = tri_edges.T
+    return np.maximum(np.maximum(edge_len[side[0]], edge_len[side[1]]),
+                      edge_len[side[2]])
+
+
 def triangle_sizes(tri: Triangulation, original, proj) -> TriangleSizes:
     """Per-triangle longest-edge length in both spaces.
 
@@ -77,8 +86,8 @@ def triangle_sizes(tri: Triangulation, original, proj) -> TriangleSizes:
     edge_len = edge_lengths(tri, orig)
     edge_len_proj = edge_lengths(tri, prj)
     return TriangleSizes(
-        sizes=edge_len[tri.tri_edges].max(axis=1),
-        sizes_proj=edge_len_proj[tri.tri_edges].max(axis=1),
+        sizes=_longest_side(edge_len, tri.tri_edges),
+        sizes_proj=_longest_side(edge_len_proj, tri.tri_edges),
         edge_len=edge_len,
         edge_len_proj=edge_len_proj,
     )

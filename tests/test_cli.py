@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,58 @@ def test_unknown_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
     assert exc_info.value.code == 1
+
+
+SUBCOMMANDS = ("gen", "cluster", "eval", "bench", "scaling", "ablate", "demo",
+               "sweep")
+# the top-level usage line, at argparse's default width of 80 columns
+USAGE = "usage: tricluster [-h] {" + ",".join(SUBCOMMANDS) + "} ...\n"
+
+
+def test_help_names_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(USAGE)
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("    ")]
+    assert listed == list(SUBCOMMANDS)
+
+
+def test_unknown_subcommand_usage_lists_the_choices(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["frobnicate"])
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(USAGE)
+    # Python versions differ in whether the choices are quoted
+    choices = err.split("invalid choice: 'frobnicate' (choose from ", 1)[1]
+    assert re.findall(r"[a-z]+", choices) == list(SUBCOMMANDS)
+
+
+def test_cluster_help_lists_the_job_flags(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["cluster", "--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tricluster cluster ")
+    for flag in ("--prune", "--merge", "--sensitivity", "--tau"):
+        assert re.search(rf"^  {flag}\b", out, re.MULTILINE), flag
+
+
+def test_stray_argument_after_a_subcommand_shows_the_full_usage(
+        capsys, monkeypatch):
+    # the subcommand's parser leaves "extra" to the top-level parser,
+    # whose usage line names every subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["eval", "--true", "a", "--pred", "b", "extra"])
+    assert exc_info.value.code == 1
+    assert capsys.readouterr().err == (
+        USAGE + "tricluster: error: unrecognized arguments: extra\n")
 
 
 def test_eval_length_mismatch_is_data_error(tmp_path, capsys):

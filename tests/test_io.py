@@ -12,6 +12,7 @@ from tricluster import (
     IoError,
     NonFiniteError,
     ParseError,
+    TriclusterError,
     load_labels,
     load_matrix,
     save_labels,
@@ -515,6 +516,31 @@ def test_csv_from_a_pipe(tmp_path):
     finally:
         os.close(r)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def load_outcome(path):
+    """The bits of the loaded matrix, or the error's type and message."""
+    try:
+        return load_matrix(path).view(np.uint64).tolist()
+    except TriclusterError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("text", ["1_000,2\n3,4\n", "1,2\n   \n3,4\n",
+                                  "1,2\n3,x\n"])
+def test_csv_pipe_numpy_rejects_loads_as_a_file(tmp_path, text):
+    # numpy's parser reads the pipe to its end before it rejects it, and
+    # the line parser must still see the same bytes
+    want = load_outcome(write(tmp_path / "m.csv", text))
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    try:
+        got = load_outcome(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert got == want
 
 
 @needs_reader
