@@ -498,6 +498,8 @@ class _Rounds:
         pair = quad[:4:3] // 3
         key = np.arange(bad.size)
         owner = np.full(self.count, bad.size, dtype=np.int64)
+        # one call per row: numpy 2.4's ufunc.at writes garbage for a 2-D
+        # index with a 1-D operand broadcast over it
         np.minimum.at(owner, pair[0], key)
         np.minimum.at(owner, pair[1], key)
         won = owner[pair] == key
