@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics
 from .errors import ConfigError, TriclusterError
-from .pipeline import MERGE_RANGE, PRUNE_RANGE, ClusterParams, fit_predict
+from .pipeline import ClusterParams, fit_predict
 from .projection import embedding_from_array
 from .svg import scatter_svg
 from .synthgen import (
@@ -39,6 +39,11 @@ REPORT_COLUMNS = [
 
 TIMING_KEYS = ("ms_project", "ms_triangulate", "ms_prune",
                "ms_merge", "ms_anomaly")
+
+# the ranges ``grid_sweep`` draws random probes from; the published
+# defaults need not lie inside them
+PRUNE_RANGE = (0.5, 2.0)
+MERGE_RANGE = (-2.0, -0.5)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,6 @@ from .errors import (
 from .io import canonicalize_labels
 from .projection import Embedding, embedding_from_array, pca2
 
-# the ranges ``bench.grid_sweep`` draws random probes from; the published
-# defaults need not lie inside them
-PRUNE_RANGE = (0.5, 2.0)
-MERGE_RANGE = (-2.0, -0.5)
-
-
 @dataclass(frozen=True)
 class ClusterParams:
     """Pipeline knobs; defaults mirror the published quick-start settings."""

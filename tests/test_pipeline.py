@@ -137,6 +137,18 @@ def test_huge_scale_raises_numerical_error():
     assert exc_info.value.stage == "project"
 
 
+def test_values_near_float64_limit_raise_numerical_error_without_warning():
+    # the column sums overflow in the mean, before any product is formed
+    pts, _ = three_blobs(seed=2)
+    pts[:4] = 1.7e308
+    pts[4:8] = -1.7e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as exc_info:
+            fit_predict(pts, ClusterParams(prune_param=1.0))
+    assert exc_info.value.stage == "project"
+
+
 def test_external_embedding_used_under_default_params():
     rng = np.random.default_rng(0)
     data = rng.standard_normal((40, 5))

@@ -10,6 +10,7 @@ from tricluster import (
     pca2,
     save_matrix,
 )
+from tricluster import projection
 from tricluster.projection import embedding_from_array
 
 
@@ -19,7 +20,7 @@ def jacobi_eigh(a, tol=1e-14, max_sweeps=100):
     n = a.shape[0]
     v = np.eye(n)
     for _ in range(max_sweeps):
-        off = np.sqrt((a**2).sum() - (np.diag(a) ** 2).sum())
+        off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off < tol:
             break
         for p in range(n - 1):
@@ -69,10 +70,20 @@ def test_identical_points_give_zeros():
     assert np.allclose(emb.coords, 0.0)
 
 
+def gapped_rows(rng, n=200, d=30):
+    # rotated axes scaled 20, 12, 3, 1, 1, ...: the top two eigenvalues
+    # lie far above the 13th, so block subspace iteration finds them
+    scales = np.concatenate([[20.0, 12.0, 3.0], np.ones(d - 3)])
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    return (rng.standard_normal((n, d)) * scales) @ rotation.T
+
+
 def test_matches_jacobi_oracle():
     rng = np.random.default_rng(42)
-    for trial in range(5):
-        x = rng.standard_normal((20, 5)) * rng.uniform(0.5, 3.0, 5)
+    inputs = [rng.standard_normal((20, 5)) * rng.uniform(0.5, 3.0, 5)
+              for trial in range(5)]
+    inputs += [gapped_rows(np.random.default_rng(s)) for s in (0, 1)]
+    for x in inputs:
         emb = pca2(x)
         centered = x - x.mean(axis=0)
         cov = centered.T @ centered / (len(x) - 1)
@@ -185,15 +196,9 @@ def sha256(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
-def test_pinned_embedding_bits():
-    # a change to the embedding's bits must be deliberate. The tie-heavy
-    # rows make every BLAS and LAPACK step exact, so their pin holds on
-    # any build; the general rows' pin holds where the BLAS and LAPACK
-    # calls themselves give the bits they gave where it was taken
-    tie = pca2(tie_heavy_rows()).coords
-    assert tie[:2].tolist() == [[2.0, 2.0], [-2.0, 2.0]]
-    assert sha256(tie) == (
-        "6d7233721e3cdd1c4f36715b9199e5e19af800568439e7ee16abc8e9473d4021")
+def skip_unless_lapack_as_pinned():
+    # the general rows' pins hold where the BLAS and LAPACK calls
+    # themselves give the bits they gave where the pins were taken
     data = general_rows()
     x = data - data.mean(axis=0)
     cov = x.T @ x / (len(x) - 1)
@@ -201,5 +206,72 @@ def test_pinned_embedding_bits():
     if sha256(cov, eigvals, eigvecs, x @ eigvecs[:, -1]) != (
             "9c48b817ac8990c7a25707f2081a47e5d23466e9724a73550c5055ceb4ddd245"):
         pytest.skip("this BLAS or LAPACK rounds differently from the pin's")
-    assert sha256(pca2(data).coords) == (
+
+
+def test_pinned_embedding_bits():
+    # a change to the embedding's bits must be deliberate. The tie-heavy
+    # rows make every BLAS and LAPACK step exact, so their pin holds on
+    # any build
+    tie = pca2(tie_heavy_rows()).coords
+    assert tie[:2].tolist() == [[2.0, 2.0], [-2.0, 2.0]]
+    assert sha256(tie) == (
+        "6d7233721e3cdd1c4f36715b9199e5e19af800568439e7ee16abc8e9473d4021")
+    skip_unless_lapack_as_pinned()
+    assert sha256(pca2(general_rows()).coords) == (
         "b1499ac6772dbd0299dd7e8525657bc5c14874e13fa866d85b51149adfa22586")
+
+
+def test_pinned_iterated_embedding_bits():
+    skip_unless_lapack_as_pinned()
+    assert sha256(pca2(gapped_rows(np.random.default_rng(30))).coords) == (
+        "98850cbad1441962972192dd71da40aa66350d6fb0ea9b9e76c14168a2625fbf")
+
+
+def eigh_path(monkeypatch, x):
+    """pca2's output when the iteration is never accepted."""
+    with monkeypatch.context() as m:
+        m.setattr(projection, "_top2_iterated", lambda cov: None)
+        return pca2(x).coords
+
+
+def refuse_eigh(cov):
+    raise AssertionError("the full eigh ran")
+
+
+def test_gapped_input_is_iterated(monkeypatch):
+    x = gapped_rows(np.random.default_rng(3))
+    want = eigh_path(monkeypatch, x)
+    monkeypatch.setattr(projection, "_top2_eigh", refuse_eigh)
+    assert np.allclose(pca2(x).coords, want, rtol=0.0, atol=1e-12)
+
+
+def diagonal_rows(s):
+    # rows +-s_j e_j: the mean is exactly 0 and the covariance is exactly
+    # diagonal, so eigh finds the axes and the projection is exact
+    return np.vstack([np.diag(s), -np.diag(s)])
+
+
+def test_tied_top_eigenvalues_keep_eigh_tie_order(monkeypatch):
+    s = np.full(30, 0.5)
+    s[[3, 11]] = 4.0
+    x = diagonal_rows(s)
+    got = pca2(x).coords
+    assert np.array_equal(got, eigh_path(monkeypatch, x))
+    assert np.array_equal(got, x[:, [3, 11]])
+
+
+def test_top_axes_outside_start_block_fall_back_to_eigh(monkeypatch):
+    # the start block spans axes 0..23 only, and the iteration never
+    # leaves that span: it converges to axes 23 and 22, exact eigenpairs
+    # with zero residual, but not the top two. The Cholesky test must
+    # refuse them
+    x = diagonal_rows(np.concatenate(
+        [np.ones(12), np.arange(2.0, 14.0), np.arange(20.0, 26.0)]))
+    got = pca2(x).coords
+    assert np.array_equal(got, eigh_path(monkeypatch, x))
+    assert np.array_equal(got, x[:, [29, 28]])
+
+
+def test_gapless_input_falls_back_to_eigh(monkeypatch):
+    x = np.random.default_rng(8).standard_normal((200, 30))
+    assert np.array_equal(pca2(x).coords, eigh_path(monkeypatch, x))
