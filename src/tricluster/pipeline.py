@@ -30,6 +30,7 @@ from .errors import (
 from .io import canonicalize_labels
 from .projection import Embedding, embedding_from_array, pca2
 
+
 @dataclass(frozen=True)
 class ClusterParams:
     """Pipeline knobs; defaults mirror the published quick-start settings."""
