@@ -26,8 +26,10 @@ class Embedding:
 # Large Eigenvalue Problems, 2011, ch. 5) finds the top two eigenvectors of
 # a covariance whose top is gapped. A Ritz pair is accepted only when its
 # residual is below _RESIDUAL * eps * lambda_1 * sqrt(d) and lambda_1,
-# lambda_2 and lambda_3 lie more than _GAP * lambda_1 apart; every other
-# covariance goes to a full eigh
+# lambda_2 and lambda_3 lie more than _GAP * lambda_1 apart. A Weyl bound
+# from norms the iteration already holds proves the gap below lambda_2 in
+# O(d^2); a Cholesky factorisation proves it where that bound is too loose.
+# Every other covariance goes to a full eigh
 _BLOCK = 12
 _STEPS = 8
 _RESIDUAL = 16.0
@@ -39,11 +41,13 @@ def pca2(data: np.ndarray) -> Embedding:
 
     When d >= 24, block subspace iteration on the covariance, with a
     Rayleigh-Ritz step, finds the two vectors. They are accepted when
-    both residuals are tiny, the top two eigenvalues are apart, and a
-    Cholesky factorisation proves that the third eigenvalue lies below
-    the second. Otherwise, and when d < 24, a full ``np.linalg.eigh`` of
-    the same covariance finds them, and eigenvalue ties break by the axis
-    order of the first nonzero eigenvector component.
+    both residuals are tiny, the top two eigenvalues are apart, and the
+    third eigenvalue provably lies below the second: by a Weyl bound on
+    the iteration's own norms or, where that bound cannot decide, by a
+    Cholesky factorisation. Otherwise, and when d < 24, a full
+    ``np.linalg.eigh`` of the same covariance finds them, and eigenvalue
+    ties break by the axis order of the first nonzero eigenvector
+    component.
 
     Deterministic. Sign convention: the largest-magnitude component of
     each eigenvector is positive. Raises NumericalError when the centring
@@ -84,20 +88,44 @@ def _top2_iterated(cov: np.ndarray):
             q = np.linalg.qr(cov[:, :_BLOCK] + cov[:, _BLOCK:2 * _BLOCK])[0]
             for _ in range(_STEPS):
                 q = np.linalg.qr(cov @ q)[0]
-            ritz, y = np.linalg.eigh(q.T @ (cov @ q))
+            cq = cov @ q
+            a = q.T @ cq
+            ritz, y = np.linalg.eigh(a)
         except np.linalg.LinAlgError:
             return None
-        lam = ritz[[-1, -2]]
-        vecs = q @ y[:, [-1, -2]]
-        residual = np.linalg.norm(cov @ vecs - vecs * lam, axis=0)
-        bound = _RESIDUAL * np.finfo(np.float64).eps * lam[0] * np.sqrt(d)
-        if not ((residual <= bound).all() and lam[0] - lam[1] > _GAP * lam[0]):
+        lam, top = ritz[[-1, -2]], y[:, [-1, -2]]
+        vecs = q @ top
+        residual = np.linalg.norm(cq @ top - vecs * lam, axis=0)
+        eps = np.finfo(np.float64).eps
+        if not ((residual <= _RESIDUAL * eps * lam[0] * np.sqrt(d)).all()
+                and lam[0] - lam[1] > _GAP * lam[0]):
             return None
-        # if mu*I - (cov - sum of lam_k v_k v_k^T) is positive definite,
-        # then lambda_3 < mu, since a rank-2 update lifts an eigenvalue past
-        # at most two others (Weyl). This also catches a top eigenvector
-        # that the start block missed, which the residuals cannot see
+        # lambda_3 < mu is what remains to prove. This also catches a top
+        # eigenvector that the start block missed, which the residuals
+        # cannot see. In the basis [Q, Q_perp], cov = [[A, E'], [E, D]]
+        # with ||E||_F = ||CQ - QA||_F and, by Pythagoras,
+        # ||D||_F^2 = ||C||_F^2 - 2 ||CQ||_F^2 + ||A||_F^2. Dropping E moves
+        # no eigenvalue by more than ||E||_2 (Weyl), and the third largest
+        # of diag(A, D) is at most max(theta_3, ||D||_2), so
+        # lambda_3 <= max(theta_3, ||D||_F) + ||E||_F. The three squared
+        # norms are sums of at most d^2 terms, each rounded by at most
+        # d^2 * eps * ||C||_F^2, and the difference weighs them 1, 2 and
+        # 1, so `slack` restores what it may have lost. Every other
+        # rounding here is of order d * eps * ||C||_F, at most
+        # d^1.5 * eps * lambda_1 since cov is positive semidefinite: far
+        # inside the _GAP * lambda_1 that mu keeps below lambda_2 at any d
+        # that fits in memory
         mu = lam[1] - _GAP * lam[0]
+        c2 = np.vdot(cov, cov)
+        tail2 = c2 - 2.0 * np.vdot(cq, cq) + np.vdot(a, a)
+        slack = 4.0 * d * d * eps * c2
+        # np.maximum keeps a NaN from an overflowed norm, and NaN < mu fails
+        tail = np.sqrt(np.maximum(tail2, 0.0) + slack)
+        if np.maximum(ritz[-3], tail) + np.linalg.norm(cq - q @ a) < mu:
+            return vecs
+        # where that bound cannot decide: if mu*I - (cov - sum of
+        # lam_k v_k v_k^T) is positive definite, then lambda_3 < mu, since
+        # a rank-2 update lifts an eigenvalue past at most two others (Weyl)
         shifted = (vecs * lam) @ vecs.T
         shifted -= cov
         shifted.flat[::d + 1] += mu
