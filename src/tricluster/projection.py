@@ -28,8 +28,7 @@ class Embedding:
 # residual is below _RESIDUAL * eps * lambda_1 * sqrt(d) and lambda_1,
 # lambda_2 and lambda_3 lie more than _GAP * lambda_1 apart. A Weyl bound
 # from norms the iteration already holds proves the gap below lambda_2 in
-# O(d^2); a Cholesky factorisation proves it where that bound is too loose.
-# Every other covariance goes to a full eigh
+# O(d^2). Every other covariance goes to a full eigh
 _BLOCK = 12
 _STEPS = 8
 _RESIDUAL = 16.0
@@ -42,9 +41,8 @@ def pca2(data: np.ndarray) -> Embedding:
     When d >= 24, block subspace iteration on the covariance, with a
     Rayleigh-Ritz step, finds the two vectors. They are accepted when
     both residuals are tiny, the top two eigenvalues are apart, and the
-    third eigenvalue provably lies below the second: by a Weyl bound on
-    the iteration's own norms or, where that bound cannot decide, by a
-    Cholesky factorisation. Otherwise, and when d < 24, a full
+    third eigenvalue provably lies below the second, by a Weyl bound on
+    the iteration's own norms. Otherwise, and when d < 24, a full
     ``np.linalg.eigh`` of the same covariance finds them, and eigenvalue
     ties break by the axis order of the first nonzero eigenvector
     component.
@@ -121,17 +119,7 @@ def _top2_iterated(cov: np.ndarray):
         slack = 4.0 * d * d * eps * c2
         # np.maximum keeps a NaN from an overflowed norm, and NaN < mu fails
         tail = np.sqrt(np.maximum(tail2, 0.0) + slack)
-        if np.maximum(ritz[-3], tail) + np.linalg.norm(cq - q @ a) < mu:
-            return vecs
-        # where that bound cannot decide: if mu*I - (cov - sum of
-        # lam_k v_k v_k^T) is positive definite, then lambda_3 < mu, since
-        # a rank-2 update lifts an eigenvalue past at most two others (Weyl)
-        shifted = (vecs * lam) @ vecs.T
-        shifted -= cov
-        shifted.flat[::d + 1] += mu
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
+        if not np.maximum(ritz[-3], tail) + np.linalg.norm(cq - q @ a) < mu:
             return None
     return vecs
 

@@ -238,41 +238,15 @@ def refuse_eigh(cov):
     raise AssertionError("the full eigh ran")
 
 
-def refuse_cholesky(a):
-    raise AssertionError("the Cholesky test ran")
-
-
 def test_gapped_input_is_iterated(monkeypatch):
-    # the Weyl bound certifies these: neither the Cholesky test nor the
-    # full eigh runs
+    # the Weyl bound certifies these, so the full eigh never runs
     for seed in (0, 1, 3, 30):
         x = gapped_rows(np.random.default_rng(seed))
         want = eigh_path(monkeypatch, x)
         with monkeypatch.context() as m:
             m.setattr(projection, "_top2_eigh", refuse_eigh)
-            m.setattr(np.linalg, "cholesky", refuse_cholesky)
             got = pca2(x).coords
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
-
-
-def test_flat_tail_is_certified_by_cholesky(monkeypatch):
-    # lambda_1 = 1 and lambda_2 = 0.5 on axes 0 and 1 above 2 598 axes of
-    # 0.01: the tail's Frobenius norm, 0.01 * sqrt(2598) = 0.51, exceeds
-    # mu = 0.499, so the Weyl bound cannot decide, while the Cholesky test
-    # proves lambda_3 = 0.01 < mu and the full eigh is never reached
-    cov = np.diag(np.concatenate([[1.0, 0.5], np.full(2598, 0.01)]))
-    factored = []
-    cholesky = np.linalg.cholesky
-
-    def spy(a):
-        factored.append(len(a))
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
-    vecs = projection._top2_iterated(cov)
-    assert factored == [2600]
-    assert vecs is not None
-    assert np.allclose(np.abs(vecs), np.eye(2600, 2), rtol=0.0, atol=1e-12)
 
 
 def diagonal_rows(s):
@@ -294,7 +268,7 @@ def test_top_axes_outside_start_block_fall_back_to_eigh(monkeypatch):
     # the start block spans axes 0..23 only, and the iteration never
     # leaves that span: it converges to axes 23 and 22, exact eigenpairs
     # with zero residual, but not the top two. The tail term of the Weyl
-    # bound and the Cholesky test must both refuse them
+    # bound must refuse them
     x = diagonal_rows(np.concatenate(
         [np.ones(12), np.arange(2.0, 14.0), np.arange(20.0, 26.0)]))
     got = pca2(x).coords
