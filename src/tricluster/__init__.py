@@ -24,7 +24,6 @@ from .errors import (
 )
 from .io import load_labels, load_matrix, save_labels, save_matrix
 from .merging import Representatives, compute_representatives, merge_clusters
-from .metrics import anomaly_prf, ari, nmi
 from .pipeline import (
     ClusteringResult,
     ClusterParams,
@@ -42,14 +41,26 @@ from .pruning import (
     sigma_rule,
     triangle_sizes,
 )
-from .synthgen import (
-    SynthConfig,
-    generate,
-    generate_backprojection_demo,
-    generate_degradation_pair,
-)
-
 __version__ = "0.1.0"
+
+# the metrics and the generator load on first use (PEP 562), so the CLI's
+# clustering job does not import them
+_LAZY = {
+    "anomaly_prf": "metrics", "ari": "metrics", "nmi": "metrics",
+    "SynthConfig": "synthgen", "generate": "synthgen",
+    "generate_backprojection_demo": "synthgen",
+    "generate_degradation_pair": "synthgen",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ClusterParams", "ClusteringResult", "CollinearError", "ConfigError",

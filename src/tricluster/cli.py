@@ -9,21 +9,19 @@ deterministic under fixed seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import io
-from . import metrics
 from .errors import ConfigError, IoError, TriclusterError
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
-from .svg import scatter_svg
-from .synthgen import SynthConfig, generate
+
+# bench, metrics, svg, synthgen and csv are imported by the commands that
+# use them, so `tricluster cluster` does not load them
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,6 +106,8 @@ def _load_input(args):
 
 
 def _write_diag(diag_dir, result):
+    import csv
+
     tri = result.diagnostics["triangulation"]
     sizes = result.diagnostics["sizes"]
     pres = result.diagnostics["prune_result"]
@@ -138,6 +138,8 @@ def _write_diag(diag_dir, result):
 
 
 def _cmd_gen(args):
+    from .synthgen import SynthConfig, generate
+
     truth_path = args.truth or args.out + ".labels"
     _check_outputs(files=(args.out, truth_path))
     cfg = SynthConfig(
@@ -158,8 +160,11 @@ def _cmd_cluster(args):
     _check_outputs(files=(args.out, args.svg), dirs=(args.diag,))
     data, emb = _load_input(args)
     params = _params_from_args(args)
-    result = fit_predict(data, params, external_embedding=emb)
+    # the job owns the loaded matrix and never reads it again
+    result = fit_predict(data, params, external_embedding=emb, copy=False)
     if args.svg:
+        from .svg import scatter_svg
+
         coords = result.diagnostics["embedding"].coords
         scatter_svg(coords, result.labels, args.svg)
     if args.diag:
@@ -172,6 +177,8 @@ def _cmd_cluster(args):
 
 
 def _cmd_eval(args):
+    from . import metrics
+
     true_labels = io.load_labels(args.true)
     pred_labels = io.load_labels(args.pred)
     precision, recall, f1 = metrics.anomaly_prf(true_labels, pred_labels)
@@ -194,6 +201,9 @@ def _cmd_eval(args):
 
 
 def _cmd_bench(args):
+    from . import bench as bench_mod
+    from .synthgen import SynthConfig
+
     _check_outputs(files=(args.out,), dirs=(args.svg_dir,))
     try:
         with open(args.suite, "r", encoding="utf-8") as fh:
@@ -236,6 +246,8 @@ def _cmd_bench(args):
 
 
 def _cmd_scaling(args):
+    from . import bench as bench_mod
+
     _check_outputs(files=(args.out,))
     report = bench_mod.runtime_scaling(args.n_list, args.d_list)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -245,6 +257,8 @@ def _cmd_scaling(args):
 
 
 def _cmd_ablate(args):
+    from . import bench as bench_mod
+
     _check_outputs(files=(args.out_prefix,))
     data, emb = _load_input(args)
     params = _params_from_args(args)
@@ -261,6 +275,8 @@ def _cmd_ablate(args):
 
 
 def _cmd_demo(args):
+    from . import bench as bench_mod
+
     _check_outputs(files=(args.out,))
     if args.which == "backprojection":
         rows = bench_mod.backprojection_demo(n_seeds=args.seeds)
@@ -274,6 +290,8 @@ def _cmd_demo(args):
 
 
 def _cmd_sweep(args):
+    from . import bench as bench_mod
+
     _check_outputs(files=(args.trace,))
     data, emb = _load_input(args)
     truth = io.load_labels(args.truth)
@@ -284,6 +302,8 @@ def _cmd_sweep(args):
         params=base, embedding=emb,
     )
     if args.trace:
+        import csv
+
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             w = csv.DictWriter(fh, fieldnames=list(trace[0].keys()))
             w.writeheader()

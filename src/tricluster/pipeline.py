@@ -2,11 +2,14 @@
 
 Stage order: project -> triangulate -> prune -> components ->
 representatives -> merge -> anomaly -> label. The projection is PCA
-unless an external embedding is passed. Ablations: merging can be
-skipped, back-projection can be disabled (all original-space reads are
-replaced by the embedding, making the result a pure function of the
-embedding), and anomaly_sensitivity = 0 merges every mergeable anomaly
-group.
+unless an external embedding is passed. On the PCA path the original
+space that the later stages read is the matrix PCA centred, since a
+translation moves no Euclidean distance; with ``copy=False`` that is the
+input itself, and the job holds one n x d array instead of two.
+Ablations: merging can be skipped, back-projection can be disabled (all
+original-space reads are replaced by the embedding, making the result a
+pure function of the embedding), and anomaly_sensitivity = 0 merges
+every mergeable anomaly group.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     TriclusterError,
 )
 from .io import canonicalize_labels
-from .projection import Embedding, embedding_from_array, pca2
+from .projection import Embedding, embedding_from_array, owned_float64, pca2
 
 
 @dataclass(frozen=True)
@@ -89,15 +92,24 @@ class _Stage:
 
 
 def fit_predict(data, params: ClusterParams = None,
-                external_embedding: Embedding = None) -> ClusteringResult:
+                external_embedding: Embedding = None, *,
+                copy: bool = True) -> ClusteringResult:
     """Run the full pipeline and return labels plus diagnostics.
 
     ``external_embedding`` (an ``Embedding`` or an (n, 2) array) replaces
-    the PCA projection when given.
+    the PCA projection when given, and ``data`` is then only read. On the
+    PCA path the later stages read the matrix ``pca2`` centred. By
+    default that is a float64 copy, and ``data`` is left as it was. With
+    ``copy=False``, as in ``pca2``, a writeable float64 ndarray is
+    centred in place and left centred, and any other input is copied.
     """
     params = params or ClusterParams()
     params.validate()
-    data = np.asarray(data, dtype=np.float64)
+    if external_embedding is None:
+        # pca2 centres this matrix in place, and the later stages read it
+        data = owned_float64(data, copy)
+    else:
+        data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeMismatchError("data must be a 2-D matrix")
     if not np.isfinite(data).all():
@@ -110,7 +122,7 @@ def fit_predict(data, params: ClusterParams = None,
             coords = getattr(external_embedding, "coords", external_embedding)
             emb = embedding_from_array(coords, data)
         else:
-            emb = pca2(data)
+            emb = pca2(data, copy=False)
     proj = emb.coords
 
     # back-projection off: every original-space read uses the embedding,

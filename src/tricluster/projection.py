@@ -35,7 +35,7 @@ _RESIDUAL = 16.0
 _GAP = 1e-3
 
 
-def pca2(data: np.ndarray) -> Embedding:
+def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     """Project rows onto the top-2 eigenvectors of the sample covariance.
 
     When d >= 24, block subspace iteration on the covariance, with a
@@ -51,16 +51,23 @@ def pca2(data: np.ndarray) -> Embedding:
     each eigenvector is positive. Raises NumericalError when the centring
     or the covariance overflows float64 or the eigensolver fails, which
     happens at scales near the float64 limit.
+
+    The rows are centred in one n x d float64 matrix. By default it is a
+    copy, and ``data`` is left as it was. With ``copy=False``, a writeable
+    float64 ndarray is centred in place, so no second n x d array is
+    made; it then holds ``data - data.mean(axis=0)`` to the bit, and after
+    an error its values are unspecified. Any other input is copied first
+    and left as it was.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
+    centered = owned_float64(data, copy)
+    if centered.ndim != 2:
         raise ShapeMismatchError("data must be a 2-D matrix")
-    n, d = data.shape
+    n, d = centered.shape
     if n < 3:
         raise DegenerateError(f"PCA projection needs at least 3 points, got {n}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=0)
+        centered -= centered.mean(axis=0)
         cov = centered.T @ centered
         cov /= n - 1
     if not np.isfinite(cov).all():
@@ -76,6 +83,16 @@ def pca2(data: np.ndarray) -> Embedding:
             v = -v
         coords[:, out_col] = centered @ v
     return Embedding(coords=coords, source="pca_native")
+
+
+def owned_float64(data, copy: bool) -> np.ndarray:
+    """``data`` itself when ``copy`` is False and it is a writeable float64
+    ndarray, which the caller then lets us change; otherwise a float64
+    copy of it."""
+    if (not copy and isinstance(data, np.ndarray)
+            and data.dtype == np.float64 and data.flags.writeable):
+        return np.asarray(data)
+    return np.array(data, dtype=np.float64)
 
 
 def _top2_iterated(cov: np.ndarray):

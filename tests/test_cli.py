@@ -21,7 +21,7 @@ from tricluster import (
     save_matrix,
 )
 from tricluster import bench as bench_mod
-from tricluster import cli
+from tricluster import cli, synthgen
 from tricluster.cli import _params_from_args, build_parser, main
 
 
@@ -483,7 +483,7 @@ def test_unwritable_output_path_is_io_error(tmp_path, capsys, monkeypatch,
     # the path is checked before any work
     def work(*args, **kwargs):
         raise AssertionError(f"{flag}: work ran before the output check")
-    for module, name in ((cli, "fit_predict"), (cli, "generate"),
+    for module, name in ((cli, "fit_predict"), (synthgen, "generate"),
                          (bench_mod, "backprojection_demo"),
                          (bench_mod, "degradation_sweep"),
                          (bench_mod, "grid_sweep"),

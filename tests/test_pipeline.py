@@ -11,15 +11,18 @@ from tricluster import (
     DelaunayClusterer,
     NonFiniteError,
     NumericalError,
+    SynthConfig,
     ari,
     connected_components,
     fit_predict,
+    generate,
     nmi,
     prune,
     triangle_sizes,
     triangulate,
 )
 from tricluster.projection import embedding_from_array, pca2
+from test_projection import FOREIGN_INPUTS, skip_unless_lapack_as_pinned
 
 
 def three_blobs(seed=7, n_per=30, std=1.0):
@@ -263,3 +266,84 @@ def test_pinned_labels_sha256(overrides, n_clusters, n_anomalies, digest):
                                                        n_anomalies)
     labels = result.labels.astype(np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+BENCH_PARAMS = ClusterParams(prune_param=1.0)  # perfbench's job flags
+
+
+@pytest.mark.parametrize("seed, params, n_clusters, n_anomalies, digest", [
+    (0, ClusterParams(), 5, 131,
+     "d7df53671cb0a6300963cd469b0dad27c3b951e035ead40b4bb1fdbfd49eaa56"),
+    (0, BENCH_PARAMS, 6, 90,
+     "ea1e3aa6cfae71e0a9e246b1fbd7ba40651d4a46b228286e656ba8df8e3fd88d"),
+    (1, ClusterParams(), 6, 128,
+     "75e6ef8253de39b4d1cd4185ce5dfb79b9ce620622fce9a7f11c55b92551356d"),
+    (1, BENCH_PARAMS, 5, 97,
+     "a0ed3f80d4f5565f4531926607962a8f0f0e75a19b4dfada020636d54e8b8c18"),
+    (2, ClusterParams(), 5, 128,
+     "4ee3669be3d291a935a33bf2a25e87faee14ccf86dd1f492516d7e8e19b03b76"),
+    (2, BENCH_PARAMS, 5, 99,
+     "d27ca5e073138b1b4bad00d6dc91c77b8c7becef9ec48575e8ff025c2bcf5abe"),
+])
+def test_pinned_pca_labels_sha256(seed, params, n_clusters, n_anomalies,
+                                  digest):
+    # d = 50 takes pca2's iterated solver. Pinned while the later stages
+    # still read the input's own rows: reading the centred matrix instead
+    # moves no label
+    skip_unless_lapack_as_pinned()
+    data, _ = generate(SynthConfig(n_points=2000, n_dim=50,
+                                   random_state=seed))
+    result = fit_predict(data, params)
+    assert (result.n_clusters, result.n_anomalies) == (n_clusters,
+                                                       n_anomalies)
+    labels = result.labels.astype(np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+def synth_rows(seed=3):
+    return generate(SynthConfig(n_points=600, n_dim=30,
+                                random_state=seed))[0] + 5.0
+
+
+def test_defaults_leave_the_input_unchanged():
+    data = synth_rows()
+    before = data.copy()
+    fit_predict(data)
+    assert np.array_equal(data, before)
+    DelaunayClusterer().fit_predict(data)
+    assert np.array_equal(data, before)
+
+
+def test_copy_false_gives_the_same_job_and_leaves_data_centred():
+    data = synth_rows()
+    want = fit_predict(data)
+    centered = data - data.mean(axis=0)
+    got = fit_predict(data, copy=False)
+    assert np.array_equal(got.labels, want.labels)
+    a, b = got.diagnostics, want.diagnostics
+    assert a["theta_prune"] == b["theta_prune"]
+    for name in ("sizes", "sizes_proj", "edge_len"):
+        assert getattr(a["sizes"], name).tobytes() == (
+            getattr(b["sizes"], name).tobytes())
+    assert a["embedding"].coords.tobytes() == (
+        b["embedding"].coords.tobytes())
+    assert data.tobytes() == centered.tobytes()
+
+
+@pytest.mark.parametrize("kind", FOREIGN_INPUTS)
+def test_copy_false_leaves_an_input_it_cannot_centre(kind):
+    data = FOREIGN_INPUTS[kind](synth_rows())
+    before = data.copy()
+    got = fit_predict(data, copy=False)
+    assert np.array_equal(data, before) and data.dtype == before.dtype
+    assert np.array_equal(got.labels, fit_predict(data).labels)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1, scale invariance in fit_predict: below about 1e-160 "
+    "the covariance and the edge lengths underflow, and the job returns "
+    "1 cluster and 0 anomalies"))
+def test_tiny_scale_keeps_the_labels():
+    data, _ = generate(SynthConfig(n_points=2000, n_dim=10, random_state=1))
+    want = fit_predict(data).labels
+    assert np.array_equal(fit_predict(data * 1e-170).labels, want)

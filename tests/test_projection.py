@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,55 @@ def test_top_axes_outside_start_block_fall_back_to_eigh(monkeypatch):
 def test_gapless_input_falls_back_to_eigh(monkeypatch):
     x = np.random.default_rng(8).standard_normal((200, 30))
     assert np.array_equal(pca2(x).coords, eigh_path(monkeypatch, x))
+
+
+def test_default_leaves_input_unchanged():
+    x = gapped_rows(np.random.default_rng(5))
+    before = x.copy()
+    pca2(x)
+    assert np.array_equal(x, before)
+
+
+def test_copy_false_centres_in_place_with_the_same_bits():
+    x = gapped_rows(np.random.default_rng(5)) + 7.0
+    want = pca2(x).coords
+    centered = x - x.mean(axis=0)
+    got = pca2(x, copy=False).coords
+    assert sha256(got) == sha256(want)
+    # the matrix now holds the centred rows, to the bit
+    assert sha256(x) == sha256(centered)
+
+
+def read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+# inputs that copy=False must not change: they are not writeable float64
+FOREIGN_INPUTS = {
+    "int64": lambda x: np.round(x * 100.0).astype(np.int64),
+    "float32": lambda x: x.astype(np.float32),
+    "read_only": read_only,
+}
+
+
+@pytest.mark.parametrize("kind", FOREIGN_INPUTS)
+def test_copy_false_copies_an_input_it_cannot_centre(kind):
+    x = FOREIGN_INPUTS[kind](gapped_rows(np.random.default_rng(6)) + 3.0)
+    before = x.copy()
+    got = pca2(x, copy=False).coords
+    assert np.array_equal(x, before) and x.dtype == before.dtype
+    assert sha256(got) == sha256(pca2(x).coords)
+
+
+def test_copy_false_allocates_no_second_matrix():
+    # the centred copy alone would take x.nbytes; in place, the largest
+    # array is the 500 x 500 covariance, an eighth of x
+    x = gapped_rows(np.random.default_rng(4), n=4000, d=500)
+    tracemalloc.start()
+    try:
+        pca2(x, copy=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
