@@ -13,12 +13,19 @@ NaN/Inf cells are rejected at load time: the robust statistics downstream
 are undefined on non-finite values.
 
 A CSV file is first offered to ``_read_csv_exact``, which parses chunks
-of whole lines on every core the process may use, through the C
-library's ``strtold`` (``np.fromstring`` to long double releases the
-GIL), and rounds each long double once more to float64. That second
-rounding gives ``float()``'s value except where the long double lies
-exactly halfway between two doubles: ``strtold`` rounds correctly, and
-rounding is monotone, so the first rounding cannot carry a value across
+of whole lines on every core the process may use into correctly rounded
+long doubles, and rounds each long double once more to float64. A chunk
+whose every cell is ``[+-]digits[.digits][(e|E)[+-]digits]``, with at
+most 18 significant digits and a power of ten 10^k with |k| <= 27, is
+read as 64-bit integers by ``np.fromstring``: each cell's digits
+without the ``.`` are its significand m, and m / 10^-k or
+m * 10^k, both operands exact in the long double, is one correctly
+rounded operation (Clinger's fast path). Any other chunk is read by the C
+library's ``strtold``, which is 3 to 4 times slower. Either parse
+releases the GIL, and both give the same long double. The rounding to
+float64 gives ``float()``'s value except where the long double lies
+exactly halfway between two doubles: the long double is correctly
+rounded, and rounding is monotone, so it cannot carry a value across
 a halfway point, only onto one. A halfway point has 54 significant bits
 and is a long double wherever the long double is the x87 80-bit or the
 IEEE binary128 format; elsewhere (a float64 long double on Windows and
@@ -49,10 +56,13 @@ from .errors import (
 MAGIC = b"DTRC"
 VERSION = 1
 
-# bytes of one chunk of CSV lines: on two cores a 20 MB file of 20k x 50
-# cells loads as fast with chunks of 64 KiB to 1 MiB, and 20% slower with
-# 32 KiB; the small end keeps the chunks in flight small
-_CHUNK_BYTES = 1 << 17
+# bytes of one chunk of CSV lines. Each chunk pays some 50 numpy calls,
+# and on two threads each call may wait for the GIL: on two Xeon cores
+# the 20 MB blobs_csv benchmark file loaded in 107 ms with 256 or 512 KiB
+# chunks and in 120 ms with 128 KiB (medians of 14). The memory of the
+# chunks in flight stays resident: 512 KiB raised a cluster job's peak
+# RSS by 2.3 MB over 256 KiB
+_CHUNK_BYTES = 1 << 18
 # x87 extended (63) or IEEE binary128 (112): every halfway point between
 # two doubles, subnormal ones too, is a long double
 _LONGDOUBLE_HOLDS_HALFWAYS = np.finfo(np.longdouble).nmant in (63, 112)
@@ -61,6 +71,14 @@ _LONGDOUBLE_HOLDS_HALFWAYS = np.finfo(np.longdouble).nmant in (63, 112)
 _CELL_BYTES = bytes(
     b if chr(b) in "0123456789.+-eE," else 44 if b == 10 else 33
     for b in range(256))
+# a separator's place within a cell: ".", then "e" or "E", then the end
+_SEP_RANK = np.zeros(256, np.uint8)
+_SEP_RANK[[46, 69, 101, 44, 10]] = [1, 2, 2, 3, 3]
+# 10^max(k, 0) and 10^max(-k, 0) at index 27 + k, for |k| <= 27; each a
+# product of exact long doubles, so exact where the reader is on
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_POW10_UP = np.r_[np.ones(27, np.longdouble), _POW10]
+_POW10_DOWN = np.r_[_POW10[::-1], np.ones(27, np.longdouble)]
 
 
 def _validate_finite(values: np.ndarray, n_header_rows: int = 0) -> None:
@@ -121,7 +139,10 @@ def _load_csv(path, header: bool) -> np.ndarray:
     the halfway points, a header line that is not UTF-8 or holds a
     ``\\r``, and a file with a byte outside ``0-9 . + - e E , \\n``, an
     empty line, a line with another cell count than the first, or a cell
-    that ``strtold`` does not read whole.
+    that ``strtold`` does not read whole. A chunk of lines whose cells all
+    fit the integer grammar and its limits (see ``_read_decimals``) is
+    parsed as integers; any other chunk goes to ``strtold``, with the
+    same values, so the grammar alone never changes what loads.
 
     numpy accepts a subset of the cells that Python's ``float`` accepts
     and reads them to the same values. Whatever it rejects or reads as
@@ -220,7 +241,7 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
         except BaseException as exc:
             verdicts.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     # older numpy warns, rather than raises, where a cell stops strtold;
     # set here, as catch_warnings is not thread-safe
     with warnings.catch_warnings():
@@ -229,6 +250,9 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
             DeprecationWarning)
         for thread in threads:
             thread.start()
+        # this thread parses too: the memory it frees stays in the arena
+        # the later stages allocate from, where a thread's stays apart
+        work()
         for thread in threads:
             thread.join()
     for verdict in verdicts:
@@ -240,24 +264,22 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
 def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
     """Write the ``rows`` lines of one chunk into ``values`` from ``row``
     on; False if a line does not hold d cells or a cell is not read whole.
+
+    The chunk is read by ``_read_decimals`` and, where that declines, by
+    ``_read_strtold``; both give each cell's correctly rounded long
+    double, so the values do not depend on which one read the chunk.
     """
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
-    body = chunk.translate(_CELL_BYTES)
-    if b"!" in body:
+    read = _read_decimals(chunk) or _read_strtold(chunk)
+    if read is None:
         return False
-    seps = np.flatnonzero(np.frombuffer(body, np.uint8) == 44)
+    cells, ends = read
     d = values.shape[1]
-    # the chunk has `rows` line ends: if separator k * d is one for every
-    # k, every line holds d - 1 commas
-    if len(seps) != rows * d or not (
-            np.frombuffer(chunk, np.uint8)[seps[d - 1::d]] == 10).all():
-        return False
-    try:
-        cells = np.fromstring(body, dtype=np.longdouble, sep=",")
-    except (ValueError, DeprecationWarning):
-        return False
-    if cells.size != seps.size:
+    # the chunk has `rows` line ends: if cell end k * d is one for every
+    # k, every line holds d cells
+    if len(ends) != rows * d or not (
+            np.frombuffer(chunk, np.uint8)[ends[d - 1::d]] == 10).all():
         return False
     flat = values[row:row + rows].reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,8 +291,98 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
         across = 2 * cells - flat
         again = (cells != flat) & (across == across.astype(np.float64))
     for k in np.flatnonzero(again):
-        flat[k] = float(chunk[seps[k - 1] + 1 if k else 0:seps[k]])
+        flat[k] = float(chunk[ends[k - 1] + 1 if k else 0:ends[k]])
     return True
+
+
+def _read_strtold(chunk: bytes):
+    """Each cell of a chunk ending in a line end, read by ``strtold``,
+    and the offset of the separator after it; None if a byte is not one
+    ``strtold`` may read or a cell is not read whole."""
+    body = chunk.translate(_CELL_BYTES)
+    if b"!" in body:
+        return None
+    try:
+        cells = np.fromstring(body, dtype=np.longdouble, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == 44)
+    return (cells, ends) if cells.size == ends.size else None
+
+
+def _read_decimals(chunk: bytes):
+    """Each cell of a chunk ending in a line end, as ``_read_strtold``
+    reads it, for a chunk whose every cell is ``[+-]digits[.digits]``,
+    then optionally ``(e|E)[+-]digits``, with at most 18 significant
+    digits and a power of ten 10^k with |k| <= 27 (the fraction digits
+    taken from the ``e`` part); None for any other chunk.
+
+    Without its ``.``, the cell's significand is an integer m, which
+    ``np.fromstring`` reads to int64 3 to 4 times as fast as ``strtold``
+    reads the cell, and which also releases the GIL. m < 10^18 < 2^63 and
+    10^|k| = 2^|k| * 5^|k| with 5^27 < 2^63 are both exact in a long
+    double of 64 or more significand bits, so m * 10^k or m / 10^-k is one
+    correctly rounded operation on exact operands (Clinger's fast path):
+    the correctly rounded long double that ``strtold`` returns.
+
+    The digit counts come from byte offsets. The token values are
+    trusted only below 10^18: numpy reads a token too long for int64 as
+    +INT64_MAX, whatever its sign. numpy's parse also refuses every byte
+    that is not a digit, a leading sign or a separator, except
+    whitespace and NUL, which are refused here first; so the integer
+    text takes no translation table, only ``bytes.replace``, and the
+    shorter the calls that hold the GIL, the less the threads wait.
+    """
+    raw = np.frombuffer(chunk, np.uint8)
+    text = chunk.replace(b"\n", b",").replace(b"e", b",").replace(b"E", b",")
+    # every "." and every separator, which is now a ","
+    at = ((np.frombuffer(text, np.uint8) | 2) == 46).nonzero()[0]
+    rank = _SEP_RANK.take(raw.take(at))
+    # each follows a digit (so no part is empty or a bare sign), and a
+    # cell's come in the order ".", "e", end
+    if ((raw.take(at - 1) - 48) > 9).any() or (
+            (rank[:-1] < 3) & (rank[1:] <= rank[:-1])).any():
+        return None
+    text = text.replace(b".", b"")
+    if any(space in text for space in (b" ", b"\t", b"\r", b"\v", b"\f",
+                                        b"\0")):
+        return None
+    try:
+        tokens = np.fromstring(text, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):
+        return None
+    dot = (rank == 1).nonzero()[0]
+    if tokens.size != at.size - dot.size:
+        return None
+    # a cell's tokens are its significand and, after an "e", its
+    # exponent; the r-th "." lies in token dot[r] - r, and the digits from
+    # it to the next separator are fraction digits. scale is 27 + k
+    scale = np.full(tokens.size, 27)
+    scale[dot - np.arange(dot.size)] = 28 - np.diff(at).take(dot)
+    sig = (rank == 2).nonzero()[0]
+    sig -= np.searchsorted(dot, sig)
+    scale[sig] += tokens[sig + 1]
+    significand = np.ones(tokens.size, bool)
+    significand[sig + 1] = False
+    m = tokens.compress(significand)
+    scale = scale.compress(significand)
+    top = scale.max()
+    if m.min() <= -10 ** 18 or m.max() >= 10 ** 18 or scale.min() < 0 \
+            or top > 54:
+        return None
+    # a cell is m / 10^-k or m * 10^k, the other factor being 1: one
+    # operation rounds
+    cells = m.astype(np.longdouble)
+    cells /= _POW10_DOWN.take(scale)
+    if top > 27:
+        cells *= _POW10_UP.take(scale)
+    ends = at.compress(rank == 3)
+    # "-0" and "-0.0" read as the integer 0: give them back their sign
+    zero = (m == 0).nonzero()[0]
+    if zero.size:
+        start = np.where(zero, ends.take(zero - 1) + 1, 0)
+        cells[zero[raw.take(start) == 45]] *= -1
+    return cells, ends
 
 
 def _parse_csv_lines(path, header: bool, data=None) -> np.ndarray:

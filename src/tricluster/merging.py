@@ -31,6 +31,7 @@ from .pruning import (
     edge_lengths,
     group_by_label,
     sigma_rule,
+    squared_norms,
 )
 
 
@@ -58,7 +59,7 @@ def compute_representatives(labels, proj) -> Representatives:
                     minlength=len(cluster_ids)) / counts
         for j in range(coords.shape[1])
     ])
-    d2 = ((members - mean[cluster]) ** 2).sum(axis=1)
+    d2 = squared_norms(members - mean[cluster])
     # closest member first within each cluster, the smaller index on ties
     best = np.lexsort((order, d2, cluster))[starts]
     rep_idx = order[best]

@@ -55,9 +55,18 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (8 * coords.shape[1]))
     for lo in range(0, len(out), step):
         diff = coords[rows_a[lo:lo + step]] - coords[rows_b[lo:lo + step]]
-        np.multiply(diff, diff, out=diff)
-        out[lo:lo + step] = np.sqrt(np.add.reduce(diff, axis=1))
+        out[lo:lo + step] = np.sqrt(squared_norms(diff))
     return out
+
+
+def squared_norms(diff: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares; squares ``diff`` in place. Two columns
+    take one add: the bits of numpy's two-term reduction, without its
+    cost over a length-2 axis."""
+    np.multiply(diff, diff, out=diff)
+    if diff.shape[1] == 2:
+        return diff[:, 0] + diff[:, 1]
+    return np.add.reduce(diff, axis=1)
 
 
 def _longest_side(edge_len, tri_edges):

@@ -384,8 +384,8 @@ def test_csv_reader_equals_python_float_bit_for_bit(tmp_path, monkeypatch,
         forbid_fallbacks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
                             raising=False)
-    text, cells = csv_of(fuzz_cells(11, 20000), 7)
-    assert len(cells) >= 20000
+    text, cells = csv_of(fuzz_cells(11, 40000), 7)
+    assert len(cells) >= 40000
     path = write(tmp_path / "m.csv", text)
     assert os.path.getsize(path) > 4 * tio._CHUNK_BYTES  # several chunks
     # more threads than cores, switching often: a lost row shows
@@ -558,3 +558,130 @@ def test_csv_reader_raises_what_a_thread_raised(tmp_path, monkeypatch):
     text, _ = csv_of(["1.25"] * 200000, 4)
     with pytest.raises(MemoryError, match="chunk"):
         load_matrix(write(tmp_path / "m.csv", text))
+
+
+# --- the reader's integer path (io._read_decimals) ---
+
+def refuse_strtold(monkeypatch):
+    def refuse(chunk):
+        raise AssertionError("a chunk went to strtold")
+
+    monkeypatch.setattr(tio, "_read_strtold", refuse)
+
+
+def decimal_cells(seed, n):
+    """About n cells in the integer path's grammar and limits: %.17g,
+    %.15g and repr of doubles of both signs between 1e-9 and 1e9, random
+    significands of up to 18 digits with leading zeros, "+" signs and
+    "e"/"E" exponents, signed zeros, and halfway points between doubles
+    that take at most 18 digits."""
+    rng = np.random.default_rng(seed)
+    v = np.exp(rng.uniform(np.log(1e-9), np.log(1e9), n // 4))
+    v *= rng.choice([-1.0, 1.0], len(v))
+    cells = [f"{x:.17g}" for x in v] + [f"{x:.15g}" for x in v]
+    cells += [repr(x) for x in v.tolist()]
+    for _ in range(n // 4):
+        digits = "0" * int(rng.integers(0, 3)) + str(
+            int(rng.integers(0, 10 ** int(rng.integers(1, 19)))))
+        frac = int(rng.integers(0, len(digits)))  # digits after the "."
+        cell = str(rng.choice(["", "-", "+"])) + digits[:len(digits) - frac]
+        if frac:
+            cell += "." + digits[len(digits) - frac:]
+        if rng.random() < 0.3:  # keep |exponent - frac| <= 27
+            exp = int(rng.integers(frac - 27, frac + 28))
+            cell += (str(rng.choice(["e", "E"])) + ("+" if exp >= 0 and
+                     rng.random() < 0.5 else "") + str(exp))
+        cells.append(cell)
+    cells += ["-0.0", "-0", "+0", "0.0", "-0e5", "0E-27", "+1.5E+05",
+              "1e-05", "-00012.50", "123456789012345678", "-0.123456789012345678",
+              "999999999999999999e-27", "1e27", "9007199254740993.0"]
+    # halfway points: an odd multiple of half an ulp above 2^52, 2^53 and
+    # 2^56, and the same read with a "." or an exponent
+    for j in rng.integers(0, 10 ** 6, 20).tolist():
+        cells += [f"{2 ** 52 + j}.5", f"{2 ** 53 + 2 * j + 1}",
+                  f"-{2 ** 53 + 2 * j + 1}.0", f"{2 ** 56 + 16 * j + 8}",
+                  f"{(2 ** 53 + 2 * j + 1) * 10}e-1"]
+    return cells
+
+
+@needs_reader
+@pytest.mark.parametrize("cpus", [{0}, {0, 1, 2}])
+def test_csv_integer_path_equals_python_float_bit_for_bit(
+        tmp_path, monkeypatch, cpus):
+    forbid_fallbacks(monkeypatch)
+    refuse_strtold(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    text, cells = csv_of(decimal_cells(5, 60000), 6)
+    path = write(tmp_path / "m.csv", text)
+    assert os.path.getsize(path) > 4 * tio._CHUNK_BYTES  # several chunks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = load_matrix(path)
+    finally:
+        sys.setswitchinterval(interval)
+    want = np.array([float(c) for c in cells]).reshape(-1, 6)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@needs_reader
+@pytest.mark.parametrize("cell", [
+    "5.", ".5", "-.5", "+.5", "1.2.3", "1e5.5", "1.-5", "1.5e", "1e+", "-",
+    "1.5e5e5", "1234567890123456789", "-1.234567890123456789",
+    "1e28", "1.5e-27", "-12345678901234567890", "12345678901234567890",
+    "1e99999999999999999999", "1e-99999999999999999999", "1, 2", " 1",
+])
+def test_csv_integer_path_declines_with_todays_outcome(tmp_path, monkeypatch,
+                                                       cell):
+    raw = f"1.5,{cell}\n2.5,-3\n".encode()
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    assert tio._read_decimals(raw) is None
+    got = outcome(str(path), False)
+    monkeypatch.setattr(tio, "_read_decimals", lambda chunk: None)
+    assert got == outcome(str(path), False)
+
+
+@needs_reader
+def test_powers_of_ten_are_exact():
+    assert [int(p) for p in tio._POW10] == [10 ** k for k in range(28)]
+
+
+@needs_reader
+def test_numpy_int64_parse_as_the_integer_path_relies_on():
+    # leading zeros are decimal, and a sign may lead a token
+    assert np.fromstring(b"0012,-0,+7,", np.int64, sep=",").tolist() == [
+        12, 0, 7]
+    # a token beyond int64 saturates to +INT64_MAX, whatever its sign, so
+    # it fails the reader's bound on the significand
+    for token in (b"9223372036854775808,", b"-9223372036854775809,"):
+        assert np.fromstring(token, np.int64, sep=",").tolist() == [
+            np.iinfo(np.int64).max]
+    # whitespace around a token is skipped, so the reader refuses it itself
+    assert np.fromstring(b" 1 ,\t2,", np.int64, sep=",").tolist() == [1, 2]
+    # a sign inside a token, an empty token and any other byte are errors
+    # (older numpy warned, which the reader turns into an error)
+    for text in (b"1-2,3,", b"1,,2,", b"1x,2,", b"x1,2,", b"+-1,",
+                 "1\u00b2,".encode()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises((ValueError, DeprecationWarning)):
+                np.fromstring(text, np.int64, sep=",")
+
+
+@needs_reader
+def test_csv_generator_file_takes_the_integer_path(tmp_path, monkeypatch):
+    from tricluster.synthgen import SynthConfig, generate
+
+    # the blobs_csv benchmark workload's generator config, at 2 000 rows
+    data, _ = generate(SynthConfig(
+        n_points=2000, n_clusters=5, n_dim=50, overlap=0.08,
+        anomaly_fraction=0.05, random_state=7))
+    path = str(tmp_path / "m.csv")
+    save_matrix(data, path)
+    assert os.path.getsize(path) > 4 * tio._CHUNK_BYTES  # several chunks
+    refuse_strtold(monkeypatch)
+    forbid_fallbacks(monkeypatch)
+    got = load_matrix(path)
+    assert got.view(np.uint64).tolist() == data.view(np.uint64).tolist()

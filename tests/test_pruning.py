@@ -10,6 +10,7 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
+from tricluster.pruning import squared_norms
 
 
 def sorted_median(values):
@@ -64,6 +65,18 @@ def test_triangle_sizes_match_direct_recompute():
             np.sqrt(((orig[k] - orig[i]) ** 2).sum()),
         )
         assert abs(sizes.sizes[t] - expect) < 1e-12
+
+
+def test_squared_norms_equal_the_row_reduction_bit_for_bit():
+    # two columns take one add in place of numpy's reduction over a
+    # length-2 axis; the bits must not move, at any width
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 50):
+        diff = rng.standard_normal((257, d))
+        diff *= 10.0 ** rng.integers(-8, 8, (257, 1))
+        want = np.add.reduce(diff * diff, axis=1)
+        got = squared_norms(diff.copy())
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_robust_z_worked_example():
