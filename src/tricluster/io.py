@@ -40,6 +40,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import sys
 import threading
 import warnings
 from io import BytesIO, TextIOWrapper
@@ -66,6 +67,13 @@ _CHUNK_BYTES = 1 << 18
 # x87 extended (63) or IEEE binary128 (112): every halfway point between
 # two doubles, subnormal ones too, is a long double
 _LONGDOUBLE_HOLDS_HALFWAYS = np.finfo(np.longdouble).nmant in (63, 112)
+# x87 extended, little-endian in 16 bytes: the first 8 are the
+# significand, with the integer bit, so its low 11 bits lie below a
+# double's 53
+_LOW_BITS_MARK_HALFWAY = (np.finfo(np.longdouble).nmant == 63
+                          and np.dtype(np.longdouble).itemsize == 16
+                          and sys.byteorder == "little")
+_TINY = np.finfo(np.float64).tiny
 # the bytes of a cell that strtold may read, and "," for the line end;
 # any other byte becomes "!", and a chunk holding one is declined
 _CELL_BYTES = bytes(
@@ -82,9 +90,8 @@ _POW10_DOWN = np.r_[_POW10[::-1], np.ones(27, np.longdouble)]
 
 
 def _validate_finite(values: np.ndarray, n_header_rows: int = 0) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
         raise NonFiniteError(
             f"non-finite value at row {int(r) + 1 + n_header_rows}, column {int(c) + 1}"
         )
@@ -284,15 +291,44 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
     flat = values[row:row + rows].reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         flat[:] = cells
-        # a cell halfway between two doubles is the mean of flat and the
-        # double across from it, and 2 * cell - flat is that double
-        # exactly; a finite cell whose flat is infinite is read again
-        # too (2 * cell - inf is a double): it may round to the largest
-        across = 2 * cells - flat
-        again = (cells != flat) & (across == across.astype(np.float64))
-    for k in np.flatnonzero(again):
+        again = _halfway(cells, flat)
+    for k in again:
         flat[k] = float(chunk[ends[k - 1] + 1 if k else 0:ends[k]])
     return True
+
+
+def _halfway(cells, flat):
+    """Positions of the long doubles ``cells`` that ``float()`` must read
+    again, given ``flat``, their values rounded to float64: the cells
+    that lie exactly halfway between two doubles, and the finite cells
+    whose ``flat`` is infinite.
+
+    An x87 long double carries 64 significant bits. Where its double is
+    normal, the 11 below the double's 53 are 0x400 exactly when it lies
+    halfway, which one mask over the significand words finds. Cells
+    whose ``flat`` is zero, subnormal, the smallest normal (whose
+    neighbour below is subnormal) or infinite, and every cell of another
+    long-double format, take ``_across`` instead.
+    """
+    if not _LOW_BITS_MARK_HALFWAY:
+        return np.flatnonzero(_across(cells, flat))
+    again = (cells.view(np.uint64)[::2] & 0x7FF) == 0x400
+    size = np.abs(flat)
+    if not (size.min() > _TINY and size.max() < np.inf):
+        odd = np.flatnonzero(~((size > _TINY) & (size < np.inf)))
+        again[odd] = _across(cells[odd], flat[odd])
+    return np.flatnonzero(again)
+
+
+def _across(cells, flat):
+    """Which cells lie halfway between two doubles, or are finite where
+    their ``flat`` is not, in any long-double format that holds the
+    halfway points. A halfway cell is the mean of ``flat`` and the
+    double across from it, and 2 * cell - flat is that double exactly;
+    2 * cell - inf is a double too. The caller ignores over- and
+    underflow."""
+    across = 2 * cells - flat
+    return (cells != flat) & (across == across.astype(np.float64))
 
 
 def _read_strtold(chunk: bytes):
@@ -360,12 +396,14 @@ def _read_decimals(chunk: bytes):
     scale = np.full(tokens.size, 27)
     scale[dot - np.arange(dot.size)] = 28 - np.diff(at).take(dot)
     sig = (rank == 2).nonzero()[0]
-    sig -= np.searchsorted(dot, sig)
-    scale[sig] += tokens[sig + 1]
-    significand = np.ones(tokens.size, bool)
-    significand[sig + 1] = False
-    m = tokens.compress(significand)
-    scale = scale.compress(significand)
+    m = tokens
+    if sig.size:
+        sig -= np.searchsorted(dot, sig)
+        scale[sig] += tokens[sig + 1]
+        significand = np.ones(tokens.size, bool)
+        significand[sig + 1] = False
+        m = tokens.compress(significand)
+        scale = scale.compress(significand)
     top = scale.max()
     if m.min() <= -10 ** 18 or m.max() >= 10 ** 18 or scale.min() < 0 \
             or top > 54:

@@ -33,6 +33,10 @@ _BLOCK = 12
 _STEPS = 8
 _RESIDUAL = 16.0
 _GAP = 1e-3
+# below this largest variance, squares of the data and the norms of the
+# covariance that the Weyl bound sums lose bits to underflow; the data
+# are then scaled by a power of two, as are covariances that overflow
+_TINY_VARIANCE = 2.0 ** -400
 
 
 def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
@@ -48,15 +52,21 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     component.
 
     Deterministic. Sign convention: the largest-magnitude component of
-    each eigenvector is positive. Raises NumericalError when the centring
-    or the covariance overflows float64 or the eigensolver fails, which
-    happens at scales near the float64 limit.
+    each eigenvector is positive. When the covariance overflows, or its
+    largest variance is so small that the squares underflow, the centred
+    matrix is scaled in place by the power of two that brings its largest
+    |value| into [1, 2), and the coordinates and the matrix are scaled
+    back; every float operation commutes with that scaling, so the
+    embedding is the one an in-range copy of the data would give. Raises
+    NumericalError when the centring or the coordinates overflow float64
+    or the eigensolver fails, which happens near the float64 limit.
 
     The rows are centred in one n x d float64 matrix. By default it is a
     copy, and ``data`` is left as it was. With ``copy=False``, a writeable
     float64 ndarray is centred in place, so no second n x d array is
-    made; it then holds ``data - data.mean(axis=0)`` to the bit, and after
-    an error its values are unspecified. Any other input is copied first
+    made; it then holds ``data - data.mean(axis=0)``, to the bit unless
+    scaling it down made a value subnormal, and after an error its values
+    are unspecified. Any other input is copied first
     and left as it was.
     """
     centered = owned_float64(data, copy)
@@ -68,10 +78,18 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
 
     with np.errstate(over="ignore", invalid="ignore"):
         centered -= centered.mean(axis=0)
-        cov = centered.T @ centered
-        cov /= n - 1
-    if not np.isfinite(cov).all():
-        raise NumericalError("the covariance overflows float64; rescale the data")
+        cov = _covariance(centered)
+    shift = 0
+    if not (np.isfinite(cov).all() and cov.diagonal().max() >= _TINY_VARIANCE):
+        # products over- or underflow: one power of two brings the largest
+        # |value| into [1, 2), and no n x d temporary is made to find it
+        top = max(centered.max(), -centered.min())
+        if not np.isfinite(top):
+            raise NumericalError("the centring overflows float64; rescale the data")
+        if top > 0:
+            shift = 1 - int(np.frexp(top)[1])
+            np.ldexp(centered, shift, out=centered)
+            cov = _covariance(centered)
     vecs = _top2_iterated(cov) if d >= 2 * _BLOCK else None
     if vecs is None:
         vecs = _top2_eigh(cov)
@@ -82,7 +100,19 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
         if v[peak] < 0:
             v = -v
         coords[:, out_col] = centered @ v
+    if shift:
+        np.ldexp(centered, -shift, out=centered)
+        with np.errstate(over="ignore"):
+            np.ldexp(coords, -shift, out=coords)
+        if not np.isfinite(coords).all():
+            raise NumericalError("the projection overflows float64; rescale the data")
     return Embedding(coords=coords, source="pca_native")
+
+
+def _covariance(centered: np.ndarray) -> np.ndarray:
+    cov = centered.T @ centered
+    cov /= len(centered) - 1
+    return cov
 
 
 def owned_float64(data, copy: bool) -> np.ndarray:

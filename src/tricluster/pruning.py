@@ -41,6 +41,10 @@ class PruneResult:
 # its difference (about 0.75 MB) stay in L2; on a 2 MB L2, 1 MB blocks
 # took twice as long at d = 1000
 _BLOCK_BYTES = 1 << 18
+# a sum of squares below this may have lost bits to squares that
+# underflowed; one that overflowed is infinite. Both are measured again
+# at a scale where neither happens
+SQUARES_FLOOR = 2.0 ** -900
 
 
 def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
@@ -53,10 +57,25 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     rows_b = tri.unique_rows[tri.edges[:, 1]]
     out = np.empty(len(rows_a), dtype=np.float64)
     step = max(1, _BLOCK_BYTES // (8 * coords.shape[1]))
-    for lo in range(0, len(out), step):
-        diff = coords[rows_a[lo:lo + step]] - coords[rows_b[lo:lo + step]]
-        out[lo:lo + step] = np.sqrt(squared_norms(diff))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(out), step):
+            a, b = rows_a[lo:lo + step], rows_b[lo:lo + step]
+            sq = squared_norms(coords[a] - coords[b])
+            out[lo:lo + step] = np.sqrt(sq)
+            if not (sq.min() >= SQUARES_FLOOR and sq.max() < np.inf):
+                bad = (~((sq >= SQUARES_FLOOR) & (sq < np.inf))).nonzero()[0]
+                out[lo + bad] = _scaled_lengths(coords[a[bad]] - coords[b[bad]])
     return out
+
+
+def _scaled_lengths(diff: np.ndarray) -> np.ndarray:
+    """Each row's length, measured with the row scaled by the power of two
+    that brings its largest |value| into [1, 2), and scaled back: no
+    square under- or overflows. Scales ``diff`` in place."""
+    top = np.maximum(diff.max(axis=1), -diff.min(axis=1))
+    shift = 1 - np.frexp(top)[1]
+    np.ldexp(diff, shift[:, None], out=diff)
+    return np.ldexp(np.sqrt(squared_norms(diff)), -shift)
 
 
 def squared_norms(diff: np.ndarray) -> np.ndarray:

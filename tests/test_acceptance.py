@@ -133,14 +133,15 @@ def test_criterion_3_scale_invariance():
                            external_embedding=embedding_from_array(
                                emb_coords, data))
         base_mask = base.diagnostics["prune_result"].keep_mask
-        for c in (1e-3, 1e3):
+        for c in (1e-3, 1e3, 1e-300, 1e300, 2.0 ** -1000):
             scaled = fit_predict(data * c, params,
                                  external_embedding=embedding_from_array(
                                      emb_coords, data))
             assert np.array_equal(scaled.labels, base.labels)
             assert np.array_equal(
                 scaled.diagnostics["prune_result"].keep_mask, base_mask)
-    report(3, "labels and keep masks identical under 1e-3/1e3 rescaling")
+    report(3, "labels and keep masks identical under 1e-3/1e3, 1e-300/1e300 "
+              "and 2^-1000 rescaling")
 
 
 # -- criterion 4: perfect separation ----------------------------------------

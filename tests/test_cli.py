@@ -564,8 +564,10 @@ def test_cluster_defaults_are_cluster_params_defaults():
 
 
 def test_huge_scale_is_data_error(tmp_path, capsys):
-    # the covariance of data near the float64 limit overflows
+    # the column sums of data near the float64 limit overflow in the
+    # centring; data at 1e300 alone is scaled by a power of two and clusters
     data = np.random.default_rng(3).standard_normal((40, 3)) * 1e300
+    data[:4] = 1.7e308
     path = tmp_path / "huge.csv"
     save_matrix(data, path)
     code, out, err = run_cli(capsys, "cluster", "--input", str(path),

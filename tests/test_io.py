@@ -685,3 +685,77 @@ def test_csv_generator_file_takes_the_integer_path(tmp_path, monkeypatch):
     forbid_fallbacks(monkeypatch)
     got = load_matrix(path)
     assert got.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+# --- the halfway step (io._halfway) ---
+
+def across_test(cells, flat):
+    """The halfway test of any long double that holds the halfway
+    points: 2 * cell - flat is a double exactly where the cell lies
+    halfway between flat and that double, or where flat is infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        across = 2 * cells - flat
+        return (cells != flat) & (across == across.astype(np.float64))
+
+
+def edge_long_doubles(rng):
+    """Long doubles where a double's 11 low bits do not mark its
+    midpoints, and their neighbours: binade boundaries 2^e - 2^(e-54),
+    midpoints among subnormal doubles and random cells rounding to them,
+    the bottom of the normal range, cells above DBL_MAX and signed
+    zeros, of both signs."""
+    one = np.longdouble(1)
+    bounds = np.ldexp(np.longdouble(2 ** 54 - 1), np.arange(-1075, 1031) - 54)
+    odd = np.ldexp(2 * rng.integers(0, 2 ** 52, 300).astype(np.longdouble)
+                   + 1, -1075)
+    sub = np.ldexp(rng.integers(2 ** 62, 2 ** 63, 300).astype(np.longdouble),
+                   rng.integers(-1140, -1084, 300))
+    ends = np.array([np.ldexp(one, -1022) - np.ldexp(one, -1075),
+                     np.ldexp(one, -1022), np.ldexp(one, -1074),
+                     np.ldexp(one, -1075), np.ldexp(one, 1024),
+                     np.ldexp(one, 1024) - np.ldexp(one, 970),
+                     np.ldexp(one, 1030), 0.0], dtype=np.longdouble)
+    cells = np.concatenate((bounds, odd, sub, ends))
+    cells = np.concatenate((cells, np.nextafter(cells, 2 * cells + 1),
+                            np.nextafter(cells, -1 - 2 * cells)))
+    return np.concatenate((cells, -cells))
+
+
+@needs_reader
+def test_halfway_step_flags_the_cells_the_across_test_flags():
+    # random 18-digit significands, read by the integer path, land on a
+    # midpoint between doubles about once in 2 000 cells; none of them
+    # is a decimal midpoint, and many round the wrong way without the
+    # float() read
+    rng = np.random.default_rng(20)
+    sig = rng.integers(10 ** 17, 10 ** 18, 400000).tolist()
+    exp = rng.integers(-27, 1, 400000).tolist()
+    dot = rng.integers(1, 18, 400000).tolist()
+    text = [f"{m}e{k}" if i % 2 else f"{str(m)[:p]}.{str(m)[p:]}"
+            for i, (m, k, p) in enumerate(zip(sig, exp, dot))]
+    chunk = ("\n".join(text) + "\n").encode()
+    cells = tio._read_decimals(chunk)[0]
+    with np.errstate(over="ignore"):
+        flat = cells.astype(np.float64)
+    want = np.flatnonzero(across_test(cells, flat))
+    assert tio._halfway(cells, flat).tolist() == want.tolist()
+    assert len(want) >= 150
+    assert sum(float(text[k]) != flat[k] for k in want.tolist()) >= 20
+    values = np.empty((len(text), 1))
+    assert tio._parse_rows(values, chunk, 0, len(text))
+    assert values.ravel().tolist() == [float(t) for t in text]
+
+    cells = edge_long_doubles(rng)
+    with np.errstate(over="ignore"):
+        flat = cells.astype(np.float64)
+    want = np.flatnonzero(across_test(cells, flat))
+    assert tio._halfway(cells, flat).tolist() == want.tolist()
+    assert len(want) > 1000
+    # chunks with no cell out of range, or out of it at one end only
+    size = np.abs(flat)
+    for part in (size < 1e300, size > 1e-300, (size > 1e-300) & (size < 1e300)):
+        with np.errstate(over="ignore"):
+            flat = cells[part].astype(np.float64)
+        want = np.flatnonzero(across_test(cells[part], flat))
+        assert tio._halfway(cells[part], flat).tolist() == want.tolist()
+        assert len(want) > 500

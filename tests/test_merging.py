@@ -241,3 +241,15 @@ def test_merge_threshold_matches_norm_oracle():
     assert keep.any()
     assert (len(set(zip(want, out.tolist()))) == len(set(want))
             == len(np.unique(out)))
+
+
+def test_representatives_at_extreme_scales():
+    # squared distances that under- or overflow are compared at a scale
+    # that fits, so no tie is made where the in-range data have none
+    rng = np.random.default_rng(8)
+    proj = rng.standard_normal((3000, 2))
+    labels = rng.integers(0, 40, 3000)
+    want = compute_representatives(labels, proj).rep_point_index
+    for k in (-1000, 1000):
+        got = compute_representatives(labels, np.ldexp(proj, k))
+        assert np.array_equal(got.rep_point_index, want)

@@ -332,3 +332,20 @@ def test_copy_false_allocates_no_second_matrix():
     finally:
         tracemalloc.stop()
     assert peak < x.nbytes / 2
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_out_of_range_scales_take_the_in_range_bits(k):
+    # a covariance that under- or overflows is formed from the centred
+    # data scaled by a power of two; every float operation commutes with
+    # that scaling, so the embedding is the in-range one scaled by 2^k
+    rng = np.random.default_rng(12)
+    for d in (6, 30):
+        data = rng.standard_normal((300, d)) * np.linspace(1, 4, d)
+        want = np.ldexp(pca2(data).coords, k)
+        scaled = np.ldexp(data, k)
+        got = pca2(scaled, copy=False).coords
+        assert got.tobytes() == want.tobytes()
+        # the centred matrix is scaled back
+        assert scaled.tobytes() == (
+            np.ldexp(data - data.mean(axis=0), k).tobytes())

@@ -10,7 +10,7 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
-from tricluster.pruning import squared_norms
+from tricluster.pruning import edge_lengths, squared_norms
 
 
 def sorted_median(values):
@@ -292,3 +292,16 @@ def test_components_partition_vertices():
     # canonical: labels keyed by ascending minimum vertex
     firsts = [np.where(labels == k)[0][0] for k in range(labels.max() + 1)]
     assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_edge_lengths_at_extreme_scales(k):
+    # squares that under- or overflow are measured again at a scale that
+    # fits, so the lengths scale with the data, to the bit
+    rng = np.random.default_rng(5)
+    coords = rng.standard_normal((400, 2))
+    tri = triangulate(coords)
+    for space in (coords, rng.standard_normal((400, 7))):
+        want = np.ldexp(edge_lengths(tri, space), k)
+        got = edge_lengths(tri, np.ldexp(space, k))
+        assert got.tobytes() == want.tobytes()
