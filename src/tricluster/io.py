@@ -30,8 +30,13 @@ a halfway point, only onto one. A halfway point has 54 significant bits
 and is a long double wherever the long double is the x87 80-bit or the
 IEEE binary128 format; elsewhere (a float64 long double on Windows and
 Apple arm64, IBM double-double) the reader is off. Cells that land on a
-halfway point are read again with ``float()``. Whatever the reader is
-not sure of, it leaves to ``np.loadtxt`` and the line parser, so the
+halfway point are read again with ``float()``. In the x87 format they
+are found from the significand alone: where the double is normal, the
+11 bits below its 53 read 0x400 exactly on a halfway point. Cells whose
+double is zero, subnormal, the smallest normal or infinite, and every
+cell of another format, are tested by 2 * cell - double, which is a
+double exactly where the cell lies halfway. Whatever the reader is not
+sure of, it leaves to ``np.loadtxt`` and the line parser, so the
 grammar, the values and the errors are theirs.
 """
 
@@ -275,6 +280,9 @@ def _parse_rows(values, chunk: bytes, row: int, rows: int) -> bool:
     The chunk is read by ``_read_decimals`` and, where that declines, by
     ``_read_strtold``; both give each cell's correctly rounded long
     double, so the values do not depend on which one read the chunk.
+    Rounding it to float64 rounds twice, which gives ``float()``'s value
+    except on a halfway point between two doubles; ``_halfway`` finds
+    those cells, and each is read again with ``float()``.
     """
     if not chunk.endswith(b"\n"):
         chunk += b"\n"

@@ -560,9 +560,3 @@ def test_fan_homes_near_the_rays():
                 for k in (ray, ray + 1)]
         assert side[0] >= 0 and (ray == m or side[1] < 0)
     assert_matches_bowyer_watson(pts)
-
-
-def test_sorted_rows_equal_numpy_sort():
-    rng = np.random.default_rng(4)
-    tris = rng.integers(0, 50, (500, 3))
-    assert np.array_equal(delaunay._sorted_rows(tris), np.sort(tris, axis=1))

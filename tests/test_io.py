@@ -724,14 +724,14 @@ def edge_long_doubles(rng):
 @needs_reader
 def test_halfway_step_flags_the_cells_the_across_test_flags():
     # random 18-digit significands, read by the integer path, land on a
-    # midpoint between doubles about once in 2 000 cells; none of them
-    # is a decimal midpoint, and many round the wrong way without the
-    # float() read
+    # midpoint between doubles about once in 2 000 cells; as "0." and 18
+    # digits none is a decimal midpoint, and about half of them round the
+    # wrong way without the float() read
     rng = np.random.default_rng(20)
     sig = rng.integers(10 ** 17, 10 ** 18, 400000).tolist()
     exp = rng.integers(-27, 1, 400000).tolist()
     dot = rng.integers(1, 18, 400000).tolist()
-    text = [f"{m}e{k}" if i % 2 else f"{str(m)[:p]}.{str(m)[p:]}"
+    text = [(f"0.{m}", f"{m}e{k}", f"{str(m)[:p]}.{str(m)[p:]}")[i % 3]
             for i, (m, k, p) in enumerate(zip(sig, exp, dot))]
     chunk = ("\n".join(text) + "\n").encode()
     cells = tio._read_decimals(chunk)[0]
