@@ -66,8 +66,7 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     float64 ndarray is centred in place, so no second n x d array is
     made; it then holds ``data - data.mean(axis=0)``, to the bit unless
     scaling it down made a value subnormal, and after an error its values
-    are unspecified. Any other input is copied first
-    and left as it was.
+    are unspecified. Any other input is copied first and left as it was.
     """
     centered = owned_float64(data, copy)
     if centered.ndim != 2:
