@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 import stat
 import struct
-import sys
 import threading
 import warnings
 from io import BytesIO, TextIOWrapper
@@ -77,7 +76,7 @@ _LONGDOUBLE_HOLDS_HALFWAYS = np.finfo(np.longdouble).nmant in (63, 112)
 # double's 53
 _LOW_BITS_MARK_HALFWAY = (np.finfo(np.longdouble).nmant == 63
                           and np.dtype(np.longdouble).itemsize == 16
-                          and sys.byteorder == "little")
+                          and np.little_endian)
 _TINY = np.finfo(np.float64).tiny
 # the bytes of a cell that strtold may read, and "," for the line end;
 # any other byte becomes "!", and a chunk holding one is declined
