@@ -176,12 +176,16 @@ class _Signs:
                          self._points(rest, det.shape, a, b, c, d)]
         return det
 
-    def surely_left(self, u, v, cx, cy):
-        """Is each point (cx, cy) strictly left of the line from vertex u
-        to vertex v by the float filter alone, or, when every determinant
-        is exact, on the line? False wherever the filter cannot tell."""
-        left = (self.xs[u] - cx) * (self.ys[v] - cy)
-        right = (self.ys[u] - cy) * (self.xs[v] - cx)
+    def surely_left(self, u, v, c):
+        """Is each c strictly left of the line u -> v by the float filter
+        alone, or, when every determinant is exact, on the line? False
+        wherever the filter cannot tell."""
+        z = self.z
+        zc = z[c]
+        cu = z[u] - zc
+        cv = z[v] - zc
+        left = cu.real * cv.imag
+        right = cu.imag * cv.real
         det = left - right
         if self.grid:
             return det >= 0.0
@@ -222,22 +226,17 @@ def _hull(signs) -> list:
     on a side but not at its ends go too: each lies between two points.
     """
     xs, ys = signs.xs, signs.ys
-    # extremes in 8 directions and their opposites, counterclockwise; near
-    # the float range a projection may overflow, and any polygon is safe
-    angle = np.arange(8) * (np.pi / 8)
-    reach = np.array((np.cos(angle), np.sin(angle))).T @ np.array((xs, ys))
-    ring = np.concatenate((reach.argmax(axis=1), reach.argmin(axis=1)))
+    angle = np.arange(16) * (np.pi / 8)
+    # near the float range a projection may overflow; any polygon is safe
+    ring = np.argmax(np.outer(np.cos(angle), xs)
+                     + np.outer(np.sin(angle), ys), axis=1)
     ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))].tolist()
-    # the candidates are gathered once, and each filter narrows a mask
-    cand = np.delete(np.arange(len(xs)), ring)
-    cx, cy = xs[cand], ys[cand]
-    inside = np.ones(len(cand), dtype=bool)
+    inside = np.delete(np.arange(len(xs)), ring)
     for u, v in zip(ring, ring[1:] + ring[:1]):
-        inside &= signs.surely_left(u, v, cx, cy)
-    keep = np.concatenate((ring, cand[~inside]))
-    keep = keep[np.lexsort((ys[keep], xs[keep]))]
-    px, py = xs[keep].tolist(), ys[keep].tolist()
-    keep = keep.tolist()
+        inside = inside[signs.surely_left(u, v, inside)]
+    keep = np.delete(np.arange(len(xs)), inside)
+    keep = keep[np.lexsort((ys[keep], xs[keep]))].tolist()
+    px, py = xs.tolist(), ys.tolist()
 
     def chain(seq):
         out = []
@@ -249,9 +248,7 @@ def _hull(signs) -> list:
             out.append(i)
         return out
 
-    # the chains run over positions in keep
-    order = range(len(keep))
-    return [keep[i] for i in chain(order)[:-1] + chain(reversed(order))[:-1]]
+    return chain(keep)[:-1] + chain(reversed(keep))[:-1]
 
 
 class _Rounds:
@@ -319,24 +316,13 @@ class _Rounds:
         self.listed[:3 * m] = True
         self.count = m
 
-        # p lies in fan triangle i - 1 for the last ray h0 -> h[i], i <= m,
-        # with p on its left or on it. The rays turn counterclockwise
-        # through less than a half turn, so the float angles propose i;
-        # two exact tests confirm it, p left of or on ray i and, unless
-        # i = m, strictly right of ray i + 1, and a binary search over
-        # the rays settles every p they refute
+        # binary search for the last ray h0 -> h[i], i <= m, with p on
+        # its left or on it; p then lies in fan triangle i - 1
         corner = np.zeros(n, dtype=bool)
         corner[h] = True
-        pend = self.pend = (~corner).nonzero()[0]
-        z0 = signs.z[h[0]]
-        ray = np.angle(signs.z[h[1:-1]] - z0)
-        lo = np.searchsorted(ray, np.angle(signs.z[pend] - z0), side="right")
-        np.clip(lo, 1, m, out=lo)
-        last = lo == m
-        ok = ((signs.orient(h[0], h[lo], pend) >= 0)
-              & (last | (signs.orient(h[0], h[lo + 1], pend) < 0)))
-        hi = np.where(ok, lo, m)
-        lo[~ok] = 1
+        self.pend = (~corner).nonzero()[0]
+        lo = np.ones(len(self.pend), dtype=np.int64)
+        hi = np.full(len(self.pend), m, dtype=np.int64)
         while True:
             act = (lo < hi).nonzero()[0]
             if not act.size:
@@ -591,7 +577,7 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         hull = _hull(signs)
         if len(hull) < 3:
             raise CollinearError("all points are collinear")
-        tris = _sorted_rows(_Rounds(signs, hull).build())
+        tris = np.sort(_Rounds(signs, hull).build(), axis=1)
     edges, tri_edges = _edge_table(tris, n_u)
     # a side's row orders it as (a, b) does, so this key, below 3 n^2,
     # orders the triangles by their vertices
@@ -606,15 +592,6 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         edges=edges,
         tri_edges=tri_edges,
     )
-
-
-def _sorted_rows(tris: np.ndarray) -> np.ndarray:
-    """Each row of three ids in ascending order: the rows of
-    ``np.sort(tris, axis=1)``, from a minimum, a maximum and a sum."""
-    a, b, c = tris.T
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    return np.column_stack((lo, a + b + c - lo - hi, hi))
 
 
 def _edge_table(triangles: np.ndarray, n_vertices: int):

@@ -403,14 +403,12 @@ def _read_decimals(chunk: bytes):
     scale = np.full(tokens.size, 27)
     scale[dot - np.arange(dot.size)] = 28 - np.diff(at).take(dot)
     sig = (rank == 2).nonzero()[0]
-    m = tokens
-    if sig.size:
-        sig -= np.searchsorted(dot, sig)
-        scale[sig] += tokens[sig + 1]
-        significand = np.ones(tokens.size, bool)
-        significand[sig + 1] = False
-        m = tokens.compress(significand)
-        scale = scale.compress(significand)
+    sig -= np.searchsorted(dot, sig)
+    scale[sig] += tokens[sig + 1]
+    significand = np.ones(tokens.size, bool)
+    significand[sig + 1] = False
+    m = tokens.compress(significand)
+    scale = scale.compress(significand)
     top = scale.max()
     if m.min() <= -10 ** 18 or m.max() >= 10 ** 18 or scale.min() < 0 \
             or top > 54:

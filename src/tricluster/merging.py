@@ -26,8 +26,8 @@ import numpy as np
 from .delaunay import triangulate
 from .errors import CollinearError, TooFewPointsError
 from .io import canonicalize_labels
+from .projection import unit_shift
 from .pruning import (
-    SQUARES_FLOOR,
     connected_components,
     edge_lengths,
     group_by_label,
@@ -60,15 +60,10 @@ def compute_representatives(labels, proj) -> Representatives:
                     minlength=len(cluster_ids)) / counts
         for j in range(coords.shape[1])
     ])
-    with np.errstate(over="ignore"):
-        d2 = squared_norms(members - mean[cluster])
-        if not SQUARES_FLOOR <= d2.max() < np.inf:
-            # the squares under- or overflow: compare them at the scale,
-            # one power of two, that brings the largest |value| into [1, 2)
-            diff = members - mean[cluster]
-            top = max(diff.max(), -diff.min())
-            if 0 < top < np.inf:
-                d2 = squared_norms(np.ldexp(diff, 1 - int(np.frexp(top)[1])))
+    # compared at one power-of-two scale, where no square under- or
+    # overflows; the scaling is exact, so it moves no tie
+    diff = members - mean[cluster]
+    d2 = squared_norms(np.ldexp(diff, unit_shift(diff), out=diff))
     # closest member first within each cluster, the smaller index on ties
     best = np.lexsort((order, d2, cluster))[starts]
     rep_idx = order[best]

@@ -80,15 +80,14 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
         cov = _covariance(centered)
     shift = 0
     if not (np.isfinite(cov).all() and cov.diagonal().max() >= _TINY_VARIANCE):
-        # products over- or underflow: one power of two brings the largest
-        # |value| into [1, 2), and no n x d temporary is made to find it
-        top = max(centered.max(), -centered.min())
-        if not np.isfinite(top):
+        # products over- or underflow: scale by one power of two, found
+        # without an n x d temporary; scaled, a finite matrix has a
+        # finite covariance
+        shift = int(unit_shift(centered))
+        np.ldexp(centered, shift, out=centered)
+        cov = _covariance(centered)
+        if not np.isfinite(cov).all():
             raise NumericalError("the centring overflows float64; rescale the data")
-        if top > 0:
-            shift = 1 - int(np.frexp(top)[1])
-            np.ldexp(centered, shift, out=centered)
-            cov = _covariance(centered)
     vecs = _top2_iterated(cov) if d >= 2 * _BLOCK else None
     if vecs is None:
         vecs = _top2_eigh(cov)
@@ -106,6 +105,15 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
         if not np.isfinite(coords).all():
             raise NumericalError("the projection overflows float64; rescale the data")
     return Embedding(coords=coords, source="pca_native")
+
+
+def unit_shift(values: np.ndarray, axis=None):
+    """The exponent of the power of two that brings the largest |value| of
+    ``values`` (over ``axis``) into [1, 2); 1 where that is zero or not
+    finite. Scaled so, finite values have squares that sum without
+    overflow, and the largest square lies in [1, 4)."""
+    top = np.maximum(values.max(axis=axis), -values.min(axis=axis))
+    return 1 - np.frexp(top)[1]
 
 
 def _covariance(centered: np.ndarray) -> np.ndarray:

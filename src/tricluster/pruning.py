@@ -19,6 +19,7 @@ import numpy as np
 
 from .delaunay import Triangulation
 from .errors import EmptyError, ShapeMismatchError
+from .projection import unit_shift
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ _BLOCK_BYTES = 1 << 18
 # a sum of squares below this may have lost bits to squares that
 # underflowed; one that overflowed is infinite. Both are measured again
 # at a scale where neither happens
-SQUARES_FLOOR = 2.0 ** -900
+_SQUARES_FLOOR = 2.0 ** -900
 
 
 def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
@@ -62,18 +63,16 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
             a, b = rows_a[lo:lo + step], rows_b[lo:lo + step]
             sq = squared_norms(coords[a] - coords[b])
             out[lo:lo + step] = np.sqrt(sq)
-            if not (sq.min() >= SQUARES_FLOOR and sq.max() < np.inf):
-                bad = (~((sq >= SQUARES_FLOOR) & (sq < np.inf))).nonzero()[0]
+            if not (sq.min() >= _SQUARES_FLOOR and sq.max() < np.inf):
+                bad = (~((sq >= _SQUARES_FLOOR) & (sq < np.inf))).nonzero()[0]
                 out[lo + bad] = _scaled_lengths(coords[a[bad]] - coords[b[bad]])
     return out
 
 
 def _scaled_lengths(diff: np.ndarray) -> np.ndarray:
-    """Each row's length, measured with the row scaled by the power of two
-    that brings its largest |value| into [1, 2), and scaled back: no
-    square under- or overflows. Scales ``diff`` in place."""
-    top = np.maximum(diff.max(axis=1), -diff.min(axis=1))
-    shift = 1 - np.frexp(top)[1]
+    """Each row's length, measured with the row scaled by its
+    ``unit_shift`` and scaled back. Scales ``diff`` in place."""
+    shift = unit_shift(diff, axis=1)
     np.ldexp(diff, shift[:, None], out=diff)
     return np.ldexp(np.sqrt(squared_norms(diff)), -shift)
 

@@ -532,31 +532,3 @@ def test_tri_edges_list_each_triangles_sides():
             edge_set |= {(a, b), (a, c), (b, c)}
         assert tri.edges.tolist() == [list(e) for e in sorted(edge_set)]
         assert tri.edges.dtype == np.int64 and tri.tri_edges.dtype == np.int64
-
-
-def test_fan_homes_near_the_rays():
-    # points on the rays from the first hull corner, to rounding, where
-    # the float angles propose the wrong fan triangle for hundreds of
-    # them: the binary search must settle each one the exact tests refute
-    rng = np.random.default_rng(23)
-    ang = np.sort(rng.uniform(-1.5, 1.5, 40))
-    corners = np.column_stack((np.cos(ang), np.sin(ang)))
-    t = rng.uniform(0.05, 1.0, (40, 30, 1))
-    pts = np.vstack(([0.0, 0.0], corners,
-                     (corners[:, None] * t).reshape(-1, 2)))
-    signs = delaunay._Signs(pts.view(np.complex128)[:, 0], False)
-    with np.errstate(all="ignore"):
-        hull = delaunay._hull(signs)
-        rounds = delaunay._Rounds(signs, hull)
-    m = len(hull) - 2
-    z0 = signs.z[hull[0]]
-    proposed = np.clip(np.searchsorted(
-        np.angle(signs.z[hull[1:-1]] - z0),
-        np.angle(signs.z[rounds.pend] - z0), side="right"), 1, m)
-    assert (proposed != rounds.home + 1).sum() > 100
-    x0, y0 = pts[hull[0]]
-    for p, ray in zip(rounds.pend.tolist(), (rounds.home + 1).tolist()):
-        side = [orient2d(x0, y0, *pts[hull[k]], *pts[p])
-                for k in (ray, ray + 1)]
-        assert side[0] >= 0 and (ray == m or side[1] < 0)
-    assert_matches_bowyer_watson(pts)
