@@ -448,17 +448,15 @@ class _Rounds:
         q = self.pend[moved]
         sp = self.split_at[was]
         a = self.apex[was]
-        three = (a < 0).nonzero()[0]
-        a[three] = 3 * was[three]
+        three = a < 0
+        a = np.where(three, 3 * was, a)
         nx, pv = succ[a], pred[a]
         left = signs.orient(sp, tv[a], q) >= 0
         cone = np.where(left, pv, nx)
-        if three.size:
-            lt = left[three]
-            o = signs.orient(sp[three], tv[np.where(lt, nx[three], pv[three])],
-                             q[three])
-            beyond = three[np.where(lt, o > 0, o < 0)]
-            cone[beyond] = a[beyond]
+        if three.any():
+            o = signs.orient(sp, tv[np.where(left, nx, pv)], q)
+            beyond = three & np.where(left, o > 0, o < 0)
+            cone = np.where(beyond, a, cone)
 
         # sides 0 and 1 of each new triangle face sides 1 and 0 of the
         # next and the previous triangle in its ring; where the ring is

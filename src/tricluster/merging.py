@@ -64,9 +64,10 @@ def compute_representatives(labels, proj) -> Representatives:
     # overflows; the scaling is exact, so it moves no tie
     diff = members - mean[cluster]
     d2 = squared_norms(np.ldexp(diff, unit_shift(diff), out=diff))
-    # closest member first within each cluster, the smaller index on ties
-    best = np.lexsort((order, d2, cluster))[starts]
-    rep_idx = order[best]
+    # each cluster's first member at its least distance; members ascend
+    # within a cluster, so a tie goes to the smaller index
+    closest = (d2 == np.minimum.reduceat(d2, starts)[cluster]).nonzero()[0]
+    rep_idx = order[closest[np.searchsorted(closest, starts)]]
     return Representatives(
         cluster_ids=cluster_ids,
         rep_point_index=rep_idx,

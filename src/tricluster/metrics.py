@@ -32,12 +32,14 @@ def _contingency(true_labels, pred_labels):
 def ari(true_labels, pred_labels) -> float:
     """Adjusted Rand index over the contingency table; 1 iff identical."""
     counts = _contingency(true_labels, pred_labels)
-    n = counts.sum()
-    sum_cells = (counts * (counts - 1) // 2).sum()
+    # pair counts as Python ints: sum_a * sum_b passes int64 from about
+    # n = 200 000
+    n = int(counts.sum())
+    sum_cells = int((counts * (counts - 1) // 2).sum())
     a = counts.sum(axis=1)
     b = counts.sum(axis=0)
-    sum_a = (a * (a - 1) // 2).sum()
-    sum_b = (b * (b - 1) // 2).sum()
+    sum_a = int((a * (a - 1) // 2).sum())
+    sum_b = int((b * (b - 1) // 2).sum())
     pairs = n * (n - 1) // 2
     expected = sum_a * sum_b / pairs if pairs else 0.0
     maximum = 0.5 * (sum_a + sum_b)

@@ -38,10 +38,11 @@ class PruneResult:
     z_proj: np.ndarray
 
 
-# bytes of one block of edge differences: a block's two row gathers and
-# its difference (about 0.75 MB) stay in L2; on a 2 MB L2, 1 MB blocks
-# took twice as long at d = 1000
-_BLOCK_BYTES = 1 << 18
+# bytes of one block of edge differences: the block and the second row
+# gather, its only other live block, stay in L2. On a 2 MB L2 at
+# d = 1000 and 15 000 edges, 49 rows took 15.5-15.7 ms per pass, against
+# 15.9-16.0 ms for 32 rows and 16.0-16.3 ms for 65
+_BLOCK_BYTES = 3 << 17
 # a sum of squares below this may have lost bits to squares that
 # underflowed; one that overflowed is infinite. Both are measured again
 # at a scale where neither happens
@@ -52,7 +53,10 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     """Euclidean length of every edge of ``tri`` in a space of input rows.
 
     Rows are gathered through ``tri.unique_rows`` a block of edges at a
-    time, so no copy of the matrix and no (e, d) temporary is made.
+    time, so no copy of the matrix and no (e, d) temporary is made. Each
+    block's difference is formed and squared in the first gather's
+    buffer and summed straight into the result; the sums are checked
+    for range, and rooted, once for all blocks.
     """
     rows_a = tri.unique_rows[tri.edges[:, 0]]
     rows_b = tri.unique_rows[tri.edges[:, 1]]
@@ -60,12 +64,14 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_BYTES // (8 * coords.shape[1]))
     with np.errstate(over="ignore"):
         for lo in range(0, len(out), step):
-            a, b = rows_a[lo:lo + step], rows_b[lo:lo + step]
-            sq = squared_norms(coords[a] - coords[b])
-            out[lo:lo + step] = np.sqrt(sq)
-            if not (sq.min() >= _SQUARES_FLOOR and sq.max() < np.inf):
-                bad = (~((sq >= _SQUARES_FLOOR) & (sq < np.inf))).nonzero()[0]
-                out[lo + bad] = _scaled_lengths(coords[a[bad]] - coords[b[bad]])
+            diff = coords[rows_a[lo:lo + step]]
+            diff -= coords[rows_b[lo:lo + step]]
+            squared_norms(diff, out=out[lo:lo + step])
+        bad = (~((out >= _SQUARES_FLOOR) & (out < np.inf))).nonzero()[0]
+        np.sqrt(out, out=out)
+        if bad.size:
+            out[bad] = _scaled_lengths(coords[rows_a[bad]]
+                                       - coords[rows_b[bad]])
     return out
 
 
@@ -77,14 +83,14 @@ def _scaled_lengths(diff: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(squared_norms(diff)), -shift)
 
 
-def squared_norms(diff: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares; squares ``diff`` in place. Two columns
-    take one add: the bits of numpy's two-term reduction, without its
-    cost over a length-2 axis."""
+def squared_norms(diff: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Each row's sum of squares, into ``out`` when given; squares
+    ``diff`` in place. Two columns take one add: the bits of numpy's
+    two-term reduction, without its cost over a length-2 axis."""
     np.multiply(diff, diff, out=diff)
     if diff.shape[1] == 2:
-        return diff[:, 0] + diff[:, 1]
-    return np.add.reduce(diff, axis=1)
+        return np.add(diff[:, 0], diff[:, 1], out=out)
+    return np.add.reduce(diff, axis=1, out=out)
 
 
 def _longest_side(edge_len, tri_edges):

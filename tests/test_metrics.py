@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ def test_ari_matches_pair_oracle_random():
         t = rng.integers(-1, 4, n)
         p = rng.integers(-1, 5, n)
         assert ari(t, p) == pytest.approx(ari_pair_oracle(t, p), abs=1e-10)
+
+
+def test_ari_exact_at_large_n():
+    # the product of the two marginal pair counts passes int64 here
+    n = 200_000
+    rng = np.random.default_rng(6)
+    t = np.repeat(np.arange(5), n // 5)
+    p = t.copy()
+    flip = rng.choice(n, n // 100, replace=False)
+    p[flip] = (p[flip] + rng.integers(1, 5, len(flip))) % 5
+    counts = np.zeros((5, 5), dtype=np.int64)
+    np.add.at(counts, (t, p), 1)
+
+    def pairs(c):
+        return sum(int(x) * (int(x) - 1) // 2 for x in c)
+
+    sum_cells = pairs(counts.ravel())
+    sum_a, sum_b = pairs(counts.sum(axis=1)), pairs(counts.sum(axis=0))
+    expected = Fraction(sum_a * sum_b, n * (n - 1) // 2)
+    want = (sum_cells - expected) / (Fraction(sum_a + sum_b, 2) - expected)
+    assert ari(t, p) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_ari_symmetric():

@@ -10,7 +10,7 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
-from tricluster.pruning import edge_lengths, squared_norms
+from tricluster.pruning import _BLOCK_BYTES, edge_lengths, squared_norms
 
 
 def sorted_median(values):
@@ -292,6 +292,34 @@ def test_components_partition_vertices():
     # canonical: labels keyed by ascending minimum vertex
     firsts = [np.where(labels == k)[0][0] for k in range(labels.max() + 1)]
     assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("d, n", [(2, 10_000), (50, 1_000), (1_000, 200)])
+def test_edge_lengths_equal_the_per_edge_reduction_bit_for_bit(d, n):
+    # blocks are summed in place; every length must keep the bits of its
+    # own row's reduction, across block ends and a short last block
+    rng = np.random.default_rng(d)
+    tri = triangulate(rng.standard_normal((n, 2)))
+    space = rng.standard_normal((n, d))
+    a = tri.unique_rows[tri.edges[:, 0]]
+    b = tri.unique_rows[tri.edges[:, 1]]
+    step = max(1, _BLOCK_BYTES // (8 * d))
+    assert len(a) > step + 1 and len(a) % step
+    # the edge on the second row of the second block gets a difference
+    # whose squares underflow, so it is measured again at another scale;
+    # its ends' other edges stay in range
+    far = step + 1
+    space[a[far], :2] = 0.0
+    space[b[far]] = space[a[far]]
+    space[b[far], :2] = (1e-200, -3e-201)
+    want = np.array([np.sqrt(np.add.reduce((space[i] - space[j]) ** 2))
+                     for i, j in zip(a.tolist(), b.tolist())])
+    assert want[far] == 0.0
+    # a power-of-two scale is exact while no square leaves the range
+    diff = np.ldexp(space[a[far]] - space[b[far]], 700)
+    want[far] = np.ldexp(np.sqrt(np.add.reduce(diff ** 2)), -700)
+    assert want[far] > 1e-200
+    assert edge_lengths(tri, space).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
