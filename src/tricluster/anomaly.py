@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delaunay import Triangulation
+from .projection import unit_shift
 from .pruning import TriangleSizes, group_by_label
 
 
@@ -68,7 +69,8 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     for gid, g in enumerate(groups):
         group_of[g] = gid
     pre_labels = labels.copy()
-    labels[group_of >= 0] = -1
+    grouped = (group_of >= 0).nonzero()[0]
+    labels[grouped] = -1
 
     if not groups:
         return labels, []
@@ -86,7 +88,8 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     q = np.concatenate([tri.edges[:, 1], tri.edges[:, 0]])
     edge = np.tile(np.arange(e), 2)
     leaving = (group_of[p] >= 0) & (group_of[q] != group_of[p])
-    p, q, edge = p[leaving], q[leaving], edge[leaving]
+    p, q = p.compress(leaving), q.compress(leaving)
+    edge = edge.compress(leaving)
     order = np.lexsort((q, p))
     p, q, edge = p[order], q[order], edge[order]
     gid = group_of[p]
@@ -95,14 +98,21 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     # candidate (group, cluster) scores from edges into non-anomaly clusters
     cid = pre_labels[q]
     scoring = (cid >= 0) & (group_of[q] < 0)
-    gid, cid, edge = gid[scoring], cid[scoring], edge[scoring]
+    gid, cid = gid.compress(scoring), cid.compress(scoring)
+    edge = edge.compress(scoring)
     d = np.maximum(np.maximum(alpha * sizes.edge_len[edge],
                               sizes.edge_len_proj[edge]), dist_floor)
+    # the scores do not change when d and mu are scaled by one power of
+    # two. Scaled so that the largest d lies in [1, 2), 1 / d does not
+    # overflow on subnormal data, and at normal scales every product
+    # and sum keeps its bits
+    shift = unit_shift(d) if d.size else 0
     n_ids = max(int(pre_labels.max()) + 1, 1)
     pair, pair_of_edge = np.unique(gid * n_ids + cid, return_inverse=True)
     cand_group, cand_cluster = pair // n_ids, pair % n_ids
-    inv_sums = np.bincount(pair_of_edge, weights=1.0 / d, minlength=len(pair))
-    scores = (mu / n_edges[cand_group]) * inv_sums
+    inv_sums = np.bincount(pair_of_edge, weights=1.0 / np.ldexp(d, shift),
+                           minlength=len(pair))
+    scores = (np.ldexp(mu, shift) / n_edges[cand_group]) * inv_sums
 
     if sensitivity >= 1.0:
         delta = np.inf
@@ -122,8 +132,7 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     best_score[cand_group[first]] = scores[first]
     merged = (best_cluster >= 0) & (best_score > delta)
 
-    joined = group_of >= 0
-    joined[joined] = merged[group_of[joined]]
+    joined = grouped.compress(merged[group_of[grouped]])
     labels[joined] = best_cluster[group_of[joined]]
     decisions = [
         GroupDecision(

@@ -209,7 +209,7 @@ class _Signs:
             abc = np.array((a, b, c)).take(tie, axis=1)
             p = p[tie]
             m = np.minimum(np.minimum.reduce(abc), p)
-            o = self.orient(*np.where(abc == m, p, abc))
+            o = self.orient(*(abc + (p - abc) * (abc == m)))
             inside[tie] = (m == p) | (o < 0)
         return inside
 
@@ -280,6 +280,11 @@ class _Rounds:
     the circle through the other three. A flip lists the four outer
     sides of its pair but not the new diagonal, the one the tie rule
     keeps; a flip that loses a triangle to another lists its side again.
+
+    A select on a mask is written as a product, y + (x - y) * mask, and a
+    gather as a take of the mask's nonzero positions: ``np.where`` and
+    mask indexing branch per element, and the masks of the rounds follow
+    the points, not a pattern a branch predictor can learn.
     """
 
     def __init__(self, signs, hull):
@@ -329,8 +334,9 @@ class _Rounds:
                 break
             mid = (lo[act] + hi[act] + 1) // 2
             left = signs.orient(h[0], h[mid], self.pend[act]) >= 0
-            lo[act] = np.where(left, mid, lo[act])
-            hi[act] = np.where(left, hi[act], mid - 1)
+            lo_act, hi_act = lo[act], hi[act]
+            lo[act] = lo_act + (mid - lo_act) * left
+            hi[act] = mid - 1 + (hi_act - mid + 1) * left
         self.home = lo - 1
 
     def build(self) -> np.ndarray:
@@ -357,11 +363,14 @@ class _Rounds:
         twin, heir = self.twin, self.heir
         nb = twin[old]
         heir[old] = new
-        gone = self.stamp[nb // 3] == self.round
-        nb = np.where(gone, heir[nb], nb)
+        gone = (self.stamp[nb // 3] == self.round).nonzero()[0]
+        nb[gone] = heir[nb[gone]]
         twin[new] = nb
-        stay = ~gone
-        twin[nb[stay]] = new[stay]
+        # link every neighbour back. One replaced in this round is new[j]
+        # for the j with old[j] across old[k]; then nb[j] = new[k], so
+        # the link back repeats what twin[new] = nb wrote there. A hull
+        # side writes the hull's entry, which the rounds write freely
+        twin[nb] = new
 
     def _moved(self):
         """Positions in ``pend`` of the points whose home this round
@@ -395,7 +404,7 @@ class _Rounds:
         on = signs.orient(ends[0], ends[1], p) == 0
         edge = on.any(axis=0)
         e += on.argmax(axis=0)
-        f = np.where(edge, twin[e], -1)
+        f = (twin[e] + 1) * edge - 1
         u = f // 3
 
         # a split claims t, and u across an interior edge; it runs when it
@@ -412,7 +421,8 @@ class _Rounds:
         # make the new triangle (x, y, p).
         kind = edge.astype(np.int64) + (u >= 0)
         inside = kind == 0
-        sides = np.array((pred[e], np.where(inside, e, succ[f]), pred[f],
+        after = succ[f]
+        sides = np.array((pred[e], after + (e - after) * inside, pred[f],
                           succ[e]))
         pos = _RING_VALID[kind].ravel().nonzero()[0]
         ring = pos // 4
@@ -432,7 +442,7 @@ class _Rounds:
         self.split_at[replaced] = np.concatenate([p, p[mid]])
         # the corner of a replaced triangle opposite the split edge; -1
         # for a 1 -> 3 split, whose first test is against vertex 0
-        self.apex[replaced] = np.concatenate([np.where(inside, -1, e), f[mid]])
+        self.apex[replaced] = np.concatenate([e - (e + 1) * inside, f[mid]])
 
         # drop the inserted points, and find the cone at p that holds
         # each point whose home was replaced: the new triangle (x, y, p)
@@ -449,14 +459,14 @@ class _Rounds:
         sp = self.split_at[was]
         a = self.apex[was]
         three = a < 0
-        a = np.where(three, 3 * was, a)
+        a = a + (3 * was - a) * three
         nx, pv = succ[a], pred[a]
         left = signs.orient(sp, tv[a], q) >= 0
-        cone = np.where(left, pv, nx)
+        cone = nx + (pv - nx) * left
         if three.any():
-            o = signs.orient(sp, tv[np.where(left, nx, pv)], q)
-            beyond = three & np.where(left, o > 0, o < 0)
-            cone = np.where(beyond, a, cone)
+            o = signs.orient(sp, tv[nx + pv - cone], q)
+            beyond = three & ((left & (o > 0)) | (~left & (o < 0)))
+            cone += (a - cone) * beyond
 
         # sides 0 and 1 of each new triangle face sides 1 and 0 of the
         # next and the previous triangle in its ring; where the ring is
@@ -481,12 +491,17 @@ class _Rounds:
         # sides meet the always listed entry -1
         keep = ((e < f) | ~listed[f]).nonzero()[0]
         listed[:3 * self.count] = False
-        e, f = e[keep], f[keep]
         # rows e, succ[e], pred[e], f and their corners c, x, y, d (a
         # corner's id is that of the side it faces): e's triangle is
         # (c, x, y), and its side (x, y) faces f's apex d
-        quad = np.array((e, self.succ[e], self.pred[e], f))
-        quad = np.concatenate((quad, tv[quad]))
+        # every id here is in range; numpy buffers a take into out=
+        # unless its mode is "clip"
+        quad = np.empty((8, keep.size), dtype=np.int64)
+        e.take(keep, out=quad[0], mode="clip")
+        self.succ.take(quad[0], out=quad[1], mode="clip")
+        self.pred.take(quad[0], out=quad[2], mode="clip")
+        f.take(keep, out=quad[3], mode="clip")
+        tv.take(quad[:4], out=quad[4:], mode="clip")
         bad = signs.in_disk(*quad[4:]).nonzero()[0]
         if not bad.size:
             return
@@ -502,7 +517,7 @@ class _Rounds:
         np.minimum.at(owner, pair[1], key)
         won = owner[pair] == key
         won = won[0] & won[1]
-        listed[quad[0][~won]] = True
+        listed[quad[0].take((~won).nonzero()[0])] = True
         win = won.nonzero()[0]
         quad = quad.take(win, axis=1)
         slot = pair.take(win, axis=1).ravel()
@@ -527,7 +542,8 @@ class _Rounds:
             was = 3 * self.home[moved]
             stays = signs.orient(tv[was], tv[was + 2],
                                  self.pend[moved]) <= 0
-            self.home[moved] = np.where(stays, was, twin[was + 1]) // 3
+            other = twin[was + 1]
+            self.home[moved] = (other + (was - other) * stays) // 3
         listed[outer] = True
         listed[new + 1] = False
 

@@ -547,11 +547,11 @@ def canonicalize_labels(labels) -> np.ndarray:
     -1 entries are kept as-is.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    out = np.full(labels.shape, -1, dtype=np.int64)
-    clustered = labels >= 0
-    _, first, inverse = np.unique(labels[clustered], return_index=True,
-                                  return_inverse=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    out[clustered] = rank[inverse]
-    return out
+    # one pass over every entry: the negative ids sort first and keep
+    # rank -1, so no mask picks the clustered entries
+    ids, first, inverse = np.unique(labels, return_index=True,
+                                    return_inverse=True)
+    neg = np.searchsorted(ids, 0)
+    rank = np.full(len(ids), -1, dtype=np.int64)
+    rank[neg + np.argsort(first[neg:])] = np.arange(len(ids) - neg)
+    return rank[inverse]

@@ -107,10 +107,11 @@ def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
 
     # each representative takes the component of its vertex
     rep_component = connected_components(
-        rep_tri.n_vertices, rep_tri.edges[rule.keep_mask])[rep_tri.rep_u]
+        rep_tri.n_vertices,
+        rep_tri.edges.compress(rule.keep_mask, axis=0))[rep_tri.rep_u]
 
     out = labels.copy()
-    clustered = labels >= 0
+    clustered = (labels >= 0).nonzero()[0]
     rep = np.searchsorted(reps.cluster_ids, labels[clustered])
     out[clustered] = rep_component[rep]
     return canonicalize_labels(out)

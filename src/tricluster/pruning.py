@@ -57,6 +57,11 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     block's difference is formed and squared in the first gather's
     buffer and summed straight into the result; the sums are checked
     for range, and rooted, once for all blocks.
+
+    When a length exceeds the float range, every length is returned in
+    units of 2^k, for the least k that brings them all in range. The
+    stages compare the lengths of one space only by their ratios, so
+    they read the same numbers in any such unit.
     """
     rows_a = tri.unique_rows[tri.edges[:, 0]]
     rows_b = tri.unique_rows[tri.edges[:, 1]]
@@ -70,17 +75,33 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
         bad = (~((out >= _SQUARES_FLOOR) & (out < np.inf))).nonzero()[0]
         np.sqrt(out, out=out)
         if bad.size:
-            out[bad] = _scaled_lengths(coords[rows_a[bad]]
-                                       - coords[rows_b[bad]])
+            root, exp = _scaled_lengths(coords[rows_a[bad]],
+                                        coords[rows_b[bad]])
+            # root * 2^exp is finite while frexp's exponent of it is at
+            # most 1024; lengths in range are above 2^-450, so 2^-k is exact
+            k = max(0, int((exp + np.frexp(root)[1]).max()) - 1024)
+            if k:
+                np.ldexp(out, -k, out=out)
+            out[bad] = np.ldexp(root, exp - k)
     return out
 
 
-def _scaled_lengths(diff: np.ndarray) -> np.ndarray:
-    """Each row's length, measured with the row scaled by its
-    ``unit_shift`` and scaled back. Scales ``diff`` in place."""
+def _scaled_lengths(a: np.ndarray, b: np.ndarray):
+    """Each row's length of ``a - b`` as (root, exp), the length being
+    root * 2^exp: the difference is scaled by its ``unit_shift`` before
+    its squares are summed. A difference that overflows is formed from
+    the two rows scaled by the pair's ``unit_shift``; such a pair holds a
+    value above 2^1022, and the values that this scaling takes below the
+    normal range are below the rounding of the row's length."""
+    diff = a - b
+    over = np.isinf(diff).any(axis=1).nonzero()[0]
+    a, b = a[over], b[over]
+    pair = np.minimum(unit_shift(a, axis=1), unit_shift(b, axis=1))[:, None]
+    diff[over] = np.ldexp(a, pair) - np.ldexp(b, pair)
     shift = unit_shift(diff, axis=1)
     np.ldexp(diff, shift[:, None], out=diff)
-    return np.ldexp(np.sqrt(squared_norms(diff)), -shift)
+    shift[over] += pair[:, 0]
+    return np.sqrt(squared_norms(diff)), -shift
 
 
 def squared_norms(diff: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -177,8 +198,8 @@ def prune(tri: Triangulation, sizes: TriangleSizes,
     """
     result = sigma_rule(sizes.sizes, sizes.sizes_proj, sigma_f)
     edge_kept = np.zeros(len(tri.edges), dtype=bool)
-    edge_kept[tri.tri_edges[result.keep_mask]] = True
-    return result, tri.edges[edge_kept]
+    edge_kept[tri.tri_edges.compress(result.keep_mask, axis=0)] = True
+    return result, tri.edges.compress(edge_kept, axis=0)
 
 
 def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
@@ -199,8 +220,8 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
         spans = ru != rv
         if not spans.any():
             break
-        np.minimum.at(root, np.maximum(ru, rv)[spans],
-                      np.minimum(ru, rv)[spans])
+        np.minimum.at(root, np.maximum(ru, rv).compress(spans),
+                      np.minimum(ru, rv).compress(spans))
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):

@@ -152,6 +152,26 @@ def test_anomaly_distance_zero_is_floored():
     assert decisions[0].best_score == pytest.approx(4.0 / 2 * 2 / 4e-12)
 
 
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_scores_keep_their_bits_at_extreme_scales(k):
+    # the scores are taken at the scale that brings the largest distance
+    # into [1, 2); a power of two on every size moves no bit of them
+    rng = np.random.default_rng(4)
+    orig = rng.standard_normal((200, 5))
+    proj = orig[:, :2] + 0.1 * rng.standard_normal((200, 2))
+    tri = triangulate(proj)
+    sizes = triangle_sizes(tri, orig, proj)
+    labels = (proj[:, 0] > 0).astype(np.int64)
+    labels[::13] = 2 + np.arange(16)
+    groups = detect_anomaly_groups(labels, tau=3)
+    scaled = TriangleSizes(*(np.ldexp(v, k) for v in (
+        sizes.sizes, sizes.sizes_proj, sizes.edge_len, sizes.edge_len_proj)))
+    want = score_and_merge(groups, labels, tri, sizes, 0.5)[1]
+    got = score_and_merge(groups, labels, tri, scaled, 0.5)[1]
+    assert [d.best_score for d in got] == [d.best_score for d in want]
+    assert any(d.merged for d in want)
+
+
 def test_anomaly_distance_matches_recompute():
     # the distance of every scored edge comes from the stage-one edge
     # lengths; check them against a recompute from the coordinates

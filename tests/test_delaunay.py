@@ -276,6 +276,41 @@ def test_unlisted_sides_stay_locally_delaunay(monkeypatch):
     assert sum(checked) > 0
 
 
+def assert_mesh_invariants(rounds):
+    """Each linked side is its twin's twin and runs between the twin's
+    two ends, reversed; each pending point lies in its closed home
+    triangle by the exact orient2d."""
+    side = np.arange(3 * rounds.count)
+    f = rounds.twin[side]
+    k = side[f >= 0]
+    f = f[f >= 0]
+    tv, succ, pred = rounds.tv, rounds.succ, rounds.pred
+    assert np.array_equal(rounds.twin[f], k)
+    assert np.array_equal(tv[succ[k]], tv[pred[f]])
+    assert np.array_equal(tv[pred[k]], tv[succ[f]])
+    xs, ys = rounds.signs.xs.tolist(), rounds.signs.ys.tolist()
+    corners = tv[3 * rounds.home[:, None] + np.arange(3)].tolist()
+    for p, (a, b, c) in zip(rounds.pend.tolist(), corners):
+        for u, v in ((a, b), (b, c), (c, a)):
+            assert orient2d(xs[u], ys[u], xs[v], ys[v], xs[p], ys[p]) >= 0
+
+
+def test_mesh_invariants_after_every_round(monkeypatch):
+    # the twins and the homes are rewritten by selects over whole rounds;
+    # check them after each insertion and each flip round
+    pending = []
+    for name in ("insert", "flip"):
+        def checked(rounds, step=getattr(delaunay._Rounds, name)):
+            step(rounds)
+            assert_mesh_invariants(rounds)
+            pending.append(rounds.pend.size)
+        monkeypatch.setattr(delaunay._Rounds, name, checked)
+    for pts in itertools.chain(tie_heavy_inputs(np.random.default_rng(17)),
+                               pinned_inputs().values(), gaussian_sets()):
+        triangulate(pts)
+    assert sum(pending) > 0
+
+
 def exact_calls(monkeypatch, pts):
     """Calls of the exact predicate stages while triangulating pts."""
     calls = {"orient2d": 0, "incircle": 0}

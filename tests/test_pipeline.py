@@ -145,6 +145,20 @@ def test_huge_scale_keeps_the_labels():
     assert np.array_equal(got, want)
 
 
+def test_lengths_past_the_float_range_keep_the_labels():
+    # a sixth of the edges are longer than DBL_MAX: the lengths take one
+    # power-of-two unit, so the labels are those of the matrix scaled
+    # down, where every length is in range
+    big = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 3)) * 1.5e308
+    emb = big[:, :2] / 2**20
+    want = fit_predict(big / 2**20, external_embedding=emb).labels
+    assert want.max() > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_predict(big, external_embedding=emb).labels
+    assert np.array_equal(got, want)
+
+
 def test_values_near_float64_limit_raise_numerical_error_without_warning():
     # the column sums overflow in the mean, before any product is formed
     pts, _ = three_blobs(seed=2)
@@ -348,3 +362,17 @@ def test_tiny_scale_keeps_the_labels():
     data, _ = generate(SynthConfig(n_points=2000, n_dim=10, random_state=1))
     want = fit_predict(data).labels
     assert np.array_equal(fit_predict(data * 1e-170).labels, want)
+
+
+def test_subnormal_data_scores_without_overflow():
+    # at 2^-1070 the data keep a few bits each, so the labels need not be
+    # those of scale 1; but the scores are taken at a scale where 1 / d
+    # cannot overflow, so no warning is raised and every group with a
+    # cluster neighbour gets a finite score
+    data, _ = generate(SynthConfig(n_points=2000, n_dim=10, random_state=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_predict(np.ldexp(data, -1070))
+    scored = [d.best_score for d in result.diagnostics["anomaly_groups"]
+              if d.best_cluster >= 0]
+    assert scored and np.isfinite(scored).all()

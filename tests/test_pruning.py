@@ -322,6 +322,21 @@ def test_edge_lengths_equal_the_per_edge_reduction_bit_for_bit(d, n):
     assert edge_lengths(tri, space).tobytes() == want.tobytes()
 
 
+def test_edge_lengths_past_the_float_range_share_one_unit():
+    # a difference that overflows is formed from the pair at its own
+    # scale; and since some lengths exceed DBL_MAX, every length comes
+    # in one unit, the same power of two for all
+    big = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 3)) * 1.5e308
+    tri = triangulate(big[:, :2])
+    small = edge_lengths(tri, big / 2**20)
+    assert (small > np.finfo(np.float64).max / 2**20).any()
+    with np.errstate(all="raise"):
+        got = edge_lengths(tri, big)
+    unit = small / got
+    assert np.isfinite(got).all() and (unit == unit[0]).all()
+    assert np.frexp(unit[0])[0] == 0.5 and 2.0 ** -20 < unit[0] < 1.0
+
+
 @pytest.mark.parametrize("k", [-1000, 1000])
 def test_edge_lengths_at_extreme_scales(k):
     # squares that under- or overflow are measured again at a scale that
