@@ -64,9 +64,11 @@ VERSION = 1
 # bytes of one chunk of CSV lines. Each chunk pays some 50 numpy calls,
 # and on two threads each call may wait for the GIL: on two Xeon cores
 # the 20 MB blobs_csv benchmark file loaded in 107 ms with 256 or 512 KiB
-# chunks and in 120 ms with 128 KiB (medians of 14). The memory of the
-# chunks in flight stays resident: 512 KiB raised a cluster job's peak
-# RSS by 2.3 MB over 256 KiB
+# chunks and in 120 ms with 128 KiB (medians of 14). Where each thread
+# has its own malloc arena, as in a library call, the memory of a worker
+# thread's chunks stays resident there: 512 KiB raised a cluster job's
+# peak RSS by 2.3 MB over 256 KiB. The CLI runs with one arena, and
+# there the two sizes gave the same peak (63.4-63.7 MB, two runs each)
 _CHUNK_BYTES = 1 << 18
 # x87 extended (63) or IEEE binary128 (112): every halfway point between
 # two doubles, subnormal ones too, is a long double
@@ -262,7 +264,8 @@ def _parse_chunks(values, chunks, workers: int) -> bool:
         for thread in threads:
             thread.start()
         # this thread parses too: the memory it frees stays in the arena
-        # the later stages allocate from, where a thread's stays apart
+        # the later stages allocate from. A worker thread's stays in an
+        # arena of its own, except under the CLI, which runs one arena
         work()
         for thread in threads:
             thread.join()

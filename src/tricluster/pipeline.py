@@ -14,6 +14,7 @@ every mergeable anomaly group.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -52,6 +53,9 @@ class ClusterParams:
             if not isinstance(value, numbers.Real):
                 raise ConfigError(
                     f"{name} must be a real number, got {value!r}")
+            # a NaN fails every comparison, so it would pass the checks below
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.tau < 1:
             raise ConfigError("tau must be >= 1")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:

@@ -34,9 +34,13 @@ _STEPS = 8
 _RESIDUAL = 16.0
 _GAP = 1e-3
 # below this largest variance, squares of the data and the norms of the
-# covariance that the Weyl bound sums lose bits to underflow; the data
-# are then scaled by a power of two, as are covariances that overflow
+# covariance that the Weyl bound sums lose bits to underflow; above the
+# huge one, LAPACK's eigensolvers scale the covariance by a factor that
+# is not a power of two (dsyevd above a largest entry of about 2^484),
+# which moves the eigenvectors' bits. The data are then scaled by a
+# power of two, as are covariances that overflow
 _TINY_VARIANCE = 2.0 ** -400
+_HUGE_VARIANCE = 2.0 ** 400
 
 
 def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
@@ -53,7 +57,8 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
 
     Deterministic. Sign convention: the largest-magnitude component of
     each eigenvector is positive. When the covariance overflows, or its
-    largest variance is so small that the squares underflow, the centred
+    largest variance is so small that the squares underflow or so large
+    that the eigensolver would scale the covariance itself, the centred
     matrix is scaled in place by the power of two that brings its largest
     |value| into [1, 2), and the coordinates and the matrix are scaled
     back; every float operation commutes with that scaling, so the
@@ -79,10 +84,11 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
         centered -= centered.mean(axis=0)
         cov = _covariance(centered)
     shift = 0
-    if not (np.isfinite(cov).all() and cov.diagonal().max() >= _TINY_VARIANCE):
-        # products over- or underflow: scale by one power of two, found
-        # without an n x d temporary; scaled, a finite matrix has a
-        # finite covariance
+    if not (np.isfinite(cov).all()
+            and _TINY_VARIANCE <= cov.diagonal().max() <= _HUGE_VARIANCE):
+        # products over- or underflow, or eigh would rescale: scale by
+        # one power of two, found without an n x d temporary; scaled, a
+        # finite matrix has a finite covariance
         shift = int(unit_shift(centered))
         np.ldexp(centered, shift, out=centered)
         cov = _covariance(centered)

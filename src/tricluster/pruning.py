@@ -151,8 +151,10 @@ def robust_z(sizes) -> np.ndarray:
     """Median/MAD normalization: z_i = (s_i - median) / MAD.
 
     With zero dispersion nothing is an outlier, so all-equal inputs get
-    z = 0. Otherwise a zero MAD is floored at 1e-12 * max(|median|, 1) to
-    keep the genuinely deviant entries detectable.
+    z = 0. Otherwise a zero MAD is floored at 1e-12 * |median|, or at
+    1e-12 * max|s| where the median is 0, to keep the genuinely deviant
+    entries detectable; the floor scales with the sizes, so z does not
+    change when they are scaled by a power of two.
     """
     s = np.asarray(sizes, dtype=np.float64)
     if s.size == 0:
@@ -162,7 +164,7 @@ def robust_z(sizes) -> np.ndarray:
     if mad == 0.0:
         if np.all(s == s[0]):
             return np.zeros_like(s)
-        mad = 1e-12 * max(abs(med), 1.0)
+        mad = 1e-12 * (abs(med) or float(np.abs(s).max()))
     return (s - med) / mad
 
 

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,6 +347,8 @@ def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
     (["cluster", "--sensitivity", "1.5", "--out", "p.labels"],
      "anomaly_sensitivity"),
     (["ablate", "--variants", "bogus"], "bogus"),
+    (["cluster", "--prune", "nan", "--out", "p.labels"], "prune_param"),
+    (["cluster", "--merge", "nan", "--out", "p.labels"], "merge_param"),
 ])
 def test_bad_param_value_is_config_error(tmp_path, capsys, monkeypatch,
                                          argv, word):
@@ -577,6 +581,16 @@ def test_huge_scale_is_data_error(tmp_path, capsys):
     assert "[project]" in err and "overflows" in err
 
 
+def _run_python(script, cwd):
+    """Run ``script`` in a fresh interpreter that imports this package."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(tricluster.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=cwd, env=env, check=False)
+
+
 def test_cli_job_loads_no_scipy(tmp_path):
     # importing scipy.spatial costs a CLI process tens of MB of peak RSS
     # and a large share of its start-up time
@@ -590,11 +604,82 @@ def test_cli_job_loads_no_scipy(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(rc, loaded)\n"
     )
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(tricluster.__file__).resolve().parents[1])]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=tmp_path, env=env, check=False)
+    proc = _run_python(script, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def _glibc_64bit():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and sys.maxsize > 2**32
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+glibc_64bit = pytest.mark.skipif(not _glibc_64bit(),
+                                 reason="the settings are glibc's, on 64-bit")
+
+
+def _lattice_job(tmp_path, side=60):
+    """argv of a cluster job on a side x side lattice, imported as the
+    embedding of the lattice plus three noise columns."""
+    axis = np.arange(side, dtype=np.float64)
+    emb = np.column_stack([np.repeat(axis, side), np.tile(axis, side)])
+    noise = np.random.default_rng(0).normal(size=(len(emb), 3))
+    save_matrix(np.hstack([emb, noise]), tmp_path / "d.bin", fmt="binary")
+    save_matrix(emb, tmp_path / "e.bin", fmt="binary")
+    return ["cluster", "--input", str(tmp_path / "d.bin"),
+            "--format", "binary", "--embedding", str(tmp_path / "e.bin"),
+            "--embedding-format", "binary",
+            "--out", str(tmp_path / "p.labels")]
+
+
+@glibc_64bit
+def test_allocator_settings_are_accepted():
+    mallopt = ctypes.CDLL(None).mallopt
+    # mallopt refuses a value by returning 0, and changes nothing:
+    # M_MXFAST (1) takes at most 160 bytes on 64-bit
+    assert mallopt(1, 1 << 20) == 0
+    assert [mallopt(p, v) for p, v in cli._MALLOC_SETTINGS] == [1, 1, 1]
+
+
+@glibc_64bit
+def test_cli_jobs_reuse_freed_memory(tmp_path):
+    # with glibc's defaults the Delaunay rounds' freed temporaries are
+    # unmapped and faulted in again: the third job took 1 368 minor
+    # faults, and 14 with the CLI's settings
+    script = (
+        "import resource, sys\n"
+        "import tricluster.cli as cli\n"
+        f"argv = {_lattice_job(tmp_path)!r}\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = _run_python(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 200
+
+
+def test_only_the_cli_sets_the_allocator(tmp_path, capsys, monkeypatch):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda *call: calls.append(call) or 1)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    argv = _lattice_job(tmp_path, side=12)
+    fit_predict(load_matrix(argv[2], fmt="binary"),
+                external_embedding=load_matrix(argv[6], fmt="binary"))
+    assert calls == []
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == list(cli._MALLOC_SETTINGS)
+
+
+def test_cli_runs_where_the_c_library_has_no_mallopt(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+    argv = _lattice_job(tmp_path, side=12)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["n_clusters"] >= 1
+    assert len(load_labels(argv[-1])) == 144

@@ -1,5 +1,5 @@
 """Property tests of ``triangulate`` on small tie-heavy and
-near-collinear sets.
+near-collinear sets, and of the labels ``fit_predict`` gives.
 
 CI installs only numpy and pytest, so these run where hypothesis is
 installed and are skipped elsewhere.
@@ -12,8 +12,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tricluster import (  # noqa: E402
+    ClusterParams,
     CollinearError,
     TooFewPointsError,
+    TriclusterError,
+    fit_predict,
     triangulate,
 )
 
@@ -108,3 +111,77 @@ def test_near_collinear_sets_match_bowyer_watson(pts):
             bowyer_watson(pts)
         return
     assert_matches_bowyer_watson(pts)
+
+
+@st.composite
+def blob_sets(draw):
+    """One to four Gaussian blobs of 4-40 points in 2-5 dimensions,
+    rounded to integers half of the time, which makes duplicate rows and
+    cocircular quads."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(4, 40), min_size=1, max_size=4))
+    spread = draw(st.sampled_from([2.0, 8.0]))
+    pts = np.vstack([rng.normal(rng.normal(0.0, spread, d), 1.0, (size, d))
+                     for size in sizes])
+    return np.round(pts) if draw(st.booleans()) else pts
+
+
+cluster_params = st.builds(
+    ClusterParams,
+    prune_param=st.sampled_from([0.3, 1.0]),
+    merge_param=st.sampled_from([-0.8, -1.9]),
+    anomaly_sensitivity=st.sampled_from([0.99, 1.0]),
+    merging_enabled=st.booleans(),
+)
+
+
+def labels_or_error(data, params, embedding=None):
+    try:
+        return fit_predict(data, params, external_embedding=embedding).labels
+    except TriclusterError as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(blob_sets(), cluster_params, st.integers(-600, 600))
+def test_labels_are_canonical_and_scale_free(data, params, k):
+    labels = labels_or_error(data, params)
+    # the labels keep their bits when the data are scaled by 2^k, and a
+    # failing input fails with the same error
+    scaled = labels_or_error(np.ldexp(data, k), params)
+    if isinstance(labels, type):
+        assert scaled is labels
+        return
+    assert np.array_equal(scaled, labels)
+    # -1, then 0..k-1 in the order each first occurs
+    assert labels.dtype == np.int64 and (labels >= -1).all()
+    clustered = labels[labels >= 0]
+    _, first = np.unique(clustered, return_index=True)
+    assert np.array_equal(clustered[np.sort(first)], np.arange(len(first)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(blob_sets(), cluster_params, st.data())
+def test_duplicate_rows_take_their_representatives_label(data, params,
+                                                         draws):
+    # the embedding is the first two columns, imported, so an appended
+    # copy of a row coincides with it in 2-D, exactly; half of the copies
+    # differ from it in the other columns
+    n, d = data.shape
+    source = np.array(draws.draw(st.lists(st.integers(0, n - 1),
+                                          min_size=1, max_size=n)))
+    copies = data[source]
+    moved = np.array(draws.draw(st.lists(st.booleans(), min_size=len(source),
+                                         max_size=len(source))))
+    copies[moved, 2:] += 100.0
+    labels = labels_or_error(data, params, data[:, :2])
+    grown = np.vstack([data, copies])
+    with_copies = labels_or_error(grown, params, grown[:, :2])
+    if isinstance(labels, type):
+        assert with_copies is labels
+        return
+    # the first occurrence is the representative: the copies change no
+    # label, and each copy takes its source row's
+    assert np.array_equal(with_copies[:n], labels)
+    assert np.array_equal(with_copies[n:], labels[source])

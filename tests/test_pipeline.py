@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from tricluster import (
     ClusterParams,
     CollinearError,
+    ConfigError,
     DelaunayClusterer,
     NonFiniteError,
     NumericalError,
@@ -197,6 +199,11 @@ def test_param_validation():
         ClusterParams(tau=0).validate()
     with pytest.raises(ValueError):
         ClusterParams(anomaly_sensitivity=1.5).validate()
+    # a NaN fails every comparison, so it labelled instead of raising
+    for name in ("prune_param", "merge_param", "tau", "anomaly_sensitivity"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=name):
+                ClusterParams(**{name: value}).validate()
     # size_mode and standardize are not parameters
     for removed in ("size_mode", "standardize"):
         with pytest.raises(TypeError):

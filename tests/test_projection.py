@@ -334,11 +334,13 @@ def test_copy_false_allocates_no_second_matrix():
     assert peak < x.nbytes / 2
 
 
-@pytest.mark.parametrize("k", [-600, 600])
+@pytest.mark.parametrize("k", [-600, 250, 600])
 def test_out_of_range_scales_take_the_in_range_bits(k):
-    # a covariance that under- or overflows is formed from the centred
-    # data scaled by a power of two; every float operation commutes with
-    # that scaling, so the embedding is the in-range one scaled by 2^k
+    # a covariance that under- or overflows, or that LAPACK would scale
+    # by a factor of its own (at 2^250 its entries pass 2^484), is formed
+    # from the centred data scaled by a power of two; every float
+    # operation commutes with that scaling, so the embedding is the
+    # in-range one scaled by 2^k
     rng = np.random.default_rng(12)
     for d in (6, 30):
         data = rng.standard_normal((300, d)) * np.linspace(1, 4, d)

@@ -103,6 +103,16 @@ def test_robust_z_degenerate_mad_flags_outlier():
         assert flagged.tolist() == [4]
 
 
+def test_robust_z_degenerate_mad_is_scale_free():
+    # the zero-MAD floor scales with the sizes: an absolute floor gave
+    # other z-scores to sizes below 1, and other labels to data at 2^-38
+    for s in ([0.5, 0.5, 0.5, 0.5, 3.0], [0.0, 0.0, 0.0, 2.0, 5.0]):
+        z = robust_z(s)
+        assert z.max() > 1e11
+        for k in (-300, -38, 38, 300):
+            assert robust_z(np.ldexp(s, k)).tolist() == z.tolist()
+
+
 def test_prune_threshold_worked_example():
     z = [-2, -1, 0, 1, 2]
     assert prune_threshold(z, 1.0) == pytest.approx(np.sqrt(2), abs=1e-12)
