@@ -6,7 +6,7 @@ oversized triangles yields clusters, which are then conservatively merged
 and screened for anomalies.
 """
 
-from .anomaly import detect_anomaly_groups, score_and_merge
+from .anomaly import AnomalyDecisions, detect_anomaly_groups, score_and_merge
 from .delaunay import Triangulation, triangulate
 from .errors import (
     CollinearError,
@@ -63,6 +63,7 @@ def __getattr__(name):
     return value
 
 __all__ = [
+    "AnomalyDecisions",
     "ClusterParams", "ClusteringResult", "CollinearError", "ConfigError",
     "DegenerateError", "DelaunayClusterer", "Embedding", "EmptyError",
     "IoError", "LengthMismatchError", "NonFiniteError", "NumericalError",

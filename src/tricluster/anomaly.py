@@ -31,49 +31,46 @@ from .pruning import TriangleSizes, group_by_label
 
 
 @dataclass(frozen=True)
-class GroupDecision:
-    group_id: int
-    point_indices: tuple
-    best_cluster: int      # -1 when the group has no cluster neighbors
-    best_score: float
-    delta: float
-    merged: bool
+class AnomalyDecisions:
+    """The anomaly stage's decisions as columns. Group ``i`` is the
+    ``i``-th label ``detect_anomaly_groups`` returned."""
+
+    group_of: np.ndarray      # (n_vertices,) group id, -1 outside groups
+    best_cluster: np.ndarray  # (n_groups,) -1 when no cluster neighbour
+    best_score: np.ndarray    # (n_groups,) NaN when no cluster neighbour
+    merged: np.ndarray        # (n_groups,) bool
+    delta: float              # the run's merge threshold
 
 
-def detect_anomaly_groups(labels, tau: int) -> list[np.ndarray]:
-    """Every cluster of size <= tau becomes an anomaly group.
+def detect_anomaly_groups(labels, tau: int) -> np.ndarray:
+    """The labels of the clusters of size <= tau, the anomaly groups.
 
-    Each group is its members' vertex ids, an ascending int64 array;
-    groups are ordered by their minimum member.
+    Returns an int64 array ordered by each group's minimum member; group
+    ``i`` is the cluster labelled ``groups[i]``.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    _, order, starts, counts = group_by_label(labels)
+    ids, order, starts, counts = group_by_label(labels)
     small = np.flatnonzero(counts <= tau)
-    small = small[np.argsort(order[starts[small]])]  # by minimum member
-    return [order[b:b + c]
-            for b, c in zip(starts[small].tolist(), counts[small].tolist())]
+    return ids[small[np.argsort(order[starts[small]])]]  # by minimum member
 
 
 def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
                     sensitivity: float):
     """Merge each group into its best-scoring neighbor cluster, or keep -1.
 
+    ``groups`` are the cluster labels ``detect_anomaly_groups`` returns.
     ``sizes`` are the stage-one triangle sizes of ``tri``; their edge
     lengths give the distances. Scores are computed against the
     pre-merge cluster labels for every group before any label is
     applied, so the outcome is independent of processing order. Returns
-    (labels, decisions) where decisions carry the per-group diagnostics.
+    (labels, AnomalyDecisions).
     """
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    group_of = np.full(len(labels), -1, dtype=np.int64)
-    for gid, g in enumerate(groups):
-        group_of[g] = gid
-    pre_labels = labels.copy()
-    grouped = (group_of >= 0).nonzero()[0]
-    labels[grouped] = -1
-
-    if not groups:
-        return labels, []
+    pre_labels = np.asarray(labels, dtype=np.int64)
+    n_ids = max(int(pre_labels.max(initial=-1)) + 1, 1)
+    # the extra last entry stays -1, so label -1 maps to no group
+    lookup = np.full(n_ids + 1, -1, dtype=np.int64)
+    lookup[groups] = np.arange(len(groups))
+    group_of = lookup[pre_labels]
 
     med_proj = float(np.median(sizes.sizes_proj)) if len(sizes.sizes_proj) else 0.0
     med_orig = float(np.median(sizes.sizes)) if len(sizes.sizes) else 0.0
@@ -107,7 +104,6 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     # overflow on subnormal data, and at normal scales every product
     # and sum keeps its bits
     shift = unit_shift(d) if d.size else 0
-    n_ids = max(int(pre_labels.max()) + 1, 1)
     pair, pair_of_edge = np.unique(gid * n_ids + cid, return_inverse=True)
     cand_group, cand_cluster = pair // n_ids, pair % n_ids
     inv_sums = np.bincount(pair_of_edge, weights=1.0 / np.ldexp(d, shift),
@@ -132,19 +128,9 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     best_score[cand_group[first]] = scores[first]
     merged = (best_cluster >= 0) & (best_score > delta)
 
-    joined = grouped.compress(merged[group_of[grouped]])
-    labels[joined] = best_cluster[group_of[joined]]
-    decisions = [
-        GroupDecision(
-            group_id=i,
-            point_indices=tuple(g.tolist()),
-            best_cluster=c,
-            best_score=sc,
-            delta=delta,
-            merged=m,
-        )
-        for i, (g, c, sc, m) in enumerate(zip(
-            groups, best_cluster.tolist(), best_score.tolist(),
-            merged.tolist()))
-    ]
-    return labels, decisions
+    # a group's members join its best cluster or become anomalies (-1)
+    labels = pre_labels.copy()
+    grouped = group_of >= 0
+    labels[grouped] = np.where(merged, best_cluster, -1)[group_of[grouped]]
+    return labels, AnomalyDecisions(group_of, best_cluster, best_score,
+                                    merged, delta)

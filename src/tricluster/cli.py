@@ -20,6 +20,7 @@ from . import io
 from .errors import ConfigError, IoError, TriclusterError
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
+from .pruning import group_by_label
 
 # bench, metrics, svg, synthgen and csv are imported by the commands that
 # use them, so `tricluster cluster` does not load them
@@ -117,9 +118,8 @@ def _load_input(args):
 def _write_diag(diag_dir, result):
     import csv
 
-    tri = result.diagnostics["triangulation"]
-    sizes = result.diagnostics["sizes"]
-    pres = result.diagnostics["prune_result"]
+    tri, sizes, pres = result.triangulation, result.sizes, result.prune_result
+    dec = result.anomaly
     # csv.writer's dialect: CRLF line ends, header first
     table = dict(delimiter=",", newline="\r\n", comments="")
     with open(os.path.join(diag_dir, "triangles.csv"), "w",
@@ -133,17 +133,20 @@ def _write_diag(diag_dir, result):
             pres.z, pres.z_proj, pres.keep_mask])
         np.savetxt(fh, columns, fmt=["%d"] * 3 + ["%.17g"] * 4 + ["%d"],
                    header="i,j,k,s,s_proj,z,z_proj,kept", **table)
+    # each group's members, ascending, as one ;-joined cell
+    _, members, starts, _ = group_by_label(dec.group_of)
+    points = [";".join(map(str, g.tolist()))
+              for g in np.split(members, starts[1:])]
     with open(os.path.join(diag_dir, "anomaly.csv"), "w",
               encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["group_id", "points", "best_cluster", "best_score",
                     "delta", "merged"])
-        for d in result.diagnostics["anomaly_groups"]:
-            w.writerow([
-                d.group_id, ";".join(str(p) for p in d.point_indices),
-                d.best_cluster, f"{d.best_score:.17g}",
-                f"{d.delta:.17g}", int(d.merged),
-            ])
+        w.writerows(
+            [i, p, c, f"{sc:.17g}", f"{dec.delta:.17g}", int(m)]
+            for i, (p, c, sc, m) in enumerate(zip(
+                points, dec.best_cluster.tolist(), dec.best_score.tolist(),
+                dec.merged.tolist())))
 
 
 def _cmd_gen(args):
@@ -174,8 +177,7 @@ def _cmd_cluster(args):
     if args.svg:
         from .svg import scatter_svg
 
-        coords = result.diagnostics["embedding"].coords
-        scatter_svg(coords, result.labels, args.svg)
+        scatter_svg(result.embedding.coords, result.labels, args.svg)
     if args.diag:
         _write_diag(args.diag, result)
     # last, so a failed job leaves no labels file
@@ -230,9 +232,10 @@ def _cmd_bench(args):
                               "with a 'name'")
         params = sd.get("params", {})
         repeats = sd.get("repeats", 1)
-        if not isinstance(params, dict) or not isinstance(repeats, int):
+        if (not isinstance(params, dict) or isinstance(repeats, bool)
+                or not isinstance(repeats, int) or repeats < 0):
             raise ConfigError(f"suite entry {sd['name']!r} needs an object "
-                              "'params' and an integer 'repeats'")
+                              "'params' and a non-negative integer 'repeats'")
         generator = sd.get("generator", {})
         # check every entry before the first run: a bad one fails the suite
         try:

@@ -76,34 +76,31 @@ def compute_representatives(labels, proj) -> Representatives:
 
 
 def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
-                   merge_param: float, diagnostics: dict = None) -> np.ndarray:
+                   merge_param: float):
     """Union clusters connected by surviving representative edges.
 
     ``rep_original`` holds the k representatives' rows of the original
-    space, in the order of ``reps``. With fewer than 3 representatives
-    (or a degenerate representative layout that cannot be triangulated)
-    the labels are returned unchanged. Anomaly labels (-1) are never
+    space, in the order of ``reps``. Returns (labels, rule), where
+    ``rule`` is the sigma rule's ``PruneResult`` over the representative
+    edges. With fewer than 3 representatives, or a degenerate
+    representative layout that cannot be triangulated, ``rule`` is None
+    and the labels come back unchanged. Anomaly labels (-1) are never
     touched; the result is canonicalized by ascending minimum point
-    index. Pass a dict as ``diagnostics`` to capture the merge-stage
-    threshold and edge counts.
+    index.
     """
     labels = np.asarray(labels, dtype=np.int64)
     k = len(reps.cluster_ids)
     if k < 3:
-        return labels.copy()
+        return labels.copy(), None
 
     try:
         rep_tri = triangulate(reps.rep_coords_proj)
     except (CollinearError, TooFewPointsError):
-        return labels.copy()
+        return labels.copy(), None
 
     rule = sigma_rule(edge_lengths(rep_tri, rep_original),
                       edge_lengths(rep_tri, reps.rep_coords_proj),
                       merge_param)
-    if diagnostics is not None:
-        diagnostics["theta_merge"] = rule.theta
-        diagnostics["n_rep_edges"] = len(rep_tri.edges)
-        diagnostics["n_rep_edges_kept"] = int(rule.keep_mask.sum())
 
     # each representative takes the component of its vertex
     rep_component = connected_components(
@@ -114,4 +111,4 @@ def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
     clustered = (labels >= 0).nonzero()[0]
     rep = np.searchsorted(reps.cluster_ids, labels[clustered])
     out[clustered] = rep_component[rep]
-    return canonicalize_labels(out)
+    return canonicalize_labels(out), rule

@@ -10,6 +10,9 @@ Ablations: merging can be skipped, back-projection can be disabled (all
 original-space reads are replaced by the embedding, making the result a
 pure function of the embedding), and anomaly_sensitivity = 0 merges
 every mergeable anomaly group.
+
+``fit_predict`` returns each stage's output as a typed field of its
+result; only this module writes the ``diagnostics`` dict of JSON numbers.
 """
 
 from __future__ import annotations
@@ -17,14 +20,15 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import anomaly as anomaly_mod
 from . import merging as merging_mod
 from . import pruning as pruning_mod
-from .delaunay import triangulate
+from .delaunay import Triangulation, triangulate
 from .errors import (
     ConfigError,
     NonFiniteError,
@@ -47,17 +51,23 @@ class ClusterParams:
     merging_enabled: bool = True
 
     def validate(self):
+        for name in ("back_projection", "merging_enabled"):
+            value = getattr(self, name)
+            # a truthy string such as "false" would switch the stage on
+            if not isinstance(value, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a bool, got {value!r}")
         for name in ("prune_param", "merge_param", "tau",
                      "anomaly_sensitivity"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(
                     f"{name} must be a real number, got {value!r}")
             # a NaN fails every comparison, so it would pass the checks below
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.tau < 1:
-            raise ConfigError("tau must be >= 1")
+        # a fractional tau would run as its floor
+        if not isinstance(self.tau, numbers.Integral) or self.tau < 1:
+            raise ConfigError(f"tau must be an integer >= 1, got {self.tau!r}")
         if not 0.0 <= self.anomaly_sensitivity <= 1.0:
             raise ConfigError("anomaly_sensitivity must lie in [0, 1]")
 
@@ -68,37 +78,40 @@ PARAM_DEFAULTS = {f.name: f.default for f in fields(ClusterParams)}
 
 @dataclass(frozen=True)
 class ClusteringResult:
+    """The labels of the input rows and each stage's output. The mesh
+    stages' ids are vertices, which ``triangulation.unique_rows`` maps to
+    input rows. ``diagnostics`` holds JSON numbers only."""
+
     labels: np.ndarray
     n_clusters: int
     n_anomalies: int
-    diagnostics: dict = field(default_factory=dict)
+    embedding: Embedding
+    triangulation: Triangulation
+    sizes: pruning_mod.TriangleSizes
+    prune_result: pruning_mod.PruneResult
+    anomaly: anomaly_mod.AnomalyDecisions
+    diagnostics: dict
 
 
-class _Stage:
-    """Tags exceptions raised inside a stage with the stage name."""
-
-    def __init__(self, name, diagnostics):
-        self.name = name
-        self.diagnostics = diagnostics
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.diagnostics[f"ms_{self.name}"] = (
-            (time.perf_counter() - self.t0) * 1000.0
-        )
-        if exc is not None and isinstance(exc, TriclusterError):
-            if exc.stage is None:
-                exc.stage = self.name
-        return False
+@contextmanager
+def _stage(name, diagnostics):
+    """Times a stage into ``diagnostics`` as ``ms_<name>`` and tags a
+    TriclusterError raised inside it with the stage name."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except TriclusterError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
+    finally:
+        diagnostics[f"ms_{name}"] = (time.perf_counter() - t0) * 1000.0
 
 
 def fit_predict(data, params: ClusterParams = None,
                 external_embedding: Embedding = None, *,
                 copy: bool = True) -> ClusteringResult:
-    """Run the full pipeline and return labels plus diagnostics.
+    """Run the full pipeline and return its ``ClusteringResult``.
 
     ``external_embedding`` (an ``Embedding`` or an (n, 2) array) replaces
     the PCA projection when given, and ``data`` is then only read. On the
@@ -121,7 +134,7 @@ def fit_predict(data, params: ClusterParams = None,
 
     diag = {}
 
-    with _Stage("project", diag):
+    with _stage("project", diag):
         if external_embedding is not None:
             coords = getattr(external_embedding, "coords", external_embedding)
             emb = embedding_from_array(coords, data)
@@ -133,11 +146,11 @@ def fit_predict(data, params: ClusterParams = None,
     # so the outcome is a pure function of the embedding
     back_space = data if params.back_projection else proj
 
-    with _Stage("triangulate", diag):
+    with _stage("triangulate", diag):
         tri = triangulate(proj)
     diag["n_triangles"] = len(tri.triangles)
 
-    with _Stage("prune", diag):
+    with _stage("prune", diag):
         sizes = pruning_mod.triangle_sizes(tri, back_space, proj)
         prune_res, kept_edges = pruning_mod.prune(tri, sizes,
                                                   params.prune_param)
@@ -146,37 +159,32 @@ def fit_predict(data, params: ClusterParams = None,
     diag["n_triangles_kept"] = int(prune_res.keep_mask.sum())
     diag["theta_prune"] = prune_res.theta
     diag["n_components_initial"] = int(labels_u.max()) + 1
-    # references to the intermediates (cheap; used by --diag/--svg dumps)
-    diag["embedding"] = emb
-    diag["triangulation"] = tri
-    diag["sizes"] = sizes
-    diag["prune_result"] = prune_res
 
-    with _Stage("merge", diag):
-        merge_count = 0
+    with _stage("merge", diag):
         if params.merging_enabled:
             reps = merging_mod.compute_representatives(
                 labels_u, proj[tri.unique_rows])
-            before = int(labels_u.max()) + 1
-            labels_u = merging_mod.merge_clusters(
+            labels_u, rule = merging_mod.merge_clusters(
                 labels_u, reps,
                 back_space[tri.unique_rows[reps.rep_point_index]],
-                params.merge_param, diagnostics=diag,
+                params.merge_param,
             )
-            merge_count = before - (int(labels_u.max()) + 1)
-    diag["merge_count"] = merge_count
+            if rule is not None:
+                diag["theta_merge"] = rule.theta
+                diag["n_rep_edges"] = len(rule.keep_mask)
+                diag["n_rep_edges_kept"] = int(rule.keep_mask.sum())
+    diag["merge_count"] = (diag["n_components_initial"]
+                           - (int(labels_u.max()) + 1))
 
-    with _Stage("anomaly", diag):
+    with _stage("anomaly", diag):
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
-        members = np.concatenate([np.empty(0, dtype=np.int64), *groups])
-        diag["pre_merge_anomaly_count"] = int(
-            np.isin(tri.rep_u, members).sum())
         labels_u, decisions = anomaly_mod.score_and_merge(
             groups, labels_u, tri, sizes, params.anomaly_sensitivity
         )
-    diag["anomaly_groups"] = decisions
-    diag["n_anomaly_groups"] = len(decisions)
-    diag["n_groups_merged"] = sum(1 for d in decisions if d.merged)
+    diag["pre_merge_anomaly_count"] = int(
+        np.count_nonzero(decisions.group_of[tri.rep_u] >= 0))
+    diag["n_anomaly_groups"] = len(groups)
+    diag["n_groups_merged"] = int(np.count_nonzero(decisions.merged))
 
     # expand labels back to the input rows (duplicates inherit their
     # representative's label), then canonicalize to -1 plus 0..k-1
@@ -188,6 +196,11 @@ def fit_predict(data, params: ClusterParams = None,
         labels=labels,
         n_clusters=n_clusters,
         n_anomalies=n_anomalies,
+        embedding=emb,
+        triangulation=tri,
+        sizes=sizes,
+        prune_result=prune_res,
+        anomaly=decisions,
         diagnostics=diag,
     )
 

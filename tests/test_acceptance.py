@@ -132,14 +132,14 @@ def test_criterion_3_scale_invariance():
         base = fit_predict(data, params,
                            external_embedding=embedding_from_array(
                                emb_coords, data))
-        base_mask = base.diagnostics["prune_result"].keep_mask
+        base_mask = base.prune_result.keep_mask
         for c in (1e-3, 1e3, 1e-300, 1e300, 2.0 ** -1000):
             scaled = fit_predict(data * c, params,
                                  external_embedding=embedding_from_array(
                                      emb_coords, data))
             assert np.array_equal(scaled.labels, base.labels)
             assert np.array_equal(
-                scaled.diagnostics["prune_result"].keep_mask, base_mask)
+                scaled.prune_result.keep_mask, base_mask)
     report(3, "labels and keep masks identical under 1e-3/1e3, 1e-300/1e300 "
               "and 2^-1000 rescaling")
 
@@ -205,21 +205,18 @@ def test_criterion_7_sensitivity_endpoints():
     keep_all = run(1.0)
     assert keep_all.diagnostics["n_anomaly_groups"] >= 1
     # triangulation must be duplicate-free for plain point counting below
-    assert keep_all.diagnostics["triangulation"].n_vertices == len(data)
+    assert keep_all.triangulation.n_vertices == len(data)
     assert keep_all.n_anomalies == keep_all.diagnostics["pre_merge_anomaly_count"]
 
     merge_all = run(0.0)
-    unmergeable = sum(
-        len(d.point_indices)
-        for d in merge_all.diagnostics["anomaly_groups"]
-        if d.best_cluster < 0
-    )
+    groups = merge_all.anomaly
+    group = groups.group_of[groups.group_of >= 0]
+    unmergeable = int((groups.best_cluster[group] < 0).sum())
     assert merge_all.n_anomalies == unmergeable
 
     prev = None
     for sens in (1.0, 0.75, 0.5, 0.25, 0.0):
-        merged = {d.group_id
-                  for d in run(sens).diagnostics["anomaly_groups"] if d.merged}
+        merged = set(np.flatnonzero(run(sens).anomaly.merged).tolist())
         if prev is not None:
             assert prev <= merged  # lowering sensitivity only adds merges
         prev = merged

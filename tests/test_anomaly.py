@@ -14,12 +14,23 @@ def dist(x, p, q):
     return float(np.sqrt(((x[p] - x[q]) ** 2).sum()))
 
 
-def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
+def loop_oracle(labels, tau, tri, orig, proj, sensitivity):
     """Per-edge, per-cluster loops over the scoring definition.
 
-    Returns (labels, [(best_cluster, best_score, merged)], delta), with
-    max-edge triangle sizes measured directly on the coordinates.
+    Returns (labels, group_of, [(best_cluster, best_score, merged)],
+    delta), with the groups found by counting members and max-edge
+    triangle sizes measured directly on the coordinates.
     """
+    members_of = {}
+    for v, c in enumerate(labels.tolist()):
+        if c >= 0:
+            members_of.setdefault(c, []).append(v)
+    groups = sorted((m for m in members_of.values() if len(m) <= tau),
+                    key=min)
+    group_of = [-1] * len(labels)
+    for gid, g in enumerate(groups):
+        for v in g:
+            group_of[v] = gid
     rows = tri.unique_rows
     o, p_ = orig[rows], proj[rows]
     sizes, sizes_proj = [], []
@@ -35,12 +46,12 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
     for a, b in tri.edges.tolist():
         neighbors.setdefault(a, set()).add(b)
         neighbors.setdefault(b, set()).add(a)
-    anomalous = {v for g in groups for v in g.tolist()}
+    anomalous = {v for g in groups for v in g}
     out = np.array(labels, dtype=np.int64)
     out[sorted(anomalous)] = -1
     all_scores, per_group = [], []
     for g in groups:
-        members = set(g.tolist())
+        members = set(g)
         sums, n_edges = {}, 0
         for v in sorted(members):
             for q in sorted(neighbors.get(v, ())):
@@ -71,7 +82,7 @@ def loop_oracle(groups, labels, tri, orig, proj, sensitivity):
         if merged:
             out[g] = best
         decisions.append((best, best_score, merged))
-    return out, decisions, delta
+    return out, group_of, decisions, delta
 
 
 def assert_matches_oracle(labels, tri, orig, proj, tau, sensitivity):
@@ -80,39 +91,46 @@ def assert_matches_oracle(labels, tri, orig, proj, tau, sensitivity):
         groups, labels, tri, triangle_sizes(tri, orig, proj),
         sensitivity,
     )
-    want, want_decisions, want_delta = loop_oracle(
-        groups, labels, tri, orig, proj, sensitivity)
+    want, want_group_of, want_decisions, want_delta = loop_oracle(
+        labels, tau, tri, orig, proj, sensitivity)
     assert out.tolist() == want.tolist()
-    assert len(decisions) == len(want_decisions)
-    for d, (best, score, merged) in zip(decisions, want_decisions):
-        assert d.best_cluster == best
-        assert d.merged == merged
+    assert decisions.group_of.tolist() == want_group_of
+    assert len(groups) == len(want_decisions)
+    assert len(decisions.best_cluster) == len(decisions.best_score) == (
+        len(decisions.merged)) == len(want_decisions)
+    for i, (best, score, merged) in enumerate(want_decisions):
+        assert decisions.best_cluster[i] == best
+        assert decisions.merged[i] == merged
         if best < 0:
-            assert np.isnan(d.best_score)
+            assert np.isnan(decisions.best_score[i])
         else:
-            assert d.best_score == pytest.approx(score, rel=1e-12)
-        assert d.delta == pytest.approx(want_delta, rel=1e-12)
+            assert decisions.best_score[i] == pytest.approx(score, rel=1e-12)
+    assert decisions.delta == pytest.approx(want_delta, rel=1e-12)
     return groups, decisions
 
 
 def test_detect_groups_by_size():
     labels = np.array([0] * 50 + [1] * 2 + [2] * 40)
     groups = detect_anomaly_groups(labels, tau=3)
-    assert len(groups) == 1
-    assert groups[0].dtype == np.int64
-    assert groups[0].tolist() == [50, 51]
+    assert groups.dtype == np.int64
+    assert groups.tolist() == [1]
+
+
+def test_detect_orders_groups_by_minimum_member():
+    labels = np.array([3, 1, 3, 1, 0, 0, 0, 2, 2, 2])
+    assert detect_anomaly_groups(labels, tau=2).tolist() == [3, 1]
 
 
 def test_detect_no_groups_when_all_large():
     labels = np.array([0] * 5 + [1] * 4)
-    assert detect_anomaly_groups(labels, tau=1) == []
+    groups = detect_anomaly_groups(labels, tau=1)
+    assert groups.dtype == np.int64 and len(groups) == 0
 
 
 def test_detect_all_singletons():
     labels = np.array([0, 1, 2])
     groups = detect_anomaly_groups(labels, tau=3)
-    assert len(groups) == 3
-    assert [g.tolist() for g in groups] == [[0], [1], [2]]
+    assert groups.tolist() == [0, 1, 2]
 
 
 def test_anomaly_distance_formula():
@@ -132,8 +150,8 @@ def test_anomaly_distance_formula():
     d_12 = max(alpha * np.sqrt(73.0), np.sqrt(2.0))
     mu = np.sqrt(2.0)
     expect = mu / 2 * (1.0 / d_02 + 1.0 / d_12)
-    assert decisions[0].best_cluster == 0
-    assert decisions[0].best_score == pytest.approx(expect, rel=1e-14)
+    assert decisions.best_cluster.tolist() == [0]
+    assert decisions.best_score[0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_anomaly_distance_zero_is_floored():
@@ -149,7 +167,7 @@ def test_anomaly_distance_zero_is_floored():
         groups, labels, tri, sizes,
         0.0,
     )
-    assert decisions[0].best_score == pytest.approx(4.0 / 2 * 2 / 4e-12)
+    assert decisions.best_score[0] == pytest.approx(4.0 / 2 * 2 / 4e-12)
 
 
 @pytest.mark.parametrize("k", [-1000, 1000])
@@ -168,8 +186,8 @@ def test_scores_keep_their_bits_at_extreme_scales(k):
         sizes.sizes, sizes.sizes_proj, sizes.edge_len, sizes.edge_len_proj)))
     want = score_and_merge(groups, labels, tri, sizes, 0.5)[1]
     got = score_and_merge(groups, labels, tri, scaled, 0.5)[1]
-    assert [d.best_score for d in got] == [d.best_score for d in want]
-    assert any(d.merged for d in want)
+    assert got.best_score.tobytes() == want.best_score.tobytes()
+    assert want.merged.any()
 
 
 def test_anomaly_distance_matches_recompute():
@@ -209,7 +227,7 @@ def test_sensitivity_one_never_merges():
         1.0,
     )
     assert out[20] == -1
-    assert decisions[0].merged is False
+    assert decisions.merged.tolist() == [False]
 
 
 def test_sensitivity_zero_always_merges():
@@ -219,7 +237,7 @@ def test_sensitivity_zero_always_merges():
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
-    assert decisions[0].merged is True
+    assert decisions.merged.tolist() == [True]
     assert out[20] == 0
 
 
@@ -237,7 +255,7 @@ def test_tie_breaks_to_smaller_cluster_id():
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
-    assert decisions[0].best_cluster == 0  # symmetric scores, smaller id
+    assert decisions.best_cluster.tolist() == [0]  # symmetric, smaller id
     assert out[8] == 0
 
 
@@ -256,7 +274,7 @@ def test_monotone_in_sensitivity():
             groups, labels, tri, triangle_sizes(tri, pts, pts),
             sens,
         )
-        merged = {d.group_id for d in decisions if d.merged}
+        merged = set(np.flatnonzero(decisions.merged).tolist())
         if prev_merged is not None:
             assert prev_merged <= merged  # lowering sensitivity only adds
         prev_merged = merged
@@ -287,8 +305,9 @@ def test_merged_target_has_maximal_score():
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
-    d = decisions[0]
-    assert d.merged and d.best_cluster == 0  # the nearby cluster dominates
+    # the nearby cluster dominates
+    assert decisions.merged.tolist() == [True]
+    assert decisions.best_cluster.tolist() == [0]
     assert out[30] == 0
 
 
@@ -317,7 +336,7 @@ def test_score_and_merge_collapsed_duplicate_rows():
     labels = rng.integers(0, 20, size=tri.n_vertices).astype(np.int64)
     groups, _ = assert_matches_oracle(labels, tri, orig, proj, tau=3,
                                       sensitivity=0.5)
-    assert groups
+    assert len(groups)
 
 
 def test_group_without_cluster_neighbor():
@@ -330,7 +349,8 @@ def test_group_without_cluster_neighbor():
     groups, decisions = assert_matches_oracle(labels, tri, pts, pts, tau=1,
                                               sensitivity=0.0)
     assert len(groups) == 25
-    assert all(d.best_cluster == -1 and not d.merged for d in decisions)
+    assert (decisions.best_cluster == -1).all()
+    assert not decisions.merged.any()
 
 
 def test_isolated_group_beside_clusters():
@@ -345,9 +365,10 @@ def test_isolated_group_beside_clusters():
     labels = np.array([10] + list(range(11, 17)) + [0] * 6 + [1] * 6)
     groups, decisions = assert_matches_oracle(labels, tri, pts, pts, tau=1,
                                               sensitivity=0.0)
-    assert groups[0].tolist() == [0]
-    assert decisions[0].best_cluster == -1 and not decisions[0].merged
-    assert all(d.best_cluster >= 0 for d in decisions[1:])
+    assert groups[0] == 10
+    assert np.flatnonzero(decisions.group_of == 0).tolist() == [0]
+    assert decisions.best_cluster[0] == -1 and not decisions.merged[0]
+    assert (decisions.best_cluster[1:] >= 0).all()
 
 
 def test_score_tie_goes_to_smaller_cluster_id():
@@ -357,11 +378,11 @@ def test_score_tie_goes_to_smaller_cluster_id():
                     [0.0, 0.0]])
     tri = triangulate(pts)
     labels = np.array([7, 3, 3, 7, 9])
-    groups = [np.array([4])]
+    groups = np.array([9])
     out, decisions = score_and_merge(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
-    assert decisions[0].best_cluster == 3
+    assert decisions.best_cluster.tolist() == [3]
     assert out[4] == 3
     assert_matches_oracle(labels, tri, pts, pts, tau=1, sensitivity=0.0)

@@ -196,18 +196,21 @@ def test_cluster_svg_and_diag(tmp_path, capsys):
 
 
 def test_diag_tables_match_csv_writer(tmp_path, capsys):
-    # oracle: the csv.writer rows np.savetxt replaced
+    # oracle: the csv.writer rows np.savetxt replaced. At the default
+    # parameters this input has a merged group, unmerged groups and
+    # groups with no cluster neighbour
     data = tmp_path / "d.csv"
     save_matrix(np.random.default_rng(4).standard_normal((200, 5)), data)
     diag = tmp_path / "diag"
     code, _, _ = run_cli(capsys, "cluster", "--input", str(data),
-                         "--prune", "1.0", "--out", str(tmp_path / "p.labels"),
+                         "--out", str(tmp_path / "p.labels"),
                          "--diag", str(diag))
     assert code == 0
-    result = fit_predict(load_matrix(data), ClusterParams(prune_param=1.0))
-    tri = result.diagnostics["triangulation"]
-    sizes = result.diagnostics["sizes"]
-    pres = result.diagnostics["prune_result"]
+    result = fit_predict(load_matrix(data))
+    tri, sizes, pres = result.triangulation, result.sizes, result.prune_result
+    groups = result.anomaly
+    assert set(groups.merged.tolist()) == {True, False}
+    assert np.isnan(groups.best_score).any()
     tables = {
         "triangles.csv": [["i", "j", "k"]]
         + [[int(v) for v in row] for row in tri.triangles],
@@ -216,6 +219,12 @@ def test_diag_tables_match_csv_writer(tmp_path, capsys):
             f"{sizes.sizes[t]:.17g}", f"{sizes.sizes_proj[t]:.17g}",
             f"{pres.z[t]:.17g}", f"{pres.z_proj[t]:.17g}",
             int(pres.keep_mask[t])] for t in range(len(tri.triangles))],
+        "anomaly.csv": [["group_id", "points", "best_cluster", "best_score",
+                         "delta", "merged"]]
+        + [[i, ";".join(map(str, np.flatnonzero(groups.group_of == i))),
+            int(groups.best_cluster[i]), f"{groups.best_score[i]:.17g}",
+            f"{groups.delta:.17g}", int(groups.merged[i])]
+           for i in range(len(groups.merged))],
     }
     for name, rows in tables.items():
         want = io.StringIO()
@@ -325,6 +334,16 @@ def test_bench_suite_not_json_is_config_error(tmp_path, capsys):
     ({"name": "x", "generator": {"n_points": 0}}, "suite entry 'x': n_points"),
     ({"name": "y", "generator": {"n_points": 60},
       "params": {"prune_param": "abc"}}, "suite entry 'y': prune_param"),
+    ({"name": "t", "params": {"tau": 2.5}}, "suite entry 't': tau"),
+    ({"name": "t", "params": {"tau": True}}, "suite entry 't': tau"),
+    ({"name": "t", "params": {"back_projection": "false"}},
+     "suite entry 't': back_projection"),
+    ({"name": "t", "params": {"merging_enabled": 0}},
+     "suite entry 't': merging_enabled"),
+    ({"name": "t", "params": {"prune_param": True}},
+     "suite entry 't': prune_param"),
+    ({"name": "x", "repeats": True}, "'repeats'"),
+    ({"name": "x", "repeats": -1}, "'repeats'"),
 ])
 def test_bench_malformed_suite_entry_is_config_error(tmp_path, capsys,
                                                      entry, word):

@@ -50,8 +50,9 @@ def test_merge_k1_unchanged():
     proj = rng.standard_normal((10, 2))
     labels = np.zeros(10, dtype=np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
+    out, rule = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert np.array_equal(out, labels)
+    assert rule is None
 
 
 def test_merge_k2_unchanged():
@@ -60,8 +61,9 @@ def test_merge_k2_unchanged():
                       rng.standard_normal((5, 2)) + 10])
     labels = np.repeat([0, 1], 5)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
+    out, rule = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert np.array_equal(out, labels)
+    assert rule is None
 
 
 def _two_pairs_layout():
@@ -79,7 +81,7 @@ def _two_pairs_layout():
 def test_merge_two_pairs_gives_two_clusters():
     pts, labels = _two_pairs_layout()
     reps = compute_representatives(labels, pts)
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
+    out, _ = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     # the pairs must join, across-pair stays apart
     assert len(np.unique(out)) == 2
     assert len(np.unique(out[:12])) == 1
@@ -95,7 +97,7 @@ def test_merge_never_splits():
     proj = data[:, :2]
     labels = rng.integers(0, 12, size=300).astype(np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, data[reps.rep_point_index], -0.5)
+    out, _ = merge_clusters(labels, reps, data[reps.rep_point_index], -0.5)
     # coarsening: every input cluster maps into exactly one output cluster
     for cid in np.unique(labels):
         assert len(np.unique(out[labels == cid])) == 1
@@ -107,7 +109,7 @@ def test_merge_preserves_anomaly_labels():
     labels = rng.integers(0, 5, size=30).astype(np.int64)
     labels[[3, 17]] = -1
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
+    out, _ = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert out[3] == -1 and out[17] == -1
 
 
@@ -116,7 +118,7 @@ def test_merge_param_minus_infinity_no_merge():
     proj = rng.standard_normal((40, 2)) * 5
     labels = rng.integers(0, 8, size=40).astype(np.int64)
     reps = compute_representatives(labels, proj)
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -1e9)
+    out, _ = merge_clusters(labels, reps, reps.rep_coords_proj, -1e9)
     # partition unchanged (labels canonicalized but grouping identical)
     for cid in np.unique(labels):
         members = labels == cid
@@ -181,7 +183,7 @@ def test_merge_coincident_representatives():
     labels = np.concatenate([labels, np.full(6, 4)])
     reps = compute_representatives(labels, pts)
     assert np.array_equal(reps.rep_coords_proj[1], reps.rep_coords_proj[4])
-    out = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
+    out, _ = merge_clusters(labels, reps, reps.rep_coords_proj, -0.8)
     assert len(np.unique(out[:12])) == 1
     assert np.all(out[24:] == out[0])
     assert out[0] != out[12]
@@ -198,9 +200,8 @@ def test_coincident_representatives_merge_without_kept_edges():
     reps = compute_representatives(labels, pts)
     original = np.hstack([reps.rep_coords_proj,
                           100.0 * np.arange(5.0)[:, None]])
-    diag = {}
-    out = merge_clusters(labels, reps, original, -1e9, diagnostics=diag)
-    assert diag["n_rep_edges_kept"] == 0
+    out, rule = merge_clusters(labels, reps, original, -1e9)
+    assert not rule.keep_mask.any()
     assert np.all(out[24:] == out[6])
     assert len(np.unique(out)) == 4
 
@@ -213,9 +214,8 @@ def test_merge_threshold_matches_norm_oracle():
     orig = np.hstack([proj, rng.standard_normal((200, 5))])
     labels = rng.integers(0, 25, size=200).astype(np.int64)
     reps = compute_representatives(labels, proj)
-    diag = {}
-    out = merge_clusters(labels, reps, orig[reps.rep_point_index], -0.5,
-                         diagnostics=diag)
+    out, rule = merge_clusters(labels, reps, orig[reps.rep_point_index],
+                               -0.5)
     rep_tri = triangulate(reps.rep_coords_proj)
     rows = reps.rep_point_index[rep_tri.unique_rows]
     a, b = rows[rep_tri.edges[:, 0]], rows[rep_tri.edges[:, 1]]
@@ -223,9 +223,9 @@ def test_merge_threshold_matches_norm_oracle():
     z_proj = robust_z(np.linalg.norm(proj[a] - proj[b], axis=1))
     theta = z.mean() - 0.5 * z.std()
     keep = np.maximum(z, z_proj) <= theta
-    assert abs(diag["theta_merge"] - theta) < 1e-12
-    assert diag["n_rep_edges"] == len(rep_tri.edges)
-    assert diag["n_rep_edges_kept"] == int(keep.sum())
+    assert abs(rule.theta - theta) < 1e-12
+    assert len(rule.keep_mask) == len(rep_tri.edges)
+    assert int(rule.keep_mask.sum()) == int(keep.sum())
     # the output partition unions exactly the clusters of the kept edges
     root = list(range(25))
 

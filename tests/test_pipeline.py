@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -179,9 +180,9 @@ def test_external_embedding_used_under_default_params():
     coords = rng.standard_normal((40, 2))
     emb = embedding_from_array(coords, data)
     result = fit_predict(data, ClusterParams(), external_embedding=emb)
-    assert result.diagnostics["embedding"].source == "imported"
-    assert np.array_equal(result.diagnostics["embedding"].coords, coords)
-    assert np.array_equal(result.diagnostics["triangulation"].triangles,
+    assert result.embedding.source == "imported"
+    assert np.array_equal(result.embedding.coords, coords)
+    assert np.array_equal(result.triangulation.triangles,
                           triangulate(coords).triangles)
 
 
@@ -204,6 +205,20 @@ def test_param_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError, match=name):
                 ClusterParams(**{name: value}).validate()
+    # a truthy non-bool switch, a fractional tau or a bool number would
+    # run as something else than it says
+    for name in ("back_projection", "merging_enabled"):
+        for value in ("false", 0, 1, None):
+            with pytest.raises(ConfigError, match=name):
+                ClusterParams(**{name: value}).validate()
+    with pytest.raises(ConfigError, match="tau"):
+        ClusterParams(tau=2.5).validate()
+    for name in ("prune_param", "merge_param", "tau", "anomaly_sensitivity"):
+        with pytest.raises(ConfigError, match=name):
+            ClusterParams(**{name: True}).validate()
+    # Python and numpy bools are switches; numpy integers are a tau
+    ClusterParams(back_projection=np.False_, merging_enabled=np.True_,
+                  tau=np.int64(2)).validate()
     # size_mode and standardize are not parameters
     for removed in ("size_mode", "standardize"):
         with pytest.raises(TypeError):
@@ -222,7 +237,9 @@ def test_diagnostics_counters_present():
     d = result.diagnostics
     for key in ("ms_project", "ms_triangulate", "ms_prune", "ms_merge",
                 "ms_anomaly", "n_triangles", "n_triangles_kept",
-                "theta_prune", "merge_count", "n_components_initial"):
+                "theta_prune", "merge_count", "n_components_initial",
+                "pre_merge_anomaly_count", "n_anomaly_groups",
+                "n_groups_merged"):
         assert key in d
 
 
@@ -254,11 +271,9 @@ def test_anomaly_sensitivity_zero_merges_everything_mergeable():
                                                anomaly_sensitivity=0.0))
     assert res_merge.n_anomalies <= res_keep.n_anomalies
     # every group with a cluster neighbor is absorbed at sensitivity 0
-    unmergeable = sum(
-        len(d.point_indices)
-        for d in res_merge.diagnostics["anomaly_groups"]
-        if d.best_cluster < 0
-    )
+    groups = res_merge.anomaly
+    group = groups.group_of[groups.group_of >= 0]
+    unmergeable = int((groups.best_cluster[group] < 0).sum())
     assert res_merge.n_anomalies == unmergeable
 
 
@@ -292,6 +307,19 @@ def test_pinned_labels_sha256(overrides, n_clusters, n_anomalies, digest):
                                                        n_anomalies)
     labels = result.labels.astype(np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+def test_diagnostics_are_json_numbers():
+    # the stages' arrays are result fields; the dict holds numbers only
+    data = blobs_with_tail()
+    emb = embedding_from_array(data[:, :2].copy(), data)
+    result = fit_predict(data, ClusterParams(), external_embedding=emb)
+    d = result.diagnostics
+    assert d["merge_count"] > 0 and "theta_merge" in d
+    assert d["n_anomaly_groups"] == len(result.anomaly.merged) > 0
+    assert d["n_groups_merged"] == int(result.anomaly.merged.sum())
+    assert all(type(v) in (int, float) for v in d.values())
+    assert json.loads(json.dumps(d)) == d
 
 
 BENCH_PARAMS = ClusterParams(prune_param=1.0)  # perfbench's job flags
@@ -346,13 +374,11 @@ def test_copy_false_gives_the_same_job_and_leaves_data_centred():
     centered = data - data.mean(axis=0)
     got = fit_predict(data, copy=False)
     assert np.array_equal(got.labels, want.labels)
-    a, b = got.diagnostics, want.diagnostics
-    assert a["theta_prune"] == b["theta_prune"]
+    assert got.diagnostics["theta_prune"] == want.diagnostics["theta_prune"]
     for name in ("sizes", "sizes_proj", "edge_len"):
-        assert getattr(a["sizes"], name).tobytes() == (
-            getattr(b["sizes"], name).tobytes())
-    assert a["embedding"].coords.tobytes() == (
-        b["embedding"].coords.tobytes())
+        assert getattr(got.sizes, name).tobytes() == (
+            getattr(want.sizes, name).tobytes())
+    assert got.embedding.coords.tobytes() == want.embedding.coords.tobytes()
     assert data.tobytes() == centered.tobytes()
 
 
@@ -380,6 +406,6 @@ def test_subnormal_data_scores_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = fit_predict(np.ldexp(data, -1070))
-    scored = [d.best_score for d in result.diagnostics["anomaly_groups"]
-              if d.best_cluster >= 0]
-    assert scored and np.isfinite(scored).all()
+    groups = result.anomaly
+    scored = groups.best_score[groups.best_cluster >= 0]
+    assert scored.size and np.isfinite(scored).all()
