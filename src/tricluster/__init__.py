@@ -28,6 +28,7 @@ from .pipeline import (
     ClusteringResult,
     ClusterParams,
     DelaunayClusterer,
+    RunTrace,
     fit_predict,
 )
 from .projection import Embedding, import_embedding, pca2
@@ -67,7 +68,8 @@ __all__ = [
     "ClusterParams", "ClusteringResult", "CollinearError", "ConfigError",
     "DegenerateError", "DelaunayClusterer", "Embedding", "EmptyError",
     "IoError", "LengthMismatchError", "NonFiniteError", "NumericalError",
-    "ParseError", "PruneResult", "Representatives", "ShapeMismatchError",
+    "ParseError", "PruneResult", "Representatives", "RunTrace",
+    "ShapeMismatchError",
     "SynthConfig", "TooFewPointsError", "TriangleSizes", "Triangulation",
     "TriclusterError", "anomaly_prf", "ari", "compute_representatives",
     "connected_components", "detect_anomaly_groups", "fit_predict",

@@ -14,13 +14,13 @@ import csv
 import math
 import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import metrics
 from .errors import ConfigError, TriclusterError
-from .pipeline import ClusterParams, fit_predict
+from .pipeline import ClusterParams, RunTrace, fit_predict
 from .projection import embedding_from_array
 from .svg import scatter_svg
 from .synthgen import (
@@ -30,8 +30,8 @@ from .synthgen import (
     generate_degradation_pair,
 )
 
-TIMING_KEYS = ("ms_project", "ms_triangulate", "ms_prune",
-               "ms_merge", "ms_anomaly")
+TIMING_KEYS = tuple(f.name for f in fields(RunTrace)
+                    if f.name.startswith("ms_"))
 
 REPORT_COLUMNS = [
     "name", "seed", "n", "d", "prune", "merge", "sensitivity",
@@ -114,9 +114,8 @@ def _run_one(spec: BenchSpec, rep: int, seed: int, svg_dir):
         "f1": f1,
         "n_clusters": result.n_clusters,
         "n_anomalies": result.n_anomalies,
+        **{key: getattr(result.trace, key) for key in TIMING_KEYS},
     }
-    for key in TIMING_KEYS:
-        row[key] = result.diagnostics[key]
     if svg_dir is not None:
         scatter_svg(result.embedding.coords, result.labels,
                     f"{svg_dir}/{spec.name}_{rep}.svg")

@@ -10,16 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import EmptyError, LengthMismatchError
 
 
-def _contingency(true_labels, pred_labels):
+def _label_pair(true_labels, pred_labels):
+    """The two label vectors as int64, checked to be 1-D, of one length
+    and not empty."""
     t = np.asarray(true_labels, dtype=np.int64)
     p = np.asarray(pred_labels, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
         raise LengthMismatchError(
-            f"label vectors differ in length: {t.shape} vs {p.shape}"
+            f"label vectors must be 1-D of one length: {t.shape} vs {p.shape}"
         )
+    if len(t) == 0:
+        raise EmptyError("label vectors are empty")
+    return t, p
+
+
+def _contingency(true_labels, pred_labels):
+    t, p = _label_pair(true_labels, pred_labels)
     _, ti = np.unique(t, return_inverse=True)
     _, pi = np.unique(p, return_inverse=True)
     r = ti.max() + 1
@@ -76,12 +85,7 @@ def anomaly_prf(true_labels, pred_labels):
 
     Degenerate denominators score 0 by convention (never NaN).
     """
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(pred_labels, dtype=np.int64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise LengthMismatchError(
-            f"label vectors differ in length: {t.shape} vs {p.shape}"
-        )
+    t, p = _label_pair(true_labels, pred_labels)
     true_pos = int(((t == -1) & (p == -1)).sum())
     pred_pos = int((p == -1).sum())
     real_pos = int((t == -1).sum())

@@ -12,7 +12,7 @@ pure function of the embedding), and anomaly_sensitivity = 0 merges
 every mergeable anomaly group.
 
 ``fit_predict`` returns each stage's output as a typed field of its
-result; only this module writes the ``diagnostics`` dict of JSON numbers.
+result, and in a ``RunTrace`` the numbers that no stage's output holds.
 """
 
 from __future__ import annotations
@@ -77,10 +77,25 @@ PARAM_DEFAULTS = {f.name: f.default for f in fields(ClusterParams)}
 
 
 @dataclass(frozen=True)
+class RunTrace:
+    """A run's numbers that no stage's output holds: each stage's wall
+    time in ms, the clusters after pruning and how many merging joined."""
+
+    ms_project: float
+    ms_triangulate: float
+    ms_prune: float
+    ms_merge: float
+    ms_anomaly: float
+    n_components_initial: int
+    merge_count: int
+
+
+@dataclass(frozen=True)
 class ClusteringResult:
     """The labels of the input rows and each stage's output. The mesh
     stages' ids are vertices, which ``triangulation.unique_rows`` maps to
-    input rows. ``diagnostics`` holds JSON numbers only."""
+    input rows. ``merge_rule`` is the representatives' sigma rule, None
+    when merging is off or no three representatives triangulate."""
 
     labels: np.ndarray
     n_clusters: int
@@ -89,13 +104,14 @@ class ClusteringResult:
     triangulation: Triangulation
     sizes: pruning_mod.TriangleSizes
     prune_result: pruning_mod.PruneResult
+    merge_rule: pruning_mod.PruneResult | None
     anomaly: anomaly_mod.AnomalyDecisions
-    diagnostics: dict
+    trace: RunTrace
 
 
 @contextmanager
-def _stage(name, diagnostics):
-    """Times a stage into ``diagnostics`` as ``ms_<name>`` and tags a
+def _stage(name, times):
+    """Times a stage into ``times`` as ``ms_<name>`` and tags a
     TriclusterError raised inside it with the stage name."""
     t0 = time.perf_counter()
     try:
@@ -105,7 +121,7 @@ def _stage(name, diagnostics):
             exc.stage = name
         raise
     finally:
-        diagnostics[f"ms_{name}"] = (time.perf_counter() - t0) * 1000.0
+        times[f"ms_{name}"] = (time.perf_counter() - t0) * 1000.0
 
 
 def fit_predict(data, params: ClusterParams = None,
@@ -127,14 +143,14 @@ def fit_predict(data, params: ClusterParams = None,
         data = owned_float64(data, copy)
     else:
         data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatchError("data must be a 2-D matrix")
+    if data.ndim != 2 or data.shape[1] == 0:
+        raise ShapeMismatchError("data must be an n x d matrix, d >= 1")
     if not np.isfinite(data).all():
         raise NonFiniteError("data contains NaN or Inf")
 
-    diag = {}
+    times = {}
 
-    with _stage("project", diag):
+    with _stage("project", times):
         if external_embedding is not None:
             coords = getattr(external_embedding, "coords", external_embedding)
             emb = embedding_from_array(coords, data)
@@ -146,21 +162,19 @@ def fit_predict(data, params: ClusterParams = None,
     # so the outcome is a pure function of the embedding
     back_space = data if params.back_projection else proj
 
-    with _stage("triangulate", diag):
+    with _stage("triangulate", times):
         tri = triangulate(proj)
-    diag["n_triangles"] = len(tri.triangles)
 
-    with _stage("prune", diag):
+    with _stage("prune", times):
         sizes = pruning_mod.triangle_sizes(tri, back_space, proj)
         prune_res, kept_edges = pruning_mod.prune(tri, sizes,
                                                   params.prune_param)
         labels_u = pruning_mod.connected_components(tri.n_vertices,
                                                     kept_edges)
-    diag["n_triangles_kept"] = int(prune_res.keep_mask.sum())
-    diag["theta_prune"] = prune_res.theta
-    diag["n_components_initial"] = int(labels_u.max()) + 1
+    n_initial = int(labels_u.max()) + 1
 
-    with _stage("merge", diag):
+    rule = None
+    with _stage("merge", times):
         if params.merging_enabled:
             reps = merging_mod.compute_representatives(
                 labels_u, proj[tri.unique_rows])
@@ -169,22 +183,13 @@ def fit_predict(data, params: ClusterParams = None,
                 back_space[tri.unique_rows[reps.rep_point_index]],
                 params.merge_param,
             )
-            if rule is not None:
-                diag["theta_merge"] = rule.theta
-                diag["n_rep_edges"] = len(rule.keep_mask)
-                diag["n_rep_edges_kept"] = int(rule.keep_mask.sum())
-    diag["merge_count"] = (diag["n_components_initial"]
-                           - (int(labels_u.max()) + 1))
+    n_merged = n_initial - (int(labels_u.max()) + 1)
 
-    with _stage("anomaly", diag):
+    with _stage("anomaly", times):
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
         labels_u, decisions = anomaly_mod.score_and_merge(
             groups, labels_u, tri, sizes, params.anomaly_sensitivity
         )
-    diag["pre_merge_anomaly_count"] = int(
-        np.count_nonzero(decisions.group_of[tri.rep_u] >= 0))
-    diag["n_anomaly_groups"] = len(groups)
-    diag["n_groups_merged"] = int(np.count_nonzero(decisions.merged))
 
     # expand labels back to the input rows (duplicates inherit their
     # representative's label), then canonicalize to -1 plus 0..k-1
@@ -200,8 +205,10 @@ def fit_predict(data, params: ClusterParams = None,
         triangulation=tri,
         sizes=sizes,
         prune_result=prune_res,
+        merge_rule=rule,
         anomaly=decisions,
-        diagnostics=diag,
+        trace=RunTrace(**times, n_components_initial=n_initial,
+                       merge_count=n_merged),
     )
 
 

@@ -74,8 +74,8 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     are unspecified. Any other input is copied first and left as it was.
     """
     centered = owned_float64(data, copy)
-    if centered.ndim != 2:
-        raise ShapeMismatchError("data must be a 2-D matrix")
+    if centered.ndim != 2 or centered.shape[1] == 0:
+        raise ShapeMismatchError("data must be an n x d matrix, d >= 1")
     n, d = centered.shape
     if n < 3:
         raise DegenerateError(f"PCA projection needs at least 3 points, got {n}")

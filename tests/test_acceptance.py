@@ -203,10 +203,12 @@ def test_criterion_7_sensitivity_endpoints():
             prune_param=1.0, merge_param=-0.8, anomaly_sensitivity=sens))
 
     keep_all = run(1.0)
-    assert keep_all.diagnostics["n_anomaly_groups"] >= 1
+    assert len(keep_all.anomaly.merged) >= 1
     # triangulation must be duplicate-free for plain point counting below
     assert keep_all.triangulation.n_vertices == len(data)
-    assert keep_all.n_anomalies == keep_all.diagnostics["pre_merge_anomaly_count"]
+    pre_merge_anomalies = keep_all.anomaly.group_of[
+        keep_all.triangulation.rep_u] >= 0
+    assert keep_all.n_anomalies == int(pre_merge_anomalies.sum())
 
     merge_all = run(0.0)
     groups = merge_all.anomaly

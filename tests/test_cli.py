@@ -150,6 +150,19 @@ def test_eval_exclude_true_anomalies(tmp_path, capsys):
     assert scores["recall"] == 0.0  # but the anomaly class is still missed
 
 
+def test_eval_excluding_every_row_is_data_error(tmp_path, capsys):
+    # every true label is -1, so no row is left to score
+    a = tmp_path / "a.labels"
+    b = tmp_path / "b.labels"
+    save_labels([-1, -1, -1], a)
+    save_labels([0, -1, 1], b)
+    code, out, err = run_cli(capsys, "eval", "--true", str(a),
+                             "--pred", str(b), "--exclude-true-anomalies")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tricluster:") and err.count("\n") == 1
+
+
 def test_eval_missing_file_is_data_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "eval", "--true", str(tmp_path / "no.l"),
                          "--pred", str(tmp_path / "no2.l"))

@@ -134,8 +134,8 @@ def test_merge_conservative_on_synthetic():
     result = fit_predict(data, ClusterParams(prune_param=1.2,
                                              merge_param=-1.5,
                                              anomaly_sensitivity=1.0))
-    k_before = result.diagnostics["n_components_initial"]
-    merges = result.diagnostics["merge_count"]
+    k_before = result.trace.n_components_initial
+    merges = result.trace.merge_count
     assert merges <= k_before / 2
 
 

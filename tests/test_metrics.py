@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricluster import LengthMismatchError, anomaly_prf, ari, nmi
+from tricluster import (
+    EmptyError,
+    LengthMismatchError,
+    anomaly_prf,
+    ari,
+    nmi,
+)
 
 
 def ari_pair_oracle(t, p):
@@ -195,3 +201,11 @@ def test_length_mismatch():
         nmi([1], [1, 2])
     with pytest.raises(LengthMismatchError):
         anomaly_prf([1], [1, 2])
+
+
+@pytest.mark.parametrize("metric", [ari, nmi, anomaly_prf])
+def test_empty_label_vectors_are_empty_error(metric):
+    with pytest.raises(EmptyError):
+        metric([], [])
+    with pytest.raises(EmptyError):
+        metric(np.empty(0, np.int64), np.empty(0, np.int64))

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from tricluster import (
     DelaunayClusterer,
     NonFiniteError,
     NumericalError,
+    RunTrace,
+    ShapeMismatchError,
     SynthConfig,
     ari,
     connected_components,
@@ -231,16 +233,22 @@ def test_param_validation():
         ClusterParams(prune_param=0.3, merge_param=-5.0).validate()
 
 
-def test_diagnostics_counters_present():
+def test_run_numbers_present():
     pts, _ = three_blobs(seed=13)
     result = fit_predict(pts, ClusterParams(prune_param=1.0))
-    d = result.diagnostics
-    for key in ("ms_project", "ms_triangulate", "ms_prune", "ms_merge",
-                "ms_anomaly", "n_triangles", "n_triangles_kept",
-                "theta_prune", "merge_count", "n_components_initial",
-                "pre_merge_anomaly_count", "n_anomaly_groups",
-                "n_groups_merged"):
-        assert key in d
+    trace = asdict(result.trace)
+    assert list(trace) == ["ms_project", "ms_triangulate", "ms_prune",
+                           "ms_merge", "ms_anomaly",
+                           "n_components_initial", "merge_count"]
+    assert all(v >= 0 for v in trace.values())
+    # the stage records hold the counts and the threshold
+    n_triangles = len(result.triangulation.triangles)
+    assert len(result.prune_result.keep_mask) == n_triangles > 0
+    assert 0 < int(result.prune_result.keep_mask.sum()) <= n_triangles
+    assert math.isfinite(result.prune_result.theta)
+    decisions = result.anomaly
+    assert len(decisions.group_of) == result.triangulation.n_vertices
+    assert 0 <= int(decisions.merged.sum()) <= len(decisions.merged)
 
 
 def test_theta_merge_recorded_when_k_at_least_3():
@@ -248,8 +256,8 @@ def test_theta_merge_recorded_when_k_at_least_3():
     result = fit_predict(pts, ClusterParams(prune_param=1.0,
                                             merge_param=-1.9,
                                             anomaly_sensitivity=1.0))
-    assert "theta_merge" in result.diagnostics
-    assert result.diagnostics["n_rep_edges"] == 3
+    assert math.isfinite(result.merge_rule.theta)
+    assert len(result.merge_rule.keep_mask) == 3
 
 
 def test_clusterer_front_end():
@@ -301,25 +309,88 @@ def test_pinned_labels_sha256(overrides, n_clusters, n_anomalies, digest):
     emb = embedding_from_array(data[:, :2].copy(), data)
     result = fit_predict(data, replace(ClusterParams(), **overrides),
                          external_embedding=emb)
-    assert result.diagnostics["merge_count"] > 0
-    assert result.diagnostics["n_anomaly_groups"] > 0
+    assert result.trace.merge_count > 0
+    assert len(result.anomaly.merged) > 0
     assert (result.n_clusters, result.n_anomalies) == (n_clusters,
                                                        n_anomalies)
     labels = result.labels.astype(np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
 
 
-def test_diagnostics_are_json_numbers():
-    # the stages' arrays are result fields; the dict holds numbers only
+def test_run_numbers_pinned_and_trace_is_json():
+    # each count and threshold is read from the stage record that holds
+    # it; the trace holds the rest, as JSON numbers
     data = blobs_with_tail()
     emb = embedding_from_array(data[:, :2].copy(), data)
     result = fit_predict(data, ClusterParams(), external_embedding=emb)
-    d = result.diagnostics
-    assert d["merge_count"] > 0 and "theta_merge" in d
-    assert d["n_anomaly_groups"] == len(result.anomaly.merged) > 0
-    assert d["n_groups_merged"] == int(result.anomaly.merged.sum())
-    assert all(type(v) in (int, float) for v in d.values())
-    assert json.loads(json.dumps(d)) == d
+    tri, decisions, rule = (result.triangulation, result.anomaly,
+                            result.merge_rule)
+    got = {
+        "n_triangles": len(tri.triangles),
+        "n_triangles_kept": int(result.prune_result.keep_mask.sum()),
+        "theta_prune": float(result.prune_result.theta).hex(),
+        "n_components_initial": result.trace.n_components_initial,
+        "theta_merge": float(rule.theta).hex(),
+        "n_rep_edges": len(rule.keep_mask),
+        "n_rep_edges_kept": int(rule.keep_mask.sum()),
+        "merge_count": result.trace.merge_count,
+        "pre_merge_anomaly_count": int(
+            np.count_nonzero(decisions.group_of[tri.rep_u] >= 0)),
+        "n_anomaly_groups": len(decisions.merged),
+        "n_groups_merged": int(decisions.merged.sum()),
+    }
+    assert got == {
+        "n_triangles": 577, "n_triangles_kept": 505,
+        "theta_prune": "0x1.1fc2030b6779cp+3",
+        "n_components_initial": 16,
+        "theta_merge": "-0x1.3e29e8d02096bp+0",
+        "n_rep_edges": 40, "n_rep_edges_kept": 3, "merge_count": 3,
+        "pre_merge_anomaly_count": 10, "n_anomaly_groups": 9,
+        "n_groups_merged": 1,
+    }
+    trace = asdict(result.trace)
+    assert list(trace) == [f.name for f in fields(RunTrace)]
+    assert all(type(v) in (int, float) for v in trace.values())
+    assert json.loads(json.dumps(trace)) == trace
+
+
+def test_no_merge_rule_when_merging_is_off():
+    data = blobs_with_tail()
+    emb = embedding_from_array(data[:, :2].copy(), data)
+    result = fit_predict(data, ClusterParams(merging_enabled=False),
+                         external_embedding=emb)
+    assert result.merge_rule is None
+    assert result.trace.merge_count == 0
+
+
+def test_rows_coinciding_in_2d_share_a_vertex_and_its_label():
+    # the last row has row 0's 2-D point but lies far from it in the
+    # original space: it becomes no vertex and takes row 0's label
+    data = blobs_with_tail()
+    far = data[0] + 1000.0
+    data = np.vstack([data, far])
+    coords = np.vstack([data[:-1, :2], data[:1, :2]])
+    base = fit_predict(data[:-1], ClusterParams(),
+                       external_embedding=coords[:-1].copy())
+    result = fit_predict(data, ClusterParams(), external_embedding=coords)
+    n = len(data)
+    assert result.triangulation.n_vertices == n - 1
+    assert result.labels[0] >= 0
+    assert result.labels[n - 1] == result.labels[0]
+    assert np.array_equal(result.labels[:-1], base.labels)
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_zero_column_data_is_a_shape_error(embedded):
+    data = np.empty((10, 0))
+    emb = np.random.default_rng(0).normal(size=(10, 2)) if embedded else None
+    with pytest.raises(ShapeMismatchError):
+        fit_predict(data, external_embedding=emb)
+    with pytest.raises(ShapeMismatchError):
+        fit_predict(data, external_embedding=emb, copy=False)
+    if not embedded:
+        with pytest.raises(ShapeMismatchError):
+            pca2(data)
 
 
 BENCH_PARAMS = ClusterParams(prune_param=1.0)  # perfbench's job flags
@@ -374,7 +445,7 @@ def test_copy_false_gives_the_same_job_and_leaves_data_centred():
     centered = data - data.mean(axis=0)
     got = fit_predict(data, copy=False)
     assert np.array_equal(got.labels, want.labels)
-    assert got.diagnostics["theta_prune"] == want.diagnostics["theta_prune"]
+    assert got.prune_result.theta == want.prune_result.theta
     for name in ("sizes", "sizes_proj", "edge_len"):
         assert getattr(got.sizes, name).tobytes() == (
             getattr(want.sizes, name).tobytes())
