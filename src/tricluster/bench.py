@@ -1,20 +1,19 @@
-"""Benchmark harness: synthetic suites, ablations, sweeps, demos, scaling.
+"""Experiment runner: suites, ablations, sweeps, demos and scaling are
+front ends of one ``run(spec)``, whose rows all have one schema.
 
-Every report row carries the full parameter set and the seed needed to
-reproduce it in isolation. Per-run seeds are derived deterministically
-from (spec name, repeat index) with crc32, so reports are reproducible
-across machines. Wall-clock numbers are always collected in-process, but
-they only enter the report file when explicitly requested: the default
-report is bit-identical across runs.
+Suite seeds derive from (spec name, repeat index) with crc32, so reports
+are reproducible across machines. The default report leaves the stage
+times out, so it is bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import time
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,10 +46,50 @@ MERGE_RANGE = (-2.0, -0.5)
 
 @dataclass(frozen=True)
 class BenchSpec:
+    """``draw(seed)`` gives ``(data, truth or None, embedding or None)``;
+    each seed's draw is clustered once per ``ClusterParams`` variant in
+    ``params``. Ablation switches and sweep probes are such variants."""
+
     name: str
-    generator: dict                 # SynthConfig field overrides
-    params: ClusterParams = field(default_factory=ClusterParams)
-    repeats: int = 1
+    draw: Callable
+    seeds: Sequence[int]
+    params: tuple
+
+
+def run(spec: BenchSpec):
+    """Yield ``(row, result)`` per seed and, within a seed, per params
+    variant. A row holds the ``REPORT_COLUMNS``, the scores only when the
+    draw has a truth, and every ``RunTrace`` field. A TriclusterError of
+    a draw or a run propagates."""
+    for seed in spec.seeds:
+        data, truth, embedding = spec.draw(seed)
+        n, d = np.shape(data)
+        for p in spec.params:
+            result = fit_predict(data, p, external_embedding=embedding)
+            row = {"name": spec.name, "seed": seed, "n": n, "d": d,
+                   "prune": p.prune_param, "merge": p.merge_param,
+                   "sensitivity": p.anomaly_sensitivity}
+            labels = result.labels
+            if truth is not None:
+                precision, recall, f1 = metrics.anomaly_prf(truth, labels)
+                row.update(ari=metrics.ari(truth, labels),
+                           nmi=metrics.nmi(truth, labels),
+                           precision=precision, recall=recall, f1=f1)
+            row.update(n_clusters=result.n_clusters,
+                       n_anomalies=result.n_anomalies,
+                       **asdict(result.trace))
+            yield row, result
+
+
+def run_seed(name: str, repeat: int) -> int:
+    """Deterministic per-run seed derived from (name, repeat index)."""
+    return zlib.crc32(f"{name}:{repeat}".encode("utf-8"))
+
+
+def synth_draw(generator: dict, seed: int):
+    """synthgen data from the ``SynthConfig`` fields in ``generator``
+    with ``seed`` as its random state, and no embedding."""
+    return *generate(SynthConfig(**{**generator, "random_state": seed})), None
 
 
 @dataclass
@@ -59,73 +98,40 @@ class BenchReport:
     errors: list = field(default_factory=list)  # (name, seed, message)
 
     def write_csv(self, path, include_timings: bool = False):
+        blank = {} if include_timings else dict.fromkeys(TIMING_KEYS, "")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS,
+                                    extrasaction="ignore")
             writer.writeheader()
-            for row in self.rows:
-                out = {k: row.get(k, "") for k in REPORT_COLUMNS}
-                if not include_timings:
-                    for k in TIMING_KEYS:
-                        out[k] = ""
-                writer.writerow(out)
-
-
-def run_seed(name: str, repeat: int) -> int:
-    """Deterministic per-run seed derived from (name, repeat index)."""
-    return zlib.crc32(f"{name}:{repeat}".encode("utf-8"))
+            writer.writerows({**row, **blank} for row in self.rows)
 
 
 def run_suite(specs, svg_dir=None) -> BenchReport:
-    """Run each spec ``repeats`` times.
+    """Run each spec at each of its seeds.
 
-    A run that raises TriclusterError is recorded in ``errors`` and the
-    suite goes on; any other exception is a bug and propagates.
+    A seed whose draw or run raises TriclusterError is recorded in
+    ``errors`` and the suite goes on; any other exception is a bug and
+    propagates.
     """
     report = BenchReport()
     for spec in specs:
-        for rep in range(spec.repeats):
-            seed = run_seed(spec.name, rep)
+        for rep, seed in enumerate(spec.seeds):
             try:
-                row = _run_one(spec, rep, seed, svg_dir)
+                for row, result in run(replace(spec, seeds=(seed,))):
+                    if svg_dir is not None:
+                        scatter_svg(result.embedding.coords, result.labels,
+                                    f"{svg_dir}/{spec.name}_{rep}.svg")
+                    report.rows.append(row)
             except TriclusterError as exc:  # keep the suite going
                 report.errors.append((spec.name, seed, str(exc)))
-                continue
-            report.rows.append(row)
     return report
-
-
-def _run_one(spec: BenchSpec, rep: int, seed: int, svg_dir):
-    cfg = SynthConfig(**{**spec.generator, "random_state": seed})
-    data, truth = generate(cfg)
-    result = fit_predict(data, spec.params)
-    precision, recall, f1 = metrics.anomaly_prf(truth, result.labels)
-    row = {
-        "name": spec.name,
-        "seed": seed,
-        "n": cfg.n_points,
-        "d": cfg.n_dim,
-        "prune": spec.params.prune_param,
-        "merge": spec.params.merge_param,
-        "sensitivity": spec.params.anomaly_sensitivity,
-        "ari": metrics.ari(truth, result.labels),
-        "nmi": metrics.nmi(truth, result.labels),
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "n_clusters": result.n_clusters,
-        "n_anomalies": result.n_anomalies,
-        **{key: getattr(result.trace, key) for key in TIMING_KEYS},
-    }
-    if svg_dir is not None:
-        scatter_svg(result.embedding.coords, result.labels,
-                    f"{svg_dir}/{spec.name}_{rep}.svg")
-    return row
 
 
 def run_ablations(data, params: ClusterParams, truth=None,
                   variants=("merge_off", "proj_off", "anom_merged"),
                   embedding=None):
-    """Full pipeline plus the requested ablated variants."""
+    """Full pipeline plus the requested ablated variants, as
+    ``{variant: (row, result)}`` with ``"full"`` first."""
     runs = {"full": params}
     for v in variants:
         if v == "merge_off":
@@ -136,21 +142,9 @@ def run_ablations(data, params: ClusterParams, truth=None,
             runs[v] = replace(params, anomaly_sensitivity=0.0)
         else:
             raise ConfigError(f"unknown ablation variant {v!r}")
-
-    out = {}
-    for name, p in runs.items():
-        result = fit_predict(data, p, external_embedding=embedding)
-        entry = {
-            "labels": result.labels,
-            "n_clusters": result.n_clusters,
-            "n_anomalies": result.n_anomalies,
-        }
-        if truth is not None:
-            entry["ari"] = metrics.ari(truth, result.labels)
-            entry["nmi"] = metrics.nmi(truth, result.labels)
-            _, _, entry["f1"] = metrics.anomaly_prf(truth, result.labels)
-        out[name] = entry
-    return out
+    spec = BenchSpec("ablate", lambda seed: (data, truth, embedding), [0],
+                     tuple(runs.values()))
+    return dict(zip(runs, run(spec)))
 
 
 def _check_seeds(n_seeds):
@@ -162,15 +156,15 @@ def degradation_sweep(eps_list=(2.0, 1.5, 1.2, 1.0, 0.8, 0.6, 0.5),
                       n_seeds: int = 10):
     """Fraction of seeds recovering exactly the two strips, per gap value."""
     _check_seeds(n_seeds)
-    params = ClusterParams(prune_param=0.8, anomaly_sensitivity=1.0)
+    params = (ClusterParams(prune_param=0.8, anomaly_sensitivity=1.0),)
     results = []
     for eps in eps_list:
-        successes = 0
-        for s in range(n_seeds):
-            data, _ = generate_degradation_pair(eps, seed=1000 + s)
-            result = fit_predict(data, params)
-            if result.n_clusters == 2:
-                successes += 1
+        spec = BenchSpec(
+            "degradation",
+            lambda seed, eps=eps: (*generate_degradation_pair(eps, seed),
+                                   None),
+            range(1000, 1000 + n_seeds), params)
+        successes = sum(row["n_clusters"] == 2 for row, _ in run(spec))
         results.append({"epsilon": eps, "success": successes / n_seeds})
     return results
 
@@ -184,22 +178,18 @@ def backprojection_demo(n_seeds: int = 5):
     original-space test can expose them.
     """
     _check_seeds(n_seeds)
-    rows = []
-    for s in range(n_seeds):
-        data, truth = generate_backprojection_demo(10, 25, seed=2000 + s)
-        emb = embedding_from_array(data[:, :2].copy(), data)
-        base = ClusterParams(prune_param=1.0, anomaly_sensitivity=1.0)
-        with_bp = fit_predict(data, base, external_embedding=emb)
-        without = fit_predict(data, replace(base, back_projection=False),
-                              external_embedding=emb)
-        _, recall_on, _ = metrics.anomaly_prf(truth, with_bp.labels)
-        _, recall_off, _ = metrics.anomaly_prf(truth, without.labels)
-        rows.append({
-            "seed": 2000 + s,
-            "recall_backprojection": recall_on,
-            "recall_projection_only": recall_off,
-        })
-    return rows
+
+    def draw(seed):
+        data, truth = generate_backprojection_demo(10, 25, seed=seed)
+        return data, truth, embedding_from_array(data[:, :2].copy(), data)
+
+    base = ClusterParams(prune_param=1.0, anomaly_sensitivity=1.0)
+    spec = BenchSpec("backprojection", draw, range(2000, 2000 + n_seeds),
+                     (base, replace(base, back_projection=False)))
+    recall = [row["recall"] for row, _ in run(spec)]
+    return [{"seed": seed, "recall_backprojection": on,
+             "recall_projection_only": off}
+            for seed, on, off in zip(spec.seeds, recall[::2], recall[1::2])]
 
 
 def grid_sweep(data, truth, prune_values=None, merge_values=None,
@@ -208,67 +198,49 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
     """Exhaustive grid, or seeded random probes drawn from the search
     ranges ``PRUNE_RANGE`` and ``MERGE_RANGE``.
 
-    Returns (best_params, trace). The trace holds one dict per probe with
-    the parameters and scores, best ARI first on ties by probe order.
+    Returns (best_row, rows): one row per probe, in probe order, and the
+    first of them with the highest ARI.
     """
     base = params or ClusterParams()
-    probes = []
     if n_probes > 0:
         rng = np.random.Generator(np.random.PCG64(seed))
-        for _ in range(n_probes):
-            probes.append((float(rng.uniform(*PRUNE_RANGE)),
-                           float(rng.uniform(*MERGE_RANGE))))
+        probes = [(float(rng.uniform(*PRUNE_RANGE)),
+                   float(rng.uniform(*MERGE_RANGE)))
+                  for _ in range(n_probes)]
     else:
-        prune_values = prune_values or [0.6, 0.8, 1.0, 1.2]
-        merge_values = merge_values or [base.merge_param]
-        probes = [(p, m) for p in prune_values for m in merge_values]
-
-    trace = []
-    best = None
-    for prune_v, merge_v in probes:
-        p = replace(base, prune_param=prune_v, merge_param=merge_v)
-        result = fit_predict(data, p, external_embedding=embedding)
-        score = metrics.ari(truth, result.labels)
-        _, _, f1 = metrics.anomaly_prf(truth, result.labels)
-        trace.append({
-            "prune": prune_v, "merge": merge_v, "ari": score, "f1": f1,
-            "n_clusters": result.n_clusters,
-            "n_anomalies": result.n_anomalies,
-        })
-        if best is None or score > best[0]:
-            best = (score, p)
-    return best[1], trace
+        probes = [(p, m) for p in prune_values or [0.6, 0.8, 1.0, 1.2]
+                  for m in merge_values or [base.merge_param]]
+    spec = BenchSpec(
+        "sweep", lambda _: (data, truth, embedding), [seed],
+        tuple(replace(base, prune_param=p, merge_param=m) for p, m in probes))
+    rows = [row for row, _ in run(spec)]
+    return max(rows, key=lambda row: row["ari"]), rows
 
 
 def runtime_scaling(n_list, d_list):
-    """Wall-clock of the full pipeline per (n, d) plus fitted exponents."""
+    """Stage times of the full pipeline per (n, d), their sum in
+    ``seconds``, and the exponents fitted to it."""
     rows = []
     for d in d_list:
         for n in n_list:
-            cfg = SynthConfig(n_points=n, n_dim=d, n_clusters=5,
-                              overlap=0.08, anomaly_fraction=0.02,
-                              random_state=7)
-            data, _ = generate(cfg)
-            t0 = time.perf_counter()
-            fit_predict(data, ClusterParams(prune_param=1.0))
-            rows.append({"n": n, "d": d,
-                         "seconds": time.perf_counter() - t0})
+            draw = partial(synth_draw, dict(
+                n_points=n, n_dim=d, n_clusters=5, overlap=0.08,
+                anomaly_fraction=0.02))
+            spec = BenchSpec("scaling", draw, [7],
+                             (ClusterParams(prune_param=1.0),))
+            for row, _ in run(spec):
+                ms = {k: row[k] for k in TIMING_KEYS}
+                rows.append({"n": n, "d": d, **ms,
+                             "seconds": sum(ms.values()) / 1000.0})
 
-    def fitted_exponent(pairs):
-        if len(pairs) < 2:
+    def fitted_exponent(size, other, at):
+        # least-squares slope of log(seconds) over log(size), on the rows
+        # whose ``other`` size is ``at``
+        pts = [(math.log(r[size]), math.log(r["seconds"]))
+               for r in rows if r[other] == at]
+        if len({x for x, _ in pts}) < 2:
             return float("nan")
-        lx = [math.log(a) for a, _ in pairs]
-        ly = [math.log(b) for _, b in pairs]
-        mx = sum(lx) / len(lx)
-        my = sum(ly) / len(ly)
-        num = sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-        den = sum((a - mx) ** 2 for a in lx)
-        return num / den if den else float("nan")
+        return float(np.polyfit(*zip(*pts), 1)[0])
 
-    d_max = max(d_list)
-    n_max = max(n_list)
-    exp_n = fitted_exponent([(r["n"], r["seconds"]) for r in rows
-                             if r["d"] == d_max])
-    exp_d = fitted_exponent([(r["d"], r["seconds"]) for r in rows
-                             if r["n"] == n_max])
-    return {"rows": rows, "exponent_n": exp_n, "exponent_d": exp_d}
+    return {"rows": rows, "exponent_n": fitted_exponent("n", "d", max(d_list)),
+            "exponent_d": fitted_exponent("d", "n", max(n_list))}

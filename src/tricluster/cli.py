@@ -13,6 +13,7 @@ import ctypes
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -245,9 +246,9 @@ def _cmd_bench(args):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"suite entry {sd['name']!r}: {exc}") from exc
         specs.append(bench_mod.BenchSpec(
-            name=sd["name"], generator=generator,
-            params=cluster_params, repeats=repeats,
-        ))
+            sd["name"], partial(bench_mod.synth_draw, generator),
+            [bench_mod.run_seed(sd["name"], r) for r in range(repeats)],
+            (cluster_params,)))
     report = bench_mod.run_suite(specs, svg_dir=args.svg_dir)
     report.write_csv(args.out, include_timings=args.measure_timings)
     for name, seed, msg in report.errors:
@@ -279,9 +280,10 @@ def _cmd_ablate(args):
     runs = bench_mod.run_ablations(data, params, truth=truth,
                                    variants=variants, embedding=emb)
     summary = {}
-    for name, entry in runs.items():
-        io.save_labels(entry["labels"], f"{args.out_prefix}.{name}.labels")
-        summary[name] = {k: v for k, v in entry.items() if k != "labels"}
+    for name, (row, result) in runs.items():
+        io.save_labels(result.labels, f"{args.out_prefix}.{name}.labels")
+        summary[name] = {k: row[k] for k in ("n_clusters", "n_anomalies",
+                                             "ari", "nmi", "f1") if k in row}
     _emit(summary)
     return 0
 
@@ -308,7 +310,7 @@ def _cmd_sweep(args):
     data, emb = _load_input(args)
     truth = io.load_labels(args.truth)
     base = _params_from_args(args)
-    best, trace = bench_mod.grid_sweep(
+    best, rows = bench_mod.grid_sweep(
         data, truth, prune_values=args.prune_grid,
         merge_values=args.merge_grid, n_probes=args.probes, seed=args.seed,
         params=base, embedding=emb,
@@ -317,12 +319,12 @@ def _cmd_sweep(args):
         import csv
 
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(trace[0].keys()))
+            w = csv.DictWriter(fh, extrasaction="ignore", fieldnames=[
+                "prune", "merge", "ari", "f1", "n_clusters", "n_anomalies"])
             w.writeheader()
-            w.writerows(trace)
-    best_row = max(trace, key=lambda r: r["ari"])
-    _emit({"prune_param": best.prune_param, "merge_param": best.merge_param,
-           "ari": best_row["ari"], "probes": len(trace)})
+            w.writerows(rows)
+    _emit({"prune_param": best["prune"], "merge_param": best["merge"],
+           "ari": best["ari"], "probes": len(rows)})
     return 0
 
 

@@ -1,4 +1,5 @@
 import csv
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from tricluster import ClusterParams, bench, generate, SynthConfig
 from tricluster.bench import (
     BenchSpec,
     REPORT_COLUMNS,
+    TIMING_KEYS,
     backprojection_demo,
     degradation_sweep,
     grid_sweep,
@@ -14,17 +16,24 @@ from tricluster.bench import (
     run_seed,
     run_suite,
     runtime_scaling,
+    synth_draw,
 )
 from tricluster.svg import scatter_svg
 
 
+def suite_spec(name, generator, repeats, params=ClusterParams()):
+    # a suite file's entry, as the CLI builds it
+    return BenchSpec(name, partial(synth_draw, generator),
+                     [run_seed(name, r) for r in range(repeats)], (params,))
+
+
 def toy_spec(name="toy", repeats=2):
-    return BenchSpec(
-        name=name,
-        generator=dict(n_points=200, n_clusters=3, n_dim=4, overlap=0.08,
-                       anomaly_fraction=0.04),
-        params=ClusterParams(prune_param=1.0, anomaly_sensitivity=0.99),
-        repeats=repeats,
+    return suite_spec(
+        name,
+        dict(n_points=200, n_clusters=3, n_dim=4, overlap=0.08,
+             anomaly_fraction=0.04),
+        repeats,
+        ClusterParams(prune_param=1.0, anomaly_sensitivity=0.99),
     )
 
 
@@ -69,7 +78,7 @@ def test_run_suite_deterministic_metrics():
 
 
 def test_run_suite_continues_after_failure():
-    bad = BenchSpec(name="bad", generator=dict(n_points=0), repeats=1)
+    bad = suite_spec("bad", dict(n_points=0), repeats=1)
     report = run_suite([bad, toy_spec(repeats=1)])
     assert len(report.errors) == 1
     assert len(report.rows) == 1
@@ -77,7 +86,7 @@ def test_run_suite_continues_after_failure():
 
 def test_run_suite_propagates_errors_that_are_bugs(monkeypatch):
     # only a TriclusterError is a failed run; anything else is a bug
-    def broken(data, params):
+    def broken(data, params, external_embedding=None):
         raise IndexError("bug")
     monkeypatch.setattr(bench, "fit_predict", broken)
     with pytest.raises(IndexError, match="bug"):
@@ -90,11 +99,12 @@ def test_ablations_variants():
                                        random_state=5))
     runs = run_ablations(data, ClusterParams(prune_param=1.0), truth=truth)
     assert set(runs) == {"full", "merge_off", "proj_off", "anom_merged"}
-    for entry in runs.values():
-        assert len(entry["labels"]) == 250
-        assert "ari" in entry
+    for row, result in runs.values():
+        assert len(result.labels) == 250
+        assert "ari" in row
     # merging everything mergeable cannot leave more anomalies than keeping
-    assert runs["anom_merged"]["n_anomalies"] <= runs["full"]["n_anomalies"]
+    assert (runs["anom_merged"][0]["n_anomalies"]
+            <= runs["full"][0]["n_anomalies"])
 
 
 def test_grid_sweep_single_point():
@@ -104,7 +114,7 @@ def test_grid_sweep_single_point():
     best, trace = grid_sweep(data, truth, prune_values=[1.0],
                              merge_values=[-0.8])
     assert len(trace) == 1
-    assert best.prune_param == 1.0
+    assert best["prune"] == 1.0
 
 
 def test_grid_sweep_finds_good_params():
@@ -124,7 +134,11 @@ def test_grid_sweep_random_probes_reproducible():
                                        random_state=8))
     _, t1 = grid_sweep(data, truth, n_probes=5, seed=3)
     _, t2 = grid_sweep(data, truth, n_probes=5, seed=3)
-    assert t1 == t2
+
+    def untimed(rows):
+        return [{k: v for k, v in row.items() if k not in TIMING_KEYS}
+                for row in rows]
+    assert untimed(t1) == untimed(t2)
     # probes respect the documented ranges
     for row in t1:
         assert 0.5 < row["prune"] < 2.0
