@@ -195,14 +195,23 @@ def backprojection_demo(n_seeds: int = 5):
 def grid_sweep(data, truth, prune_values=None, merge_values=None,
                n_probes: int = 0, seed: int = 0, params: ClusterParams = None,
                embedding=None):
-    """Exhaustive grid, or seeded random probes drawn from the search
-    ranges ``PRUNE_RANGE`` and ``MERGE_RANGE``.
+    """Exhaustive grid, or ``n_probes`` seeded random probes drawn from
+    the search ranges ``PRUNE_RANGE`` and ``MERGE_RANGE`` with a
+    non-negative ``seed``. Negative ``n_probes``, and probes with grid
+    values or a negative seed, raise ConfigError.
 
     Returns (best_row, rows): one row per probe, in probe order, and the
     first of them with the highest ARI.
     """
+    if n_probes < 0:
+        raise ConfigError(f"probes must be at least 0, got {n_probes}")
+    if n_probes and (prune_values or merge_values):
+        raise ConfigError("random probes cannot be combined with a "
+                          "prune or merge grid")
+    if n_probes and seed < 0:
+        raise ConfigError(f"the probes' seed must be at least 0, got {seed}")
     base = params or ClusterParams()
-    if n_probes > 0:
+    if n_probes:
         rng = np.random.Generator(np.random.PCG64(seed))
         probes = [(float(rng.uniform(*PRUNE_RANGE)),
                    float(rng.uniform(*MERGE_RANGE)))
@@ -219,7 +228,8 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
 
 def runtime_scaling(n_list, d_list):
     """Stage times of the full pipeline per (n, d), their sum in
-    ``seconds``, and the exponents fitted to it."""
+    ``seconds``, and the exponents fitted to it, each None where fewer
+    than two sizes leave it undefined."""
     rows = []
     for d in d_list:
         for n in n_list:
@@ -239,7 +249,7 @@ def runtime_scaling(n_list, d_list):
         pts = [(math.log(r[size]), math.log(r["seconds"]))
                for r in rows if r[other] == at]
         if len({x for x, _ in pts}) < 2:
-            return float("nan")
+            return None
         return float(np.polyfit(*zip(*pts), 1)[0])
 
     return {"rows": rows, "exponent_n": fitted_exponent("n", "d", max(d_list)),

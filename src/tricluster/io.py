@@ -516,20 +516,20 @@ def save_matrix(values: np.ndarray, path, fmt: str = "csv") -> None:
 def load_labels(path) -> np.ndarray:
     """Load newline-delimited signed integer labels; -1 marks anomalies."""
     labels = []
+    # a row is a line of the file, blank lines included
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         try:
-            labels.append(int(line))
+            label = int(line)
         except ValueError as exc:
             raise ParseError(f"row {lineno}: {exc}") from exc
+        if not -1 <= label < 2**63:
+            raise ParseError(f"row {lineno}: label outside [-1, 2^63 - 1]")
+        labels.append(label)
     if not labels:
         raise EmptyError(f"{path}: no labels")
-    out = np.asarray(labels, dtype=np.int64)
-    if (out < -1).any():
-        bad = int(np.argwhere(out < -1)[0][0])
-        raise ParseError(f"row {bad + 1}: label below -1")
-    return out
+    return np.asarray(labels, dtype=np.int64)
 
 
 def save_labels(labels, path) -> None:

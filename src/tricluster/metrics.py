@@ -10,14 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyError, LengthMismatchError
+from .errors import EmptyError, LengthMismatchError, ParseError
+
+
+def _as_int64(labels):
+    """``labels`` as int64; a value that the cast would change, such as
+    0.5 or 2^63, raises ParseError."""
+    values = np.asarray(labels)
+    try:
+        with np.errstate(invalid="ignore"):
+            out = values.astype(np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"labels must be int64 integers: {exc}") from exc
+    if not np.array_equal(out, values):
+        raise ParseError("labels must be int64 integers")
+    return out
 
 
 def _label_pair(true_labels, pred_labels):
-    """The two label vectors as int64, checked to be 1-D, of one length
-    and not empty."""
-    t = np.asarray(true_labels, dtype=np.int64)
-    p = np.asarray(pred_labels, dtype=np.int64)
+    """The two label vectors as int64, checked to be integers, 1-D, of
+    one length and not empty."""
+    t = _as_int64(true_labels)
+    p = _as_int64(pred_labels)
     if t.shape != p.shape or t.ndim != 1:
         raise LengthMismatchError(
             f"label vectors must be 1-D of one length: {t.shape} vs {p.shape}"

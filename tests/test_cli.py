@@ -163,6 +163,19 @@ def test_eval_excluding_every_row_is_data_error(tmp_path, capsys):
     assert err.startswith("tricluster:") and err.count("\n") == 1
 
 
+def test_eval_label_past_int64_is_data_error(tmp_path, capsys):
+    # it used to escape as a raw OverflowError with exit 1
+    a = tmp_path / "a.labels"
+    b = tmp_path / "b.labels"
+    a.write_text("0\n9223372036854775808\n")
+    save_labels([0, 1], b)
+    code, out, err = run_cli(capsys, "eval", "--true", str(a),
+                             "--pred", str(b))
+    assert code == 2
+    assert out == ""
+    assert err == "tricluster: row 2: label outside [-1, 2^63 - 1]\n"
+
+
 def test_eval_missing_file_is_data_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "eval", "--true", str(tmp_path / "no.l"),
                          "--pred", str(tmp_path / "no2.l"))
@@ -471,6 +484,54 @@ def test_demo_without_seeds_is_config_error(tmp_path, capsys, which, seeds):
     assert len(errors) == 1 and "seeds" in errors[0]
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_scaling_writes_strict_json_with_the_stage_times(tmp_path, capsys):
+    # one --d-list value leaves exponent_d undefined; it was a bare NaN
+    out = tmp_path / "s.json"
+    code, stdout, _ = run_cli(capsys, "scaling", "--n-list", "300,600",
+                              "--d-list", "4", "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout)["rows"] == 2
+    report = json.loads(out.read_text(), parse_constant=_no_constant)
+    assert report["exponent_d"] is None
+    assert isinstance(report["exponent_n"], float)
+    stages = ["ms_project", "ms_triangulate", "ms_prune", "ms_merge",
+              "ms_anomaly"]
+    for row in report["rows"]:
+        assert sorted(row) == sorted(["n", "d", "seconds", *stages])
+        assert row["seconds"] == sum(row[k] for k in stages) / 1000.0
+
+
+@pytest.mark.parametrize("flags, word", [
+    (["--probes", "-2"], "probes must be at least 0"),
+    (["--probes", "2", "--prune-grid", "9.0"], "cannot be combined"),
+    (["--probes", "2", "--merge-grid=-1.0"], "cannot be combined"),
+    (["--probes", "2", "--seed", "-1"], "seed must be at least 0"),
+])
+def test_sweep_flags_it_cannot_honour_are_config_errors(tmp_path, capsys,
+                                                        flags, word):
+    # the first three used to run the default grid or drop the given one,
+    # and a negative seed escaped as a raw ValueError
+    data = str(tmp_path / "toy.csv")
+    truth = str(tmp_path / "toy.labels")
+    run_cli(capsys, "gen", "--n", "60", "--clusters", "2", "--dim", "2",
+            "--seed", "1", "--out", data, "--truth", truth)
+    trace = tmp_path / "trace.csv"
+    code, stdout, err = run_cli(capsys, "sweep", "--input", data,
+                                "--truth", truth, *flags,
+                                "--trace", str(trace))
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines()
+              if line.startswith("tricluster:")]
+    assert len(errors) == 1 and word in errors[0]
+    assert "Traceback" not in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("flag", [

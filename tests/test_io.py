@@ -276,6 +276,26 @@ def test_labels_below_minus_one_rejected(tmp_path):
         load_labels(p)
 
 
+@pytest.mark.parametrize("text, row", [
+    ("0\n9223372036854775808\n", 2),
+    ("0\n\n\n-5\n", 4),
+    ("9223372036854775807\n-1\n-2\n", 3),
+])
+def test_labels_outside_int64_or_below_minus_one_name_their_line(
+        tmp_path, text, row):
+    # a label past int64 used to escape as a raw OverflowError, and a
+    # row number used to skip the blank lines
+    p = write(tmp_path / "l.labels", text)
+    with pytest.raises(ParseError,
+                       match=rf"^row {row}: label outside \[-1, 2\^63 - 1\]$"):
+        load_labels(p)
+
+
+def test_labels_at_the_int64_edges_load(tmp_path):
+    p = write(tmp_path / "l.labels", "-1\n9223372036854775807\n")
+    assert load_labels(p).tolist() == [-1, 2**63 - 1]
+
+
 def test_labels_non_integer_rejected(tmp_path):
     p = write(tmp_path / "l.labels", "0\nfoo\n")
     with pytest.raises(ParseError, match="row 2"):

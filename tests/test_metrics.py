@@ -7,6 +7,7 @@ import pytest
 from tricluster import (
     EmptyError,
     LengthMismatchError,
+    ParseError,
     anomaly_prf,
     ari,
     nmi,
@@ -201,6 +202,24 @@ def test_length_mismatch():
         nmi([1], [1, 2])
     with pytest.raises(LengthMismatchError):
         anomaly_prf([1], [1, 2])
+
+
+@pytest.mark.parametrize("metric", [ari, nmi, anomaly_prf])
+@pytest.mark.parametrize("labels", [
+    [0.5, 1.5], [0.0, float("nan")], [2.0**63, 0.0], [2**64, 0],
+])
+def test_labels_that_are_not_int64_integers_are_parse_error(metric, labels):
+    # the int64 cast used to truncate: ari([0.5, 1.5], [0, 1]) was 1.0
+    with pytest.raises(ParseError, match="int64 integers"):
+        metric(labels, [0, 1])
+    with pytest.raises(ParseError, match="int64 integers"):
+        metric([0, 1], labels)
+
+
+def test_integral_float_labels_score():
+    assert ari([0.0, 1.0, 1.0], [0, 1, 1]) == 1.0
+    assert nmi(np.array([-1.0, 2.0]), [5, 7]) == 1.0
+    assert anomaly_prf([-1.0, 0.0], [-1, 0]) == (1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("metric", [ari, nmi, anomaly_prf])
