@@ -196,9 +196,9 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
                n_probes: int = 0, seed: int = 0, params: ClusterParams = None,
                embedding=None):
     """Exhaustive grid, or ``n_probes`` seeded random probes drawn from
-    the search ranges ``PRUNE_RANGE`` and ``MERGE_RANGE`` with a
-    non-negative ``seed``. Negative ``n_probes``, and probes with grid
-    values or a negative seed, raise ConfigError.
+    the search ranges ``PRUNE_RANGE`` and ``MERGE_RANGE`` with
+    ``seed``. A negative ``n_probes`` or ``seed``, and probes with grid
+    values, raise ConfigError.
 
     Returns (best_row, rows): one row per probe, in probe order, and the
     first of them with the highest ARI.
@@ -208,8 +208,8 @@ def grid_sweep(data, truth, prune_values=None, merge_values=None,
     if n_probes and (prune_values or merge_values):
         raise ConfigError("random probes cannot be combined with a "
                           "prune or merge grid")
-    if n_probes and seed < 0:
-        raise ConfigError(f"the probes' seed must be at least 0, got {seed}")
+    if seed < 0:
+        raise ConfigError(f"the seed must be at least 0, got {seed}")
     base = params or ClusterParams()
     if n_probes:
         rng = np.random.Generator(np.random.PCG64(seed))

@@ -29,7 +29,11 @@ can re-expand per-point labels afterwards. Exact cocircular ties are
 broken inside the in-disk test by a symbolic perturbation (Edelsbrunner &
 Muecke 1990, Simulation of Simplicity). Under it the Delaunay mesh is
 unique: every cocircular quad keeps the diagonal whose lower endpoint
-index is smaller, whatever the order of insertions and flips.
+index is smaller, whatever the order of insertions and flips. A flip
+tests the apex p of a side (b, c)'s other triangle against the disk of
+(a, b, c), so p lies across (b, c) from a; on a tie the four points are
+then a convex cocircular quad, and the test reads min(a, p) < min(b, c),
+from the vertex ids alone.
 """
 
 from __future__ import annotations
@@ -157,18 +161,28 @@ class _Signs:
         return det
 
     def incircle(self, a, b, c, d):
-        # rows a - d, b - d, c - d, a - d, b - d
-        diff = self.z[np.array((a, b, c, a, b))] - self.z[d]
+        # rows a - d, b - d, c - d, a - d, b - d. These temporaries set
+        # triangulate's traced peak, so the differences are freed once
+        # the products are formed, and the terms are summed in place
+        diff = self.z[np.array((a, b, c, a, b))]
+        diff -= self.z[d]
         dx, dy = diff.real, diff.imag
-        lift = dx[:3] * dx[:3] + dy[:3] * dy[:3]
+        lift = dx[:3] * dx[:3]
+        lift += dy[:3] * dy[:3]
         # bdx * cdy, cdx * ady, adx * bdy and their mirror products
         plus = dx[1:4] * dy[2:]
         minus = dx[2:] * dy[1:4]
-        det = np.add.reduce(lift * (plus - minus), axis=0)
+        del diff, dx, dy
+        term = plus - minus
+        term *= lift
+        det = np.add.reduce(term, axis=0)
         if self.grid:
             return det
-        permanent = np.add.reduce(lift * (np.abs(plus) + np.abs(minus)),
-                                  axis=0)
+        del term
+        np.abs(plus, out=plus)
+        plus += np.abs(minus, out=minus)
+        plus *= lift
+        permanent = np.add.reduce(plus, axis=0)
         rest = (~((permanent >= _TINY)
                   & (np.abs(det) > _ICC_ERR * permanent))).nonzero()
         if rest[0].size:
@@ -193,24 +207,22 @@ class _Signs:
         return (total >= _TINY) & (det >= _CCW_ERR * total)
 
     def in_disk(self, a, b, c, p):
-        """Is p inside the circumdisk of counterclockwise (a, b, c)?
+        """Is p inside the circumdisk of counterclockwise (a, b, c)? p
+        must lie across side (b, c) from a.
 
         An exact tie (p on the circle) is broken as if the lifted point of
         the smallest vertex id among a, b, c and p sat lowest, so each
-        cocircular cell is fanned from its smallest id: p is inside when
-        it is that id, or else when the triangle with that id replaced by
-        p is clockwise. Three distinct cocircular points are not
-        collinear, so that orientation is never 0.
+        cocircular cell is fanned from its smallest id. Across side
+        (b, c), the four points are distinct, cocircular and in convex
+        position, so the tie needs no orientation: p is inside exactly
+        when that id is a or p, that is when min(a, p) < min(b, c).
         """
         det = self.incircle(a, b, c, p)
         inside = det > 0
         tie = (det == 0).nonzero()[0]
         if tie.size:
-            abc = np.array((a, b, c)).take(tie, axis=1)
-            p = p[tie]
-            m = np.minimum(np.minimum.reduce(abc), p)
-            o = self.orient(*(abc + (p - abc) * (abc == m)))
-            inside[tie] = (m == p) | (o < 0)
+            inside[tie] = (np.minimum(a[tie], p[tie])
+                           < np.minimum(b[tie], c[tie]))
         return inside
 
 
@@ -235,8 +247,10 @@ def _hull(signs) -> list:
     for u, v in zip(ring, ring[1:] + ring[:1]):
         inside = inside[signs.surely_left(u, v, inside)]
     keep = np.delete(np.arange(len(xs)), inside)
-    keep = keep[np.lexsort((ys[keep], xs[keep]))].tolist()
-    px, py = xs.tolist(), ys.tolist()
+    keep = keep[np.lexsort((ys[keep], xs[keep]))]
+    # the chains run over positions in keep, so only kept points become
+    # Python floats
+    px, py = xs[keep].tolist(), ys[keep].tolist()
 
     def chain(seq):
         out = []
@@ -248,7 +262,8 @@ def _hull(signs) -> list:
             out.append(i)
         return out
 
-    return chain(keep)[:-1] + chain(reversed(keep))[:-1]
+    pos = range(len(keep))
+    return keep[chain(pos)[:-1] + chain(reversed(pos))[:-1]].tolist()
 
 
 class _Rounds:
@@ -591,7 +606,7 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         hull = _hull(signs)
         if len(hull) < 3:
             raise CollinearError("all points are collinear")
-        tris = np.sort(_Rounds(signs, hull).build(), axis=1)
+        tris = _sort_rows(_Rounds(signs, hull).build())
     edges, tri_edges = _edge_table(tris, n_u)
     # a side's row orders it as (a, b) does, so this key, below 3 n^2,
     # orders the triangles by their vertices
@@ -606,6 +621,20 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         edges=edges,
         tri_edges=tri_edges,
     )
+
+
+def _sort_rows(tv: np.ndarray) -> np.ndarray:
+    """Each row of three ascending, by a min/max network over the
+    columns: a few elementwise passes, where a sort along axis 1 pays
+    its set-up per row."""
+    a, b, c = tv.T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    out = np.empty_like(tv)
+    np.minimum(lo, c, out=out[:, 0])
+    np.maximum(lo, c, out=lo)
+    np.minimum(lo, hi, out=out[:, 1])
+    np.maximum(lo, hi, out=out[:, 2])
+    return out
 
 
 def _edge_table(triangles: np.ndarray, n_vertices: int):

@@ -56,6 +56,7 @@ from .errors import (
     IoError,
     NonFiniteError,
     ParseError,
+    ShapeMismatchError,
 )
 
 MAGIC = b"DTRC"
@@ -532,14 +533,40 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _as_int64(labels):
+    """``labels`` as int64; a value that the cast would change, such as
+    0.5 or 2^63, raises ParseError."""
+    values = np.asarray(labels)
+    try:
+        with np.errstate(invalid="ignore"):
+            out = values.astype(np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(f"labels must be int64 integers: {exc}") from exc
+    if not np.array_equal(out, values):
+        raise ParseError("labels must be int64 integers")
+    return out
+
+
 def save_labels(labels, path) -> None:
-    """Write one integer per line, order preserved."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Write one integer per line, order preserved, as ``load_labels``
+    reads them back: a 1-D vector of integers in [-1, 2^63 - 1].
+
+    Each distinct label is formatted once, and the lines are gathered
+    from that table.
+    """
+    labels = _as_int64(labels)
+    if labels.ndim != 1:
+        raise ShapeMismatchError(
+            f"labels must be 1-D, got shape {labels.shape}")
     if labels.size == 0:
         raise EmptyError("label vector is empty")
+    if labels.min() < -1:
+        raise ParseError("labels must be at least -1")
+    ids, index = np.unique(labels, return_inverse=True)
+    table = np.array([f"{v}\n" for v in ids.tolist()], dtype=object)
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(map(str, labels.tolist())) + "\n")
+            fh.write("".join(table[index].tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -10,21 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyError, LengthMismatchError, ParseError
-
-
-def _as_int64(labels):
-    """``labels`` as int64; a value that the cast would change, such as
-    0.5 or 2^63, raises ParseError."""
-    values = np.asarray(labels)
-    try:
-        with np.errstate(invalid="ignore"):
-            out = values.astype(np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"labels must be int64 integers: {exc}") from exc
-    if not np.array_equal(out, values):
-        raise ParseError("labels must be int64 integers")
-    return out
+from .errors import EmptyError, LengthMismatchError
+from .io import _as_int64
 
 
 def _label_pair(true_labels, pred_labels):

@@ -212,7 +212,8 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     root of every edge that spans two trees onto the smaller one, then
     jumps pointers until every vertex points at its root again; a tree
     that is hooked or hooked onto merges, so a component's tree count at
-    least halves per round. The final root is the component's minimum.
+    least halves per round. The final root is the component's minimum,
+    so a component's label is the rank of its root among the roots.
     """
     root = np.arange(n_vertices, dtype=np.int64)
     u = edges[:, 0]
@@ -229,8 +230,9 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    _, labels = np.unique(root, return_inverse=True)
-    return labels.astype(np.int64, copy=False)
+    rank = np.cumsum(root == np.arange(n_vertices), dtype=np.int64)
+    rank -= 1
+    return rank[root]
 
 
 def group_by_label(labels: np.ndarray):

@@ -534,6 +534,26 @@ def test_sweep_flags_it_cannot_honour_are_config_errors(tmp_path, capsys,
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("grid", [[], ["--prune-grid", "1.0"],
+                                  ["--merge-grid=-1.0"]])
+def test_sweep_negative_seed_exits_as_negative_probes(tmp_path, capsys,
+                                                     grid):
+    # without probes a negative seed used to be ignored, and the sweep
+    # exited 0
+    data = str(tmp_path / "toy.csv")
+    truth = str(tmp_path / "toy.labels")
+    run_cli(capsys, "gen", "--n", "60", "--clusters", "2", "--dim", "2",
+            "--seed", "1", "--out", data, "--truth", truth)
+    for flags, word in ((["--probes", "-1"], "probes must be at least 0"),
+                        ([*grid, "--seed", "-1"], "seed must be at least 0")):
+        code, stdout, err = run_cli(capsys, "sweep", "--input", data,
+                                    "--truth", truth, *flags)
+        errors = [line for line in err.splitlines()
+                  if line.startswith("tricluster:")]
+        assert (code, stdout, len(errors)) == (2, "", 1)
+        assert word in errors[0] and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", [
     "cluster --out", "cluster --svg", "cluster --diag", "ablate --out-prefix",
     "gen --out", "gen --truth", "demo --out", "sweep --trace",

@@ -11,6 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from tricluster import delaunay  # noqa: E402
 from tricluster import (  # noqa: E402
     ClusterParams,
     CollinearError,
@@ -19,6 +20,8 @@ from tricluster import (  # noqa: E402
     fit_predict,
     triangulate,
 )
+
+from tricluster.predicates import incircle, orient2d  # noqa: E402
 
 from bowyer_watson import bowyer_watson  # noqa: E402
 from test_delaunay import (  # noqa: E402
@@ -72,6 +75,93 @@ def test_empty_circumcircles_and_bowyer_watson(pts):
     assert np.array_equal(tri.triangles, triangles)
     assert np.array_equal(tri.edges, edges)
     assert np.array_equal(tri.tri_edges, tri_edges)
+
+
+# the 40 integer points of x^2 + y^2 = 5^4 * 13, all exactly cocircular
+RING = np.array([(x, y) for x in range(-90, 91) for y in range(-90, 91)
+                 if x * x + y * y == 5**4 * 13], dtype=np.float64)
+
+
+@st.composite
+def cocircular_sets(draw):
+    """At least four points of ``RING``, and half of the time more from
+    a second copy of it around another centre, with or without that
+    centre; shuffled, and half of the time moved by 2^-20, which keeps
+    every tie exact but takes the coordinates off the grid of exact
+    float determinants. Also whether the set is one ring alone."""
+    rows = st.lists(st.integers(0, len(RING) - 1), unique=True)
+    pts = RING[draw(rows.filter(lambda r: len(r) >= 4))]
+    single = draw(st.booleans())
+    if not single:
+        centre = draw(st.tuples(st.integers(-60, 60), st.integers(-60, 60)))
+        more = RING[draw(rows)] + centre
+        if draw(st.booleans()):
+            more = np.vstack([more, [centre]])
+        pts = np.vstack([pts, more])
+    pts = pts[list(draw(st.permutations(range(len(pts)))))]
+    return pts + draw(st.sampled_from([0.0, 2.0**-20])), single
+
+
+def orientation_rule(xy, a, b, c, p):
+    """The in-disk test with an exact tie broken as if the lifted point
+    of the smallest id among a, b, c and p sat lowest: p is inside when
+    it is that id, or else when the triangle with that id replaced by p
+    is clockwise."""
+    s = incircle(*xy[a], *xy[b], *xy[c], *xy[p])
+    if s:
+        return s > 0
+    m = min(a, b, c, p)
+    if m == p:
+        return True
+    abc = [a, b, c]
+    abc[abc.index(m)] = p
+    return orient2d(*xy[abc[0]], *xy[abc[1]], *xy[abc[2]]) < 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(cocircular_sets())
+def test_ties_by_ids_equal_the_orientation_rule(drawn):
+    # in_disk decides a tie by min(a, p) < min(b, c), which relies on p
+    # lying across side (b, c) from a; the orientation rule does not
+    pts, single = drawn
+    ties = []
+    in_disk = delaunay._Signs.in_disk
+
+    def checked(signs, a, b, c, p):
+        inside = in_disk(signs, a, b, c, p)
+        xy = list(zip(signs.xs.tolist(), signs.ys.tolist()))
+        quads = list(zip(a.tolist(), b.tolist(), c.tolist(), p.tolist()))
+        assert inside.tolist() == [orientation_rule(xy, *q) for q in quads]
+        ties.append(sum(incircle(*xy[a], *xy[b], *xy[c], *xy[p]) == 0
+                        for a, b, c, p in quads))
+        return inside
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(delaunay._Signs, "in_disk", checked)
+        tri = triangulate(pts)
+
+    # every interior side of the mesh from both of its triangles, and the
+    # other diagonal of every cocircular quad, which the rules must flip
+    xy = np.ascontiguousarray(pts[tri.unique_rows])
+    signs = delaunay._Signs(xy.view(np.complex128)[:, 0], False)
+    xy = xy.tolist()
+    apex = {}
+    for a, b, c in tri.triangles.tolist():
+        if orient2d(*xy[a], *xy[b], *xy[c]) < 0:
+            b, c = c, b
+        apex.update({(a, b): c, (b, c): a, (c, a): b})
+    quads, flips = [], []
+    for (u, v), w in apex.items():
+        d = apex.get((v, u))
+        if d is not None:
+            quads.append((w, u, v, d))
+            flips.append(False)
+            if incircle(*xy[w], *xy[u], *xy[v], *xy[d]) == 0:
+                quads.append((u, d, w, v))
+                flips.append(True)
+    if quads:
+        assert checked(signs, *np.array(quads).T).tolist() == flips
+    assert sum(ties) or not single
 
 
 @st.composite

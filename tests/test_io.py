@@ -12,6 +12,7 @@ from tricluster import (
     IoError,
     NonFiniteError,
     ParseError,
+    ShapeMismatchError,
     TriclusterError,
     load_labels,
     load_matrix,
@@ -268,6 +269,44 @@ def test_labels_roundtrip_random(tmp_path):
         p = tmp_path / f"l{trial}.labels"
         save_labels(labels, p)
         assert np.array_equal(load_labels(p), labels)
+
+
+@pytest.mark.parametrize("labels", [
+    [-1, 2**63 - 1, 0],
+    [7],
+    np.random.default_rng(5).permutation(10_000) - 1,
+    np.random.default_rng(6).integers(-1, 3, 500),
+])
+def test_labels_bytes_equal_one_str_per_line(tmp_path, labels):
+    # each distinct label is formatted once, and its lines gathered
+    p = tmp_path / "l.labels"
+    save_labels(labels, p)
+    want = "\n".join(map(str, np.asarray(labels).tolist())) + "\n"
+    assert p.read_bytes() == want.encode()
+
+
+def test_labels_save_rejects_non_integers(tmp_path):
+    # these were written truncated, as 0 1 -1
+    p = tmp_path / "l.labels"
+    with pytest.raises(ParseError, match="int64 integers"):
+        save_labels([0.5, 1.7, -1], p)
+    assert not p.exists()
+
+
+def test_labels_save_rejects_what_is_not_1d(tmp_path):
+    # rows of a 2-D array were written as lines such as "[0, 1]"
+    p = tmp_path / "l.labels"
+    with pytest.raises(ShapeMismatchError, match="1-D"):
+        save_labels([[0, 1], [1, 0]], p)
+    assert not p.exists()
+
+
+def test_labels_save_rejects_what_load_refuses(tmp_path):
+    # -5 was written, and load_labels then refused the file
+    p = tmp_path / "l.labels"
+    with pytest.raises(ParseError, match="at least -1"):
+        save_labels([-5, 3], p)
+    assert not p.exists()
 
 
 def test_labels_below_minus_one_rejected(tmp_path):

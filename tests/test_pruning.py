@@ -242,6 +242,38 @@ def test_connected_components_vs_bfs_oracle():
         assert got.tolist() == want
 
 
+def union_find_components(n, edges):
+    """Labels by a union-find, numbered by each component's minimum."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(i) for i in range(n)]
+    number = {r: k for k, r in enumerate(sorted(set(roots)))}
+    return [number[r] for r in roots]
+
+
+def test_connected_components_vs_union_find_with_isolated_vertices():
+    # components numbered by the rank of their root, the minimum vertex;
+    # the edges touch only some vertices, so many are isolated
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n = int(rng.integers(1, 300))
+        touched = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        edges = touched[rng.integers(0, len(touched),
+                                     (int(rng.integers(0, n)), 2))]
+        got = connected_components(n, edges)
+        assert got.dtype == np.int64
+        assert got.tolist() == union_find_components(n, edges.tolist())
+
+
 def test_retention_monotonicity():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((60, 2)) * 3
