@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import Triangulation
+from .delaunay import Triangulation, sort_keys
 from .projection import unit_shift
 from .pruning import TriangleSizes, group_by_label
 
@@ -55,15 +55,17 @@ def detect_anomaly_groups(labels, tau: int) -> np.ndarray:
 
 
 def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
-                    sensitivity: float):
+                    sensitivity: float, *, medians=None):
     """Merge each group into its best-scoring neighbor cluster, or keep -1.
 
     ``groups`` are the cluster labels ``detect_anomaly_groups`` returns.
     ``sizes`` are the stage-one triangle sizes of ``tri``; their edge
-    lengths give the distances. Scores are computed against the
-    pre-merge cluster labels for every group before any label is
-    applied, so the outcome is independent of processing order. Returns
-    (labels, AnomalyDecisions).
+    lengths give the distances. ``medians`` is (median of
+    ``sizes.sizes``, median of ``sizes.sizes_proj``), as the pruning
+    stage's ``PruneResult`` holds them; they are taken here when it is
+    None. Scores are computed against the pre-merge cluster labels for
+    every group before any label is applied, so the outcome is
+    independent of processing order. Returns (labels, AnomalyDecisions).
     """
     pre_labels = np.asarray(labels, dtype=np.int64)
     n_ids = max(int(pre_labels.max(initial=-1)) + 1, 1)
@@ -72,8 +74,10 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     lookup[groups] = np.arange(len(groups))
     group_of = lookup[pre_labels]
 
-    med_proj = float(np.median(sizes.sizes_proj)) if len(sizes.sizes_proj) else 0.0
-    med_orig = float(np.median(sizes.sizes)) if len(sizes.sizes) else 0.0
+    if medians is None:
+        medians = [float(np.median(s)) if len(s) else 0.0
+                   for s in (sizes.sizes, sizes.sizes_proj)]
+    med_orig, med_proj = medians
     alpha = med_proj / med_orig if med_orig > 0 else 1.0
     mu = float(sizes.sizes_proj.mean()) if len(sizes.sizes_proj) else 0.0
     dist_floor = 1e-12 * (med_proj if med_proj > 0 else 1.0)
@@ -81,14 +85,16 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     # directed edges (p, q) leaving a group, sorted by (p, q): the order
     # in which each group's sums are accumulated
     e = len(tri.edges)
+    n_v = len(group_of)
     p = np.concatenate([tri.edges[:, 0], tri.edges[:, 1]])
     q = np.concatenate([tri.edges[:, 1], tri.edges[:, 0]])
     edge = np.tile(np.arange(e), 2)
     leaving = (group_of[p] >= 0) & (group_of[q] != group_of[p])
     p, q = p.compress(leaving), q.compress(leaving)
     edge = edge.compress(leaving)
-    order = np.lexsort((q, p))
-    p, q, edge = p[order], q[order], edge[order]
+    key, order = sort_keys(p * n_v + q, n_v * n_v)
+    p, q = np.divmod(key, n_v)
+    edge = edge.take(order)
     gid = group_of[p]
     n_edges = np.bincount(gid, minlength=len(groups))
 

@@ -232,16 +232,20 @@ def _hull(signs) -> list:
 
     Points strictly inside a polygon of extreme points in 16 directions
     are corners of nothing and are dropped first (Akl & Toussaint 1978).
-    The extremes come from float projections, which is safe: a point
-    strictly left of each side of a closed polygon lies strictly inside
-    the hull of its corners. When every determinant is exact, the points
-    on a side but not at its ends go too: each lies between two points.
+    The point least along a direction is the one most along its
+    opposite, so 8 projections give the 16 extremes. They come from
+    float projections, which is safe: a point strictly left of each side
+    of a closed polygon lies strictly inside the hull of its corners.
+    When every determinant is exact, the points on a side but not at its
+    ends go too: each lies between two points.
     """
     xs, ys = signs.xs, signs.ys
-    angle = np.arange(16) * (np.pi / 8)
+    angle = np.arange(8) * (np.pi / 8)
     # near the float range a projection may overflow; any polygon is safe
-    ring = np.argmax(np.outer(np.cos(angle), xs)
-                     + np.outer(np.sin(angle), ys), axis=1)
+    along = np.multiply.outer(np.cos(angle), xs)
+    along += np.multiply.outer(np.sin(angle), ys)
+    # counterclockwise: the most along k * pi / 8, then the least
+    ring = np.concatenate((along.argmax(axis=1), along.argmin(axis=1)))
     ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))].tolist()
     inside = np.delete(np.arange(len(xs)), ring)
     for u, v in zip(ring, ring[1:] + ring[:1]):
@@ -586,11 +590,11 @@ def triangulate(coords: np.ndarray) -> Triangulation:
 
     vertex_of_row = np.empty(n_input, dtype=np.int64)
     vertex_of_row[unique_rows] = np.arange(n_u, dtype=np.int64)
-    rep_u = vertex_of_row[rep_of]
+    rep_u = vertex_of_row.take(rep_of)
 
     # one power of two brings the largest |coordinate| into [1, 2); the
     # predicates are homogeneous, so no sign changes when it is exact
-    pts = coords[unique_rows]
+    pts = coords.take(unique_rows, axis=0)
     shift = 1 - int(np.frexp(np.abs(pts).max())[1])
     scaled = np.ldexp(pts, shift)
     grid = False
@@ -598,7 +602,11 @@ def triangulate(coords: np.ndarray) -> Triangulation:
         pts = scaled
         on_grid = pts * _GRID
         grid = bool(np.array_equal(on_grid, np.rint(on_grid)))
+        del on_grid
     signs = _Signs(np.ascontiguousarray(pts).view(np.complex128)[:, 0], grid)
+    # the rounds set the memory peak of a job, and they read only the
+    # signs and the hull
+    del vertex_of_row, rep_of, scaled
 
     # numpy's overflow warnings are noise here: the filters hand any
     # element they cannot bound to the scalar predicates
@@ -608,10 +616,13 @@ def triangulate(coords: np.ndarray) -> Triangulation:
             raise CollinearError("all points are collinear")
         tris = _sort_rows(_Rounds(signs, hull).build())
     edges, tri_edges = _edge_table(tris, n_u)
-    # a side's row orders it as (a, b) does, so this key, below 3 n^2,
+    # a side's row orders it as (a, b) does, so this key, below e * n,
     # orders the triangles by their vertices
-    order = np.argsort(tri_edges[:, 0] * n_u + tris[:, 2])
-    triangles, tri_edges = tris[order], tri_edges[order]
+    key = tri_edges[:, 0] * n_u
+    key += tris[:, 2]
+    _, order = sort_keys(key, len(edges) * n_u)
+    triangles = tris.take(order, axis=0)
+    tri_edges = tri_edges.take(order, axis=0)
 
     return Triangulation(
         n_input=n_input,
@@ -641,11 +652,46 @@ def _edge_table(triangles: np.ndarray, n_vertices: int):
     """Sorted unique edges of row-sorted triangles, and each side's row.
 
     Sides are taken in column order (0, 1), (1, 2), (0, 2); a side (a, b)
-    with a < b is keyed a * n + b, so key order is (a, b) order.
+    with a < b is keyed a * n + b, so key order is (a, b) order. One
+    ``sort_keys`` of the 3m side keys groups the sides of each edge; the
+    first side of each run of equal keys starts a new row.
     """
     m = len(triangles)
-    lo = triangles[:, [0, 1, 0]].T.ravel()
-    hi = triangles[:, [1, 2, 2]].T.ravel()
-    keys, side_edge = np.unique(lo * n_vertices + hi, return_inverse=True)
-    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
-    return edges, side_edge.reshape(3, m).T
+    keys = np.empty((3, m), dtype=np.int64)
+    for row, (a, b) in zip(keys, ((0, 1), (1, 2), (0, 2))):
+        np.multiply(triangles[:, a], n_vertices, out=row)
+        row += triangles[:, b]
+    keys, side = sort_keys(keys.reshape(-1), n_vertices * n_vertices)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    side_edge = np.empty(3 * m, dtype=np.int64)
+    side_edge[side] = np.cumsum(fresh) - 1
+    edges = np.divmod(keys.compress(fresh), n_vertices)
+    return np.column_stack(edges), side_edge.reshape(3, m).T
+
+
+def sort_keys(keys: np.ndarray, bound: int):
+    """Stable sort of non-negative integer keys below ``bound``.
+
+    Returns (sorted keys, positions): ``keys[positions]`` is sorted, and
+    equal keys keep their order. Each key is packed with its position
+    into one int64 word, key << bits | position, and the words are
+    sorted by ``np.sort``, which is several times faster than a stable
+    ``argsort`` on int64; the words are distinct, so any sort of them is
+    stable. When the words would need more than 63 bits, the keys go to
+    ``np.argsort(kind="stable")``, which gives the same result.
+    """
+    n = len(keys)
+    bits = (n - 1).bit_length() if n else 0
+    if bound > 1 << (63 - bits):
+        positions = np.argsort(keys, kind="stable")
+        return keys[positions], positions
+    words = keys.astype(np.int64)
+    words <<= bits
+    positions = np.arange(n, dtype=np.int64)
+    words |= positions
+    words.sort()
+    np.bitwise_and(words, (1 << bits) - 1, out=positions)
+    words >>= bits
+    return words, positions

@@ -51,6 +51,7 @@ from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
+from .delaunay import sort_keys
 from .errors import (
     EmptyError,
     IoError,
@@ -574,14 +575,24 @@ def save_labels(labels, path) -> None:
 def canonicalize_labels(labels) -> np.ndarray:
     """Relabel non-negative labels to 0..k-1 by ascending first occurrence.
 
-    -1 entries are kept as-is.
+    Every negative label becomes -1.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    # one pass over every entry: the negative ids sort first and keep
-    # rank -1, so no mask picks the clustered entries
-    ids, first, inverse = np.unique(labels, return_index=True,
-                                    return_inverse=True)
-    neg = np.searchsorted(ids, 0)
-    rank = np.full(len(ids), -1, dtype=np.int64)
-    rank[neg + np.argsort(first[neg:])] = np.arange(len(ids) - neg)
-    return rank[inverse]
+    # key 0 for every negative label and l + 1 for label l, formed in
+    # uint64, where -1 + 1 wraps to 0 and 2^63 - 1 + 1 does not overflow
+    keys = np.maximum(labels, -1).view(np.uint64)
+    keys += np.uint64(1)
+    keys, pos = sort_keys(keys, int(keys.max(initial=0)) + 1)
+    # the sort is stable, so each run of equal keys starts at its
+    # label's first occurrence; the run of key 0 starts none
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = keys[:1] != 0
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    first = pos.compress(start)
+    # each label's rank among the first occurrences; -1 for key 0
+    rank = np.empty(len(first) + 1, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    rank[-1] = -1
+    out = np.empty(len(keys), dtype=np.int64)
+    out[pos] = rank.take(np.cumsum(start) - 1)
+    return out

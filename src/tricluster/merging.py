@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delaunay import triangulate
-from .errors import CollinearError, TooFewPointsError
+from .errors import CollinearError, ShapeMismatchError, TooFewPointsError
 from .io import canonicalize_labels
 from .projection import unit_shift
 from .pruning import (
@@ -51,19 +51,24 @@ def compute_representatives(labels, proj) -> Representatives:
     """
     labels = np.asarray(labels, dtype=np.int64)
     coords = np.asarray(proj, dtype=np.float64)
+    if labels.ndim != 1 or coords.ndim != 2 or len(labels) != len(coords):
+        raise ShapeMismatchError(
+            f"labels of shape {labels.shape} for points of shape "
+            f"{coords.shape}")
     cluster_ids, order, starts, counts = group_by_label(labels)
     cluster = np.repeat(np.arange(len(cluster_ids)), counts)
-    members = coords[order]
+    members = coords.take(order, axis=0)
     # bincount adds each cluster's members in ascending index order
     mean = np.column_stack([
         np.bincount(cluster, weights=members[:, j],
                     minlength=len(cluster_ids)) / counts
         for j in range(coords.shape[1])
     ])
-    # compared at one power-of-two scale, where no square under- or
-    # overflows; the scaling is exact, so it moves no tie
-    diff = members - mean[cluster]
-    d2 = squared_norms(np.ldexp(diff, unit_shift(diff), out=diff))
+    # each member's offset from its cluster's mean, compared at one
+    # power-of-two scale, where no square under- or overflows; the
+    # scaling is exact, so it moves no tie
+    members -= mean.take(cluster, axis=0)
+    d2 = squared_norms(np.ldexp(members, unit_shift(members), out=members))
     # each cluster's first member at its least distance; members ascend
     # within a cluster, so a tie goes to the smaller index
     closest = (d2 == np.minimum.reduceat(d2, starts)[cluster]).nonzero()[0]
@@ -71,7 +76,7 @@ def compute_representatives(labels, proj) -> Representatives:
     return Representatives(
         cluster_ids=cluster_ids,
         rep_point_index=rep_idx,
-        rep_coords_proj=coords[rep_idx],
+        rep_coords_proj=coords.take(rep_idx, axis=0),
     )
 
 
@@ -90,6 +95,10 @@ def merge_clusters(labels, reps: Representatives, rep_original: np.ndarray,
     """
     labels = np.asarray(labels, dtype=np.int64)
     k = len(reps.cluster_ids)
+    if len(rep_original) != k:
+        raise ShapeMismatchError(
+            f"{len(rep_original)} original-space rows for {k} "
+            "representatives")
     if k < 3:
         return labels.copy(), None
 

@@ -177,10 +177,11 @@ def fit_predict(data, params: ClusterParams = None,
     with _stage("merge", times):
         if params.merging_enabled:
             reps = merging_mod.compute_representatives(
-                labels_u, proj[tri.unique_rows])
+                labels_u, proj.take(tri.unique_rows, axis=0))
             labels_u, rule = merging_mod.merge_clusters(
                 labels_u, reps,
-                back_space[tri.unique_rows[reps.rep_point_index]],
+                back_space.take(tri.unique_rows.take(reps.rep_point_index),
+                                axis=0),
                 params.merge_param,
             )
     n_merged = n_initial - (int(labels_u.max()) + 1)
@@ -188,7 +189,8 @@ def fit_predict(data, params: ClusterParams = None,
     with _stage("anomaly", times):
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
         labels_u, decisions = anomaly_mod.score_and_merge(
-            groups, labels_u, tri, sizes, params.anomaly_sensitivity
+            groups, labels_u, tri, sizes, params.anomaly_sensitivity,
+            medians=(prune_res.median, prune_res.median_proj),
         )
 
     # expand labels back to the input rows (duplicates inherit their

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import Triangulation
+from .delaunay import Triangulation, sort_keys
 from .errors import EmptyError, ShapeMismatchError
 from .projection import unit_shift
 
@@ -36,6 +36,8 @@ class PruneResult:
     theta: float
     z: np.ndarray
     z_proj: np.ndarray
+    median: float       # the median of the original-space values
+    median_proj: float  # the median of the projected-space values
 
 
 # bytes of one block of edge differences: the block and the second row
@@ -52,9 +54,11 @@ _SQUARES_FLOOR = 2.0 ** -900
 def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     """Euclidean length of every edge of ``tri`` in a space of input rows.
 
-    Rows are gathered through ``tri.unique_rows`` a block of edges at a
-    time, so no copy of the matrix and no (e, d) temporary is made. Each
-    block's difference is formed and squared in the first gather's
+    ``coords`` must have ``tri.n_input`` rows. Rows are gathered through
+    ``tri.unique_rows`` a block of edges at a time, so no copy of the
+    matrix and no (e, d) temporary is made; a ``take`` along axis 0
+    gathers rows several times faster than fancy indexing at small d.
+    Each block's difference is formed and squared in the first gather's
     buffer and summed straight into the result; the sums are checked
     for range, and rooted, once for all blocks.
 
@@ -63,14 +67,18 @@ def edge_lengths(tri: Triangulation, coords: np.ndarray) -> np.ndarray:
     stages compare the lengths of one space only by their ratios, so
     they read the same numbers in any such unit.
     """
-    rows_a = tri.unique_rows[tri.edges[:, 0]]
-    rows_b = tri.unique_rows[tri.edges[:, 1]]
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[0] != tri.n_input:
+        raise ShapeMismatchError(
+            f"coordinates of shape {coords.shape} for a triangulation of "
+            f"{tri.n_input} rows")
+    rows_a, rows_b = tri.unique_rows.take(tri.edges.T)
     out = np.empty(len(rows_a), dtype=np.float64)
     step = max(1, _BLOCK_BYTES // (8 * coords.shape[1]))
     with np.errstate(over="ignore"):
         for lo in range(0, len(out), step):
-            diff = coords[rows_a[lo:lo + step]]
-            diff -= coords[rows_b[lo:lo + step]]
+            diff = coords.take(rows_a[lo:lo + step], axis=0)
+            diff -= coords.take(rows_b[lo:lo + step], axis=0)
             squared_norms(diff, out=out[lo:lo + step])
         bad = (~((out >= _SQUARES_FLOOR) & (out < np.inf))).nonzero()[0]
         np.sqrt(out, out=out)
@@ -156,6 +164,11 @@ def robust_z(sizes) -> np.ndarray:
     entries detectable; the floor scales with the sizes, so z does not
     change when they are scaled by a power of two.
     """
+    return _robust_z(sizes)[0]
+
+
+def _robust_z(sizes):
+    """``robust_z`` of the sizes, and their median."""
     s = np.asarray(sizes, dtype=np.float64)
     if s.size == 0:
         raise EmptyError("robust_z needs at least one value")
@@ -163,9 +176,9 @@ def robust_z(sizes) -> np.ndarray:
     mad = float(np.median(np.abs(s - med)))
     if mad == 0.0:
         if np.all(s == s[0]):
-            return np.zeros_like(s)
+            return np.zeros_like(s), med
         mad = 1e-12 * (abs(med) or float(np.abs(s).max()))
-    return (s - med) / mad
+    return (s - med) / mad, med
 
 
 def prune_threshold(z, sigma_f: float) -> float:
@@ -180,13 +193,19 @@ def sigma_rule(values, values_proj, sigma_f: float) -> PruneResult:
     """Keep item i when max(z_i, z_proj_i) <= theta, theta from z alone.
 
     ``values`` and ``values_proj`` measure the same items (triangles or
-    edges) in the original space and the projection.
+    edges) in the original space and the projection. The result keeps
+    the two medians that the z-scores were taken from.
     """
-    z = robust_z(values)
-    z_proj = robust_z(values_proj)
+    if np.shape(values) != np.shape(values_proj):
+        raise ShapeMismatchError(
+            f"{np.shape(values)} values against {np.shape(values_proj)} "
+            "in the projection")
+    z, med = _robust_z(values)
+    z_proj, med_proj = _robust_z(values_proj)
     theta = prune_threshold(z, sigma_f)
     keep = np.maximum(z, z_proj) <= theta
-    return PruneResult(keep_mask=keep, theta=theta, z=z, z_proj=z_proj)
+    return PruneResult(keep_mask=keep, theta=theta, z=z, z_proj=z_proj,
+                       median=med, median_proj=med_proj)
 
 
 def prune(tri: Triangulation, sizes: TriangleSizes,
@@ -215,6 +234,14 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     least halves per round. The final root is the component's minimum,
     so a component's label is the rank of its root among the roots.
     """
+    edges = np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ShapeMismatchError(
+            f"edges must have shape (e, 2), got {edges.shape}")
+    if edges.size and not (edges.min() >= 0
+                           and edges.max() < n_vertices):
+        raise ShapeMismatchError(
+            f"edge ends must lie in [0, {n_vertices})")
     root = np.arange(n_vertices, dtype=np.int64)
     u = edges[:, 0]
     v = edges[:, 1]
@@ -241,10 +268,13 @@ def group_by_label(labels: np.ndarray):
     Returns (ids, order, starts, counts): the distinct labels ascending,
     the indices of labelled entries grouped by label (ascending index
     within a group), and each group's offset and length in ``order``.
+    The labelled entries are grouped by one ``sort_keys``, which is
+    stable.
     """
-    labelled = np.flatnonzero(labels >= 0)
-    order = labelled[np.argsort(labels[labelled], kind="stable")]
-    sorted_labels = labels[order]
+    labelled = (labels >= 0).nonzero()[0]
+    sorted_labels, pos = sort_keys(labels.take(labelled),
+                                   int(labels.max(initial=-1)) + 1)
+    order = labelled.take(pos)
     starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
     counts = np.diff(np.r_[starts, len(order)])
     return sorted_labels[starts], order, starts, counts

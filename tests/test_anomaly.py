@@ -5,6 +5,7 @@ from tricluster import (
     TriangleSizes,
     detect_anomaly_groups,
     score_and_merge,
+    sigma_rule,
     triangle_sizes,
     triangulate,
 )
@@ -386,3 +387,25 @@ def test_score_tie_goes_to_smaller_cluster_id():
     assert decisions.best_cluster.tolist() == [3]
     assert out[4] == 3
     assert_matches_oracle(labels, tri, pts, pts, tau=1, sensitivity=0.0)
+
+
+def test_pruning_medians_give_the_same_bits():
+    # fit_predict hands the anomaly stage the medians that pruning's
+    # sigma rule took, in place of taking them again
+    rng = np.random.default_rng(11)
+    proj = rng.standard_normal((300, 2))
+    orig = np.hstack([proj, rng.standard_normal((300, 4)) * 0.3])
+    tri = triangulate(proj)
+    sizes = triangle_sizes(tri, orig, proj)
+    rule = sigma_rule(sizes.sizes, sizes.sizes_proj, 1.0)
+    labels = rng.integers(0, 100, size=300).astype(np.int64)
+    groups = detect_anomaly_groups(labels, 3)
+    want_labels, want = score_and_merge(groups, labels, tri, sizes, 0.5)
+    got_labels, got = score_and_merge(
+        groups, labels, tri, sizes, 0.5,
+        medians=(rule.median, rule.median_proj))
+    assert got_labels.tobytes() == want_labels.tobytes()
+    for name in ("group_of", "best_cluster", "best_score", "merged"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.delta == want.delta
+    assert want.merged.any() and not want.merged.all()

@@ -347,10 +347,11 @@ def test_power_of_two_scaling_keeps_exact_calls(monkeypatch):
         assert exact_calls(monkeypatch, gaussian * factor) == want
 
 
-# triangulate's traced peak on 20 000 Gaussian points read 729 bytes per
-# point with numpy 2.4.6 (810 before incircle formed its terms in place);
-# the bound allows 3% for another numpy's temporaries
-PEAK_BYTES_PER_POINT = 750
+# triangulate's traced peak on 20 000 Gaussian points read 697 bytes per
+# point with numpy 2.4.6 (810 before incircle formed its terms in place,
+# 729 while the rounds ran beside the arrays they do not read); the bound
+# allows 3% for another numpy's temporaries
+PEAK_BYTES_PER_POINT = 718
 
 
 def test_triangulate_peak_memory_per_point():
@@ -585,3 +586,74 @@ def test_tri_edges_list_each_triangles_sides():
             edge_set |= {(a, b), (a, c), (b, c)}
         assert tri.edges.tolist() == [list(e) for e in sorted(edge_set)]
         assert tri.edges.dtype == np.int64 and tri.tri_edges.dtype == np.int64
+
+
+def argsort_calls(monkeypatch):
+    """The ``kind`` of every ``np.argsort`` call made while the test runs."""
+    calls, real = [], np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(delaunay.np, "argsort", spy)
+    return calls
+
+
+def assert_stable_sort(keys, bound):
+    keys = np.asarray(keys, dtype=np.int64)
+    got_keys, got_pos = delaunay.sort_keys(keys, bound)
+    want = np.argsort(keys, kind="stable")
+    assert got_pos.tolist() == want.tolist()
+    assert got_keys.tolist() == keys[want].tolist()
+
+
+_RNG = np.random.default_rng(5)
+
+
+@pytest.mark.parametrize("keys, bound, packed", [
+    ([], 1, True),
+    ([], 2 ** 63, True),
+    ([0], 1, True),
+    ([5], 6, True),
+    (_RNG.integers(0, 4, 1000), 4, True),
+    # 1 000 positions take 10 bits, so keys below 2^53 just fit
+    (_RNG.integers(2 ** 53 - 40, 2 ** 53, 1000), 2 ** 53, True),
+    (_RNG.integers(2 ** 53 - 40, 2 ** 53, 1000), 2 ** 53 + 1, False),
+    ([2 ** 62 - 1, 3, 2 ** 62 - 1, 0, 3], 2 ** 62, False),
+    (_RNG.integers(2 ** 62 - 9, 2 ** 62, 300), 2 ** 62, False),
+])
+def test_sort_keys_is_a_stable_argsort(monkeypatch, keys, bound, packed):
+    calls = argsort_calls(monkeypatch)
+    assert_stable_sort(keys, bound)
+    # the reference's own call, then the fallback's when it is taken
+    assert calls == ["stable"] * (1 if packed else 2)
+
+
+def unique_edge_table(triangles, n_vertices):
+    """The edge table by ``np.unique(return_inverse=True)``: the
+    reference ``_edge_table`` must equal."""
+    m = len(triangles)
+    lo = triangles[:, [0, 1, 0]].T.ravel()
+    hi = triangles[:, [1, 2, 2]].T.ravel()
+    keys, side_edge = np.unique(lo * n_vertices + hi, return_inverse=True)
+    edges = np.column_stack([keys // n_vertices, keys % n_vertices])
+    return edges, side_edge.reshape(3, m).T
+
+
+@pytest.mark.parametrize("name", ["gaussian", "lattice", "tiny"])
+def test_edge_table_equals_the_unique_formula(name):
+    rng = np.random.default_rng(5)
+    pts = {
+        "gaussian": rng.normal(size=(3000, 2)),
+        "lattice": np.indices((30, 30)).reshape(2, -1).T.astype(float),
+        "tiny": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    }[name]
+    tri = triangulate(pts)
+    edges, tri_edges = delaunay._edge_table(tri.triangles, tri.n_vertices)
+    want_edges, want_sides = unique_edge_table(tri.triangles, tri.n_vertices)
+    assert edges.dtype == tri_edges.dtype == np.int64
+    assert np.array_equal(edges, want_edges)
+    assert np.array_equal(tri_edges, want_sides)
+    assert np.array_equal(tri.edges, want_edges)
+    assert np.array_equal(tri.tri_edges, want_sides)

@@ -366,6 +366,39 @@ def test_canonicalize_labels_matches_loop_oracle():
         assert canonicalize_labels(labels).tolist() == want
 
 
+def unique_canonicalize(labels):
+    """canonicalize_labels by ``np.unique``: the reference it must
+    equal."""
+    labels = np.asarray(labels, dtype=np.int64)
+    ids, first, inverse = np.unique(labels, return_index=True,
+                                    return_inverse=True)
+    neg = np.searchsorted(ids, 0)
+    rank = np.full(len(ids), -1, dtype=np.int64)
+    rank[neg + np.argsort(first[neg:])] = np.arange(len(ids) - neg)
+    return rank[inverse]
+
+
+@pytest.mark.parametrize("low, high", [
+    (-1, 2), (-1, 1999), (-50, 39), (0, 2 ** 62),
+    # labels near 2^63 take the argsort fallback of sort_keys
+    (2 ** 63 - 5, 2 ** 63 - 1), (-2 ** 63, 2 ** 63 - 1),
+])
+def test_canonicalize_labels_equals_the_unique_formula(low, high):
+    rng = np.random.default_rng(abs(low))
+    for n in (0, 1, 2, 500, 20_000):
+        labels = rng.integers(low, high, size=n, dtype=np.int64,
+                              endpoint=True)
+        got = canonicalize_labels(labels)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, unique_canonicalize(labels))
+
+
+def test_canonicalize_labels_below_minus_one_become_minus_one():
+    labels = [-5, 3, -1, 3, -2 ** 63, 2 ** 63 - 1, 0, -2]
+    assert canonicalize_labels(labels).tolist() == [-1, 0, -1, 0, -1, 1, 2,
+                                                    -1]
+
+
 # --- the exact parallel CSV reader (io._read_csv_exact) ---
 
 needs_reader = pytest.mark.skipif(

@@ -1,6 +1,9 @@
 import numpy as np
 
+import pytest
+
 from tricluster import (
+    ShapeMismatchError,
     compute_representatives,
     generate,
     merge_clusters,
@@ -253,3 +256,17 @@ def test_representatives_at_extreme_scales():
     for k in (-1000, 1000):
         got = compute_representatives(labels, np.ldexp(proj, k))
         assert np.array_equal(got.rep_point_index, want)
+
+
+def test_representatives_reject_labels_of_another_length():
+    with pytest.raises(ShapeMismatchError):
+        compute_representatives([0, 0, 1], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_merge_rejects_original_rows_of_another_count(rows):
+    proj = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    labels = np.array([0, 1, 2])
+    reps = compute_representatives(labels, proj)
+    with pytest.raises(ShapeMismatchError):
+        merge_clusters(labels, reps, np.zeros((rows, 5)), -0.8)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -423,6 +424,55 @@ def test_pinned_pca_labels_sha256(seed, params, n_clusters, n_anomalies,
                                                        n_anomalies)
     labels = result.labels.astype(np.int64)
     assert hashlib.sha256(labels.tobytes()).hexdigest() == digest
+
+
+def lattice_job(seed=0):
+    """An 80 x 80 integer lattice as the embedding, and in six more
+    dimensions seeded noise, with the 81 points of an 8-spaced sub-grid
+    pushed 2.0 away along them: perfbench's lattice workload."""
+    side = np.arange(80.0)
+    xx, yy = np.meshgrid(side, side, indexing="ij")
+    emb = np.column_stack([xx.ravel(), yy.ravel()])
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, 0.05, size=(len(emb), 6))
+    inner = np.arange(8, 76, 8)
+    planted = (inner[:, None] * 80 + inner).ravel()
+    direction = rng.normal(size=(len(planted), 6))
+    direction /= np.sqrt((direction * direction).sum(axis=1))[:, None]
+    noise[planted] += 2.0 * direction
+    return np.hstack([emb, noise]), emb
+
+
+def test_pinned_lattice_labels_sha256():
+    # every quad of the mesh is cocircular, so the tie rule, the edge
+    # table and every later sort decide these labels; the embedding is
+    # imported, so no BLAS call is made
+    data, emb = lattice_job()
+    result = fit_predict(data, BENCH_PARAMS, external_embedding=emb)
+    assert (result.n_clusters, result.n_anomalies) == (1, 77)
+    labels = result.labels.astype(np.int64)
+    assert hashlib.sha256(labels.tobytes()).hexdigest() == (
+        "2d50a59ff7708fd8c5b242ae286635165df05f9279675cde2bcd1b156882a5eb")
+
+
+# fit_predict's traced peak on the blobs-like config below read 1 010
+# bytes per point with numpy 2.4.6 (1 036 while triangulate's rounds ran
+# beside the arrays they do not read), 400 of them the float64 copy of
+# the data; the bound allows 3% for another numpy's temporaries
+FIT_PEAK_BYTES_PER_POINT = 1041
+
+
+def test_fit_predict_peak_memory_per_point():
+    data, _ = generate(SynthConfig(n_points=4000, n_clusters=5, n_dim=50,
+                                   overlap=0.08, anomaly_fraction=0.05,
+                                   random_state=7))
+    tracemalloc.start()
+    try:
+        fit_predict(data, BENCH_PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(data) <= FIT_PEAK_BYTES_PER_POINT
 
 
 def synth_rows(seed=3):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tricluster import (
+    ShapeMismatchError,
     connected_components,
     prune,
     prune_threshold,
@@ -10,7 +11,12 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
-from tricluster.pruning import _BLOCK_BYTES, edge_lengths, squared_norms
+from tricluster.pruning import (
+    _BLOCK_BYTES,
+    edge_lengths,
+    group_by_label,
+    squared_norms,
+)
 
 
 def sorted_median(values):
@@ -390,3 +396,55 @@ def test_edge_lengths_at_extreme_scales(k):
         want = np.ldexp(edge_lengths(tri, space), k)
         got = edge_lengths(tri, np.ldexp(space, k))
         assert got.tobytes() == want.tobytes()
+
+
+def argsort_group_by_label(labels):
+    """group_by_label by a stable ``argsort``: the reference it must
+    equal."""
+    labelled = np.flatnonzero(labels >= 0)
+    order = labelled[np.argsort(labels[labelled], kind="stable")]
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
+    counts = np.diff(np.r_[starts, len(order)])
+    return sorted_labels[starts], order, starts, counts
+
+
+@pytest.mark.parametrize("low, high", [(-1, 0), (-1, 5), (-3, 1999),
+                                       (-1, 2 ** 63 - 1)])
+def test_group_by_label_equals_the_argsort_formula(low, high):
+    # labels near 2^63 take the argsort fallback of sort_keys
+    rng = np.random.default_rng(abs(high) % 1000)
+    for n in (0, 1, 3, 700, 20_000):
+        labels = rng.integers(low, high, size=n, dtype=np.int64,
+                              endpoint=True)
+        got = group_by_label(labels)
+        for g, w in zip(got, argsort_group_by_label(labels)):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("edges", [[[0, -1]], [[0, 5]], [[0, 3]],
+                                   [[0, 1, 2]], [0, 1]])
+def test_connected_components_rejects_edges_outside_the_vertices(edges):
+    # -1 would silently index vertex 2, and 5 raised a raw IndexError
+    with pytest.raises(ShapeMismatchError):
+        connected_components(3, np.asarray(edges, dtype=np.int64))
+
+
+def test_sigma_rule_rejects_values_of_unequal_length():
+    with pytest.raises(ShapeMismatchError):
+        sigma_rule([1.0, 2.0, 3.0], [1.0, 2.0], 1.0)
+
+
+def test_sigma_rule_keeps_the_medians_of_its_z_scores():
+    rng = np.random.default_rng(3)
+    values, values_proj = rng.gamma(2.0, size=(2, 301))
+    rule = sigma_rule(values, values_proj, 0.5)
+    assert rule.median == float(np.median(values))
+    assert rule.median_proj == float(np.median(values_proj))
+
+
+def test_edge_lengths_rejects_coordinates_of_another_row_count():
+    tri = triangulate(np.random.default_rng(2).normal(size=(20, 2)))
+    with pytest.raises(ShapeMismatchError):
+        edge_lengths(tri, np.zeros((19, 3)))
