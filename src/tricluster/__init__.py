@@ -38,7 +38,6 @@ from .pruning import (
     connected_components,
     prune,
     prune_threshold,
-    robust_z,
     sigma_rule,
     triangle_sizes,
 )
@@ -75,7 +74,7 @@ __all__ = [
     "connected_components", "detect_anomaly_groups", "fit_predict",
     "generate", "generate_backprojection_demo", "generate_degradation_pair",
     "import_embedding", "load_labels", "load_matrix", "merge_clusters", "nmi",
-    "pca2", "prune", "prune_threshold", "robust_z", "save_labels",
+    "pca2", "prune", "prune_threshold", "save_labels",
     "save_matrix", "score_and_merge", "sigma_rule", "triangle_sizes",
     "triangulate",
 ]

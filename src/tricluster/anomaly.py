@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import Triangulation, sort_keys
+from .delaunay import Triangulation
+from .grouping import first_occurrence_order, group_by_label, sort_keys
 from .projection import unit_shift
-from .pruning import TriangleSizes, group_by_label
+from .pruning import PruneResult, TriangleSizes
 
 
 @dataclass(frozen=True)
@@ -50,22 +51,22 @@ def detect_anomaly_groups(labels, tau: int) -> np.ndarray:
     """
     labels = np.asarray(labels, dtype=np.int64)
     ids, order, starts, counts = group_by_label(labels)
-    small = np.flatnonzero(counts <= tau)
-    return ids[small[np.argsort(order[starts[small]])]]  # by minimum member
+    by_min = first_occurrence_order(order, starts)
+    return ids.take(by_min.compress(counts.take(by_min) <= tau))
 
 
 def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
-                    sensitivity: float, *, medians=None):
+                    sensitivity: float, *, prune_result: PruneResult):
     """Merge each group into its best-scoring neighbor cluster, or keep -1.
 
     ``groups`` are the cluster labels ``detect_anomaly_groups`` returns.
     ``sizes`` are the stage-one triangle sizes of ``tri``; their edge
-    lengths give the distances. ``medians`` is (median of
-    ``sizes.sizes``, median of ``sizes.sizes_proj``), as the pruning
-    stage's ``PruneResult`` holds them; they are taken here when it is
-    None. Scores are computed against the pre-merge cluster labels for
-    every group before any label is applied, so the outcome is
-    independent of processing order. Returns (labels, AnomalyDecisions).
+    lengths give the distances. ``prune_result`` is the pruning stage's
+    sigma rule over ``sizes``; its two medians give alpha and the
+    distance floor. Scores are computed against the pre-merge cluster
+    labels for every group before any label is applied, so the outcome
+    is independent of processing order. Returns (labels,
+    AnomalyDecisions).
     """
     pre_labels = np.asarray(labels, dtype=np.int64)
     n_ids = max(int(pre_labels.max(initial=-1)) + 1, 1)
@@ -74,10 +75,7 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     lookup[groups] = np.arange(len(groups))
     group_of = lookup[pre_labels]
 
-    if medians is None:
-        medians = [float(np.median(s)) if len(s) else 0.0
-                   for s in (sizes.sizes, sizes.sizes_proj)]
-    med_orig, med_proj = medians
+    med_orig, med_proj = prune_result.median, prune_result.median_proj
     alpha = med_proj / med_orig if med_orig > 0 else 1.0
     mu = float(sizes.sizes_proj.mean()) if len(sizes.sizes_proj) else 0.0
     dist_floor = 1e-12 * (med_proj if med_proj > 0 else 1.0)

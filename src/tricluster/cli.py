@@ -19,9 +19,9 @@ import numpy as np
 
 from . import io
 from .errors import ConfigError, IoError, TriclusterError
+from .grouping import group_by_label
 from .pipeline import PARAM_DEFAULTS, ClusterParams, fit_predict
 from .projection import import_embedding
-from .pruning import group_by_label
 
 # bench, metrics, svg, synthgen and csv are imported by the commands that
 # use them, so `tricluster cluster` does not load them

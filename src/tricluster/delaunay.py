@@ -48,6 +48,7 @@ from .errors import (
     ShapeMismatchError,
     TooFewPointsError,
 )
+from .grouping import run_starts, sort_keys
 from .predicates import _CCW_ERR, _ICC_ERR, _TINY, incircle, orient2d
 
 # Multiples of this with magnitude below 2 have exact float determinants:
@@ -190,22 +191,6 @@ class _Signs:
                          self._points(rest, det.shape, a, b, c, d)]
         return det
 
-    def surely_left(self, u, v, c):
-        """Is each c strictly left of the line u -> v by the float filter
-        alone, or, when every determinant is exact, on the line? False
-        wherever the filter cannot tell."""
-        z = self.z
-        zc = z[c]
-        cu = z[u] - zc
-        cv = z[v] - zc
-        left = cu.real * cv.imag
-        right = cu.imag * cv.real
-        det = left - right
-        if self.grid:
-            return det >= 0.0
-        total = np.abs(left) + np.abs(right)
-        return (total >= _TINY) & (det >= _CCW_ERR * total)
-
     def in_disk(self, a, b, c, p):
         """Is p inside the circumdisk of counterclockwise (a, b, c)? p
         must lie across side (b, c) from a.
@@ -230,14 +215,15 @@ def _hull(signs) -> list:
     """Corners of the strict convex hull, counterclockwise from the
     lowest-x, then lowest-y point (Andrew's monotone chain).
 
-    Points strictly inside a polygon of extreme points in 16 directions
-    are corners of nothing and are dropped first (Akl & Toussaint 1978).
-    The point least along a direction is the one most along its
-    opposite, so 8 projections give the 16 extremes. They come from
-    float projections, which is safe: a point strictly left of each side
-    of a closed polygon lies strictly inside the hull of its corners.
-    When every determinant is exact, the points on a side but not at its
-    ends go too: each lies between two points.
+    The points left of or on every side of a closed polygon of extreme
+    points in 16 directions are dropped first (Akl & Toussaint 1978), by
+    exact signs. No strict corner is among them: the polygon's corners
+    are other points of the set, so it winds zero times around a strict
+    corner, and one of its sides turns clockwise around it unless every
+    side lies on one line through it. The extremes in x are exact, so
+    that line then holds every point, and there is no hull. The point
+    least along a direction is the one most along its opposite, so 8
+    float projections give the 16 extremes.
     """
     xs, ys = signs.xs, signs.ys
     angle = np.arange(8) * (np.pi / 8)
@@ -249,7 +235,7 @@ def _hull(signs) -> list:
     ring = ring[ring != np.concatenate((ring[-1:], ring[:-1]))].tolist()
     inside = np.delete(np.arange(len(xs)), ring)
     for u, v in zip(ring, ring[1:] + ring[:1]):
-        inside = inside[signs.surely_left(u, v, inside)]
+        inside = inside[signs.orient(u, v, inside) >= 0]
     keep = np.delete(np.arange(len(xs)), inside)
     keep = keep[np.lexsort((ys[keep], xs[keep]))]
     # the chains run over positions in keep, so only kept points become
@@ -662,36 +648,8 @@ def _edge_table(triangles: np.ndarray, n_vertices: int):
         np.multiply(triangles[:, a], n_vertices, out=row)
         row += triangles[:, b]
     keys, side = sort_keys(keys.reshape(-1), n_vertices * n_vertices)
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    fresh = run_starts(keys)
     side_edge = np.empty(3 * m, dtype=np.int64)
     side_edge[side] = np.cumsum(fresh) - 1
     edges = np.divmod(keys.compress(fresh), n_vertices)
     return np.column_stack(edges), side_edge.reshape(3, m).T
-
-
-def sort_keys(keys: np.ndarray, bound: int):
-    """Stable sort of non-negative integer keys below ``bound``.
-
-    Returns (sorted keys, positions): ``keys[positions]`` is sorted, and
-    equal keys keep their order. Each key is packed with its position
-    into one int64 word, key << bits | position, and the words are
-    sorted by ``np.sort``, which is several times faster than a stable
-    ``argsort`` on int64; the words are distinct, so any sort of them is
-    stable. When the words would need more than 63 bits, the keys go to
-    ``np.argsort(kind="stable")``, which gives the same result.
-    """
-    n = len(keys)
-    bits = (n - 1).bit_length() if n else 0
-    if bound > 1 << (63 - bits):
-        positions = np.argsort(keys, kind="stable")
-        return keys[positions], positions
-    words = keys.astype(np.int64)
-    words <<= bits
-    positions = np.arange(n, dtype=np.int64)
-    words |= positions
-    words.sort()
-    np.bitwise_and(words, (1 << bits) - 1, out=positions)
-    words >>= bits
-    return words, positions

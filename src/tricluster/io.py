@@ -51,7 +51,6 @@ from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
-from .delaunay import sort_keys
 from .errors import (
     EmptyError,
     IoError,
@@ -570,29 +569,3 @@ def save_labels(labels, path) -> None:
             fh.write("".join(table[index].tolist()))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def canonicalize_labels(labels) -> np.ndarray:
-    """Relabel non-negative labels to 0..k-1 by ascending first occurrence.
-
-    Every negative label becomes -1.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    # key 0 for every negative label and l + 1 for label l, formed in
-    # uint64, where -1 + 1 wraps to 0 and 2^63 - 1 + 1 does not overflow
-    keys = np.maximum(labels, -1).view(np.uint64)
-    keys += np.uint64(1)
-    keys, pos = sort_keys(keys, int(keys.max(initial=0)) + 1)
-    # the sort is stable, so each run of equal keys starts at its
-    # label's first occurrence; the run of key 0 starts none
-    start = np.empty(len(keys), dtype=bool)
-    start[:1] = keys[:1] != 0
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    first = pos.compress(start)
-    # each label's rank among the first occurrences; -1 for key 0
-    rank = np.empty(len(first) + 1, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    rank[-1] = -1
-    out = np.empty(len(keys), dtype=np.int64)
-    out[pos] = rank.take(np.cumsum(start) - 1)
-    return out

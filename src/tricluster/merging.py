@@ -25,12 +25,11 @@ import numpy as np
 
 from .delaunay import triangulate
 from .errors import CollinearError, ShapeMismatchError, TooFewPointsError
-from .io import canonicalize_labels
+from .grouping import canonicalize_labels, group_by_label
 from .projection import unit_shift
 from .pruning import (
     connected_components,
     edge_lengths,
-    group_by_label,
     sigma_rule,
     squared_norms,
 )

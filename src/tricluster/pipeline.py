@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
     TriclusterError,
 )
-from .io import canonicalize_labels
+from .grouping import canonicalize_labels
 from .projection import Embedding, embedding_from_array, owned_float64, pca2
 
 
@@ -190,7 +190,7 @@ def fit_predict(data, params: ClusterParams = None,
         groups = anomaly_mod.detect_anomaly_groups(labels_u, params.tau)
         labels_u, decisions = anomaly_mod.score_and_merge(
             groups, labels_u, tri, sizes, params.anomaly_sensitivity,
-            medians=(prune_res.median, prune_res.median_proj),
+            prune_result=prune_res,
         )
 
     # expand labels back to the input rows (duplicates inherit their

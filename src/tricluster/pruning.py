@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delaunay import Triangulation, sort_keys
+from .delaunay import Triangulation
 from .errors import EmptyError, ShapeMismatchError
 from .projection import unit_shift
 
@@ -155,8 +155,9 @@ def triangle_sizes(tri: Triangulation, original, proj) -> TriangleSizes:
     )
 
 
-def robust_z(sizes) -> np.ndarray:
-    """Median/MAD normalization: z_i = (s_i - median) / MAD.
+def _robust_z(sizes):
+    """Median/MAD normalization z_i = (s_i - median) / MAD, and the
+    median.
 
     With zero dispersion nothing is an outlier, so all-equal inputs get
     z = 0. Otherwise a zero MAD is floored at 1e-12 * |median|, or at
@@ -164,14 +165,9 @@ def robust_z(sizes) -> np.ndarray:
     entries detectable; the floor scales with the sizes, so z does not
     change when they are scaled by a power of two.
     """
-    return _robust_z(sizes)[0]
-
-
-def _robust_z(sizes):
-    """``robust_z`` of the sizes, and their median."""
     s = np.asarray(sizes, dtype=np.float64)
     if s.size == 0:
-        raise EmptyError("robust_z needs at least one value")
+        raise EmptyError("the sigma rule needs at least one value")
     med = float(np.median(s))
     mad = float(np.median(np.abs(s - med)))
     if mad == 0.0:
@@ -260,21 +256,3 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     rank = np.cumsum(root == np.arange(n_vertices), dtype=np.int64)
     rank -= 1
     return rank[root]
-
-
-def group_by_label(labels: np.ndarray):
-    """Sort-based group-by over the non-negative entries of ``labels``.
-
-    Returns (ids, order, starts, counts): the distinct labels ascending,
-    the indices of labelled entries grouped by label (ascending index
-    within a group), and each group's offset and length in ``order``.
-    The labelled entries are grouped by one ``sort_keys``, which is
-    stable.
-    """
-    labelled = (labels >= 0).nonzero()[0]
-    sorted_labels, pos = sort_keys(labels.take(labelled),
-                                   int(labels.max(initial=-1)) + 1)
-    order = labelled.take(pos)
-    starts = np.flatnonzero(np.diff(sorted_labels, prepend=-1))
-    counts = np.diff(np.r_[starts, len(order)])
-    return sorted_labels[starts], order, starts, counts

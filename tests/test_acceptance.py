@@ -25,7 +25,7 @@ from tricluster import (
     generate,
     nmi,
     prune_threshold,
-    robust_z,
+    sigma_rule,
     triangulate,
 )
 from tricluster.bench import backprojection_demo, degradation_sweep
@@ -97,7 +97,7 @@ def test_criterion_2_robust_stats_oracle():
     rng = np.random.default_rng(102)
     for _ in range(1000):
         s = rng.uniform(-5, 50, int(rng.integers(1, 100)))
-        z = robust_z(s)
+        z = sigma_rule(s, s, 0.0).z
         srt = sorted(s)
         m = len(srt)
         med = srt[m // 2] if m % 2 else (srt[m // 2 - 1] + srt[m // 2]) / 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,9 +88,17 @@ def loop_oracle(labels, tau, tri, orig, proj, sensitivity):
     return out, group_of, decisions, delta
 
 
+def score_groups(groups, labels, tri, sizes, sensitivity):
+    """``score_and_merge`` handed the pruning stage's sigma rule over
+    ``sizes``, as ``fit_predict`` hands it."""
+    return score_and_merge(
+        groups, labels, tri, sizes, sensitivity,
+        prune_result=sigma_rule(sizes.sizes, sizes.sizes_proj, 0.3))
+
+
 def assert_matches_oracle(labels, tri, orig, proj, tau, sensitivity):
     groups = detect_anomaly_groups(labels, tau)
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, orig, proj),
         sensitivity,
     )
@@ -141,7 +151,7 @@ def test_anomaly_distance_formula():
     tri = triangulate(proj)
     labels = np.array([0, 0, 1])
     groups = detect_anomaly_groups(labels, tau=1)
-    _, decisions = score_and_merge(
+    _, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, orig, proj),
         0.0,
     )
@@ -164,7 +174,7 @@ def test_anomaly_distance_zero_is_floored():
                           edge_len=zeros, edge_len_proj=zeros)
     labels = np.array([0, 0, 1])
     groups = detect_anomaly_groups(labels, tau=1)
-    _, decisions = score_and_merge(
+    _, decisions = score_groups(
         groups, labels, tri, sizes,
         0.0,
     )
@@ -185,8 +195,8 @@ def test_scores_keep_their_bits_at_extreme_scales(k):
     groups = detect_anomaly_groups(labels, tau=3)
     scaled = TriangleSizes(*(np.ldexp(v, k) for v in (
         sizes.sizes, sizes.sizes_proj, sizes.edge_len, sizes.edge_len_proj)))
-    want = score_and_merge(groups, labels, tri, sizes, 0.5)[1]
-    got = score_and_merge(groups, labels, tri, scaled, 0.5)[1]
+    want = score_groups(groups, labels, tri, sizes, 0.5)[1]
+    got = score_groups(groups, labels, tri, scaled, 0.5)[1]
     assert got.best_score.tobytes() == want.best_score.tobytes()
     assert want.merged.any()
 
@@ -223,7 +233,7 @@ def test_sensitivity_one_never_merges():
     pts, tri, labels = _one_cluster_with_straggler()
     groups = detect_anomaly_groups(labels, tau=3)
     assert len(groups) == 1
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         1.0,
     )
@@ -234,7 +244,7 @@ def test_sensitivity_one_never_merges():
 def test_sensitivity_zero_always_merges():
     pts, tri, labels = _one_cluster_with_straggler()
     groups = detect_anomaly_groups(labels, tau=3)
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
@@ -252,7 +262,7 @@ def test_tie_breaks_to_smaller_cluster_id():
     labels = np.array([0] * 4 + [1] * 4 + [2])
     groups = detect_anomaly_groups(labels, tau=1)
     assert len(groups) == 1
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
@@ -271,7 +281,7 @@ def test_monotone_in_sensitivity():
     prev_merged = None
     for sens in (1.0, 0.75, 0.5, 0.25, 0.0):
         groups = detect_anomaly_groups(labels, tau=1)
-        _, decisions = score_and_merge(
+        _, decisions = score_groups(
             groups, labels, tri, triangle_sizes(tri, pts, pts),
             sens,
         )
@@ -286,7 +296,7 @@ def test_labels_conserved():
     pts, tri, labels = _one_cluster_with_straggler()
     before = set(labels.tolist())
     groups = detect_anomaly_groups(labels, tau=3)
-    out, _ = score_and_merge(
+    out, _ = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.5,
     )
@@ -302,7 +312,7 @@ def test_merged_target_has_maximal_score():
     tri = triangulate(pts)
     labels = np.array([0] * 15 + [1] * 15 + [2])
     groups = detect_anomaly_groups(labels, tau=1)
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
@@ -380,7 +390,7 @@ def test_score_tie_goes_to_smaller_cluster_id():
     tri = triangulate(pts)
     labels = np.array([7, 3, 3, 7, 9])
     groups = np.array([9])
-    out, decisions = score_and_merge(
+    out, decisions = score_groups(
         groups, labels, tri, triangle_sizes(tri, pts, pts),
         0.0,
     )
@@ -390,22 +400,27 @@ def test_score_tie_goes_to_smaller_cluster_id():
 
 
 def test_pruning_medians_give_the_same_bits():
-    # fit_predict hands the anomaly stage the medians that pruning's
-    # sigma rule took, in place of taking them again
+    # the anomaly stage reads its medians from the pruning stage's
+    # record: they equal the medians of the sizes, and a record with
+    # other medians gives other scores
     rng = np.random.default_rng(11)
     proj = rng.standard_normal((300, 2))
     orig = np.hstack([proj, rng.standard_normal((300, 4)) * 0.3])
     tri = triangulate(proj)
     sizes = triangle_sizes(tri, orig, proj)
     rule = sigma_rule(sizes.sizes, sizes.sizes_proj, 1.0)
+    assert (rule.median, rule.median_proj) == (
+        float(np.median(sizes.sizes)), float(np.median(sizes.sizes_proj)))
     labels = rng.integers(0, 100, size=300).astype(np.int64)
-    groups = detect_anomaly_groups(labels, 3)
-    want_labels, want = score_and_merge(groups, labels, tri, sizes, 0.5)
-    got_labels, got = score_and_merge(
-        groups, labels, tri, sizes, 0.5,
-        medians=(rule.median, rule.median_proj))
-    assert got_labels.tobytes() == want_labels.tobytes()
+    groups, want = assert_matches_oracle(labels, tri, orig, proj, tau=3,
+                                         sensitivity=0.5)
+    assert want.merged.any() and not want.merged.all()
+    _, got = score_and_merge(groups, labels, tri, sizes, 0.5,
+                             prune_result=rule)
     for name in ("group_of", "best_cluster", "best_score", "merged"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert got.delta == want.delta
-    assert want.merged.any() and not want.merged.all()
+    _, other = score_and_merge(
+        groups, labels, tri, sizes, 0.5,
+        prune_result=replace(rule, median=2 * rule.median))
+    assert other.best_score.tobytes() != want.best_score.tobytes()

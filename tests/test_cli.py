@@ -24,6 +24,7 @@ from tricluster import (
 )
 from tricluster import bench as bench_mod
 from tricluster import cli, synthgen
+from tricluster import io as tio
 from tricluster.cli import _params_from_args, build_parser, main
 
 
@@ -201,6 +202,30 @@ def test_cluster_with_imported_embedding(tmp_path, capsys):
     assert len(set(labels[:20].tolist())) == 1
     assert labels[0] != labels[20]
     assert "PCA" not in err  # the PCA note only appears without --embedding
+
+
+def test_cluster_header_skips_one_line(tmp_path, capsys):
+    # a header line, ending in LF or in CRLF, leaves the labels as the
+    # headless file gives them; the exact reader declines the CRLF header
+    # and numpy's parser reads that file
+    rng = np.random.default_rng(4)
+    body = "".join(f"{x:.6f},{y:.6f},{z:.6f}\n" for x, y, z in np.vstack(
+        [rng.normal(0, 1, (60, 3)), rng.normal(9, 1, (60, 3))]))
+    outputs = []
+    for name, header in (("plain", ""), ("lf", "a,b,c\n"),
+                         ("crlf", "a,b,c\r\n")):
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes((header + body).encode())
+        pred = tmp_path / f"{name}.labels"
+        flags = ["--header"] if header else []
+        code, _, _ = run_cli(capsys, "cluster", "--input", str(data), *flags,
+                             "--prune", "1.0", "--out", str(pred))
+        assert code == 0
+        outputs.append(pred.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[0]
+    assert tio._read_csv_exact(str(tmp_path / "crlf.csv"), True) is None
+    if tio._LONGDOUBLE_HOLDS_HALFWAYS:
+        assert tio._read_csv_exact(str(tmp_path / "lf.csv"), True) is not None
 
 
 def test_cluster_svg_and_diag(tmp_path, capsys):

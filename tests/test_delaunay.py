@@ -14,7 +14,7 @@ from tricluster import (
     triangle_sizes,
     triangulate,
 )
-from tricluster import delaunay, predicates
+from tricluster import delaunay, grouping, predicates
 from tricluster.delaunay import collapse_duplicates
 from tricluster.predicates import incircle, orient2d
 from tricluster.pruning import edge_lengths
@@ -204,6 +204,28 @@ PINNED_TRIANGLES_SHA256 = {
 def test_pinned_tie_heavy_triangles(name):
     tri = triangulate(pinned_inputs()[name])
     assert triangles_sha256(tri) == PINNED_TRIANGLES_SHA256[name]
+
+
+def signs_of(pts):
+    """The array predicates of ``triangulate`` over ``pts`` as given,
+    off the grid path."""
+    xy = np.ascontiguousarray(pts, dtype=np.float64)
+    return delaunay._Signs(xy.view(np.complex128)[:, 0], False)
+
+
+# 0.1 is no power of two, so this lattice is off the grid of exact float
+# determinants; each boundary row and column keeps one coordinate, so it
+# stays exactly collinear
+TENTH_LATTICE = lattice(40, 40) * 0.1
+
+
+def test_off_grid_lattice_triangles_and_hull():
+    tri = triangulate(TENTH_LATTICE)
+    assert triangles_sha256(tri) == (
+        "b55aef97fcc27a30f991d4cf9a5c5b6cdb5e641995a0a71eef28bd838587ecf1")
+    # the points between the corners lie on the extreme-point polygon,
+    # and the exact filter drops them
+    assert delaunay._hull(signs_of(TENTH_LATTICE)) == [0, 39, 1599, 1560]
 
 
 def assert_matches_bowyer_watson(pts):
@@ -596,13 +618,13 @@ def argsort_calls(monkeypatch):
         calls.append(kwargs.get("kind"))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(delaunay.np, "argsort", spy)
+    monkeypatch.setattr(grouping.np, "argsort", spy)
     return calls
 
 
 def assert_stable_sort(keys, bound):
     keys = np.asarray(keys, dtype=np.int64)
-    got_keys, got_pos = delaunay.sort_keys(keys, bound)
+    got_keys, got_pos = grouping.sort_keys(keys, bound)
     want = np.argsort(keys, kind="stable")
     assert got_pos.tolist() == want.tolist()
     assert got_keys.tolist() == keys[want].tolist()

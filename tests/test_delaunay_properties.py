@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from tricluster import delaunay  # noqa: E402
 from tricluster import (  # noqa: E402
@@ -29,6 +29,7 @@ from test_delaunay import (  # noqa: E402
     brute_incircle_ok,
     lattice,
     pythagorean_ring,
+    signs_of,
 )
 
 
@@ -201,6 +202,57 @@ def test_near_collinear_sets_match_bowyer_watson(pts):
             bowyer_watson(pts)
         return
     assert_matches_bowyer_watson(pts)
+
+
+def chain_hull(pts):
+    """Andrew's monotone chain over every point, by the exact orient2d:
+    the strict hull's corners, counterclockwise from the lowest-x, then
+    lowest-y point."""
+    xy = pts.tolist()
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+
+    def chain(seq):
+        out = []
+        for i in seq:
+            while len(out) >= 2 and orient2d(*xy[out[-2]], *xy[out[-1]],
+                                             *xy[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(order)[:-1] + chain(order[::-1])[:-1]
+
+
+@st.composite
+def boxed_sets(draw):
+    """Distinct points in a square of integer side: integer and float
+    points inside, and integer points planted on its sides, which stay
+    collinear when every coordinate is scaled; scaled by a factor that is
+    mostly no power of two, and shuffled. At least three points, as
+    ``triangulate`` hands ``_hull``."""
+    side = draw(st.integers(1, 30))
+    coord = st.integers(0, side)
+    inner = draw(st.lists(st.tuples(coord, coord), max_size=40))
+    floats = draw(st.lists(st.tuples(*[st.floats(0, side)] * 2),
+                           max_size=20))
+    planted = [(e, t) if horizontal else (t, e) for e, t, horizontal in
+               draw(st.lists(st.tuples(st.sampled_from([0, side]), coord,
+                                       st.booleans()), max_size=40))]
+    factor = draw(st.sampled_from([0.1, 0.3, -0.7, 1.0, 1e-200]))
+    pts = np.unique(factor * np.array(inner + floats + planted,
+                                      dtype=np.float64).reshape(-1, 2),
+                    axis=0)
+    assume(len(pts) >= 3)
+    return pts[list(draw(st.permutations(range(len(pts)))))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(boxed_sets())
+def test_hull_equals_the_chain_over_every_point(pts):
+    # the exact filter drops the points on the extreme-point polygon's
+    # sides; a strict corner must never be among them
+    with np.errstate(all="ignore"):
+        assert delaunay._hull(signs_of(pts)) == chain_hull(pts)
 
 
 @st.composite

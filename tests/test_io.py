@@ -20,7 +20,7 @@ from tricluster import (
     save_matrix,
 )
 from tricluster import io as tio
-from tricluster.io import canonicalize_labels
+from tricluster.grouping import canonicalize_labels
 
 
 def write(path, text):

@@ -7,7 +7,7 @@ from tricluster import (
     compute_representatives,
     generate,
     merge_clusters,
-    robust_z,
+    sigma_rule,
     SynthConfig,
     fit_predict,
     ClusterParams,
@@ -222,8 +222,9 @@ def test_merge_threshold_matches_norm_oracle():
     rep_tri = triangulate(reps.rep_coords_proj)
     rows = reps.rep_point_index[rep_tri.unique_rows]
     a, b = rows[rep_tri.edges[:, 0]], rows[rep_tri.edges[:, 1]]
-    z = robust_z(np.linalg.norm(orig[a] - orig[b], axis=1))
-    z_proj = robust_z(np.linalg.norm(proj[a] - proj[b], axis=1))
+    norms = sigma_rule(np.linalg.norm(orig[a] - orig[b], axis=1),
+                       np.linalg.norm(proj[a] - proj[b], axis=1), 0.0)
+    z, z_proj = norms.z, norms.z_proj
     theta = z.mean() - 0.5 * z.std()
     keep = np.maximum(z, z_proj) <= theta
     assert abs(rule.theta - theta) < 1e-12

@@ -8,6 +8,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+import tricluster
 from tricluster import (
     ClusterParams,
     CollinearError,
@@ -268,6 +269,21 @@ def test_clusterer_front_end():
     labels = model.fit_predict(pts)
     assert ari(truth, labels) == 1.0
     assert model.result_.n_clusters == 3
+
+
+def test_clusterer_back_proj_alias():
+    # ``back_proj`` is the published snippet's name for back_projection;
+    # on the demo's first-two-columns embedding, turning it off changes
+    # which tail points are anomalies
+    data, _ = tricluster.generate_backprojection_demo(10, 25, seed=2000)
+    emb = data[:, :2].copy()
+    params = dict(prune_param=1.0, anomaly_sensitivity=1.0)
+    alias = DelaunayClusterer(back_proj=False, **params).fit_predict(data, emb)
+    field = DelaunayClusterer(back_projection=False,
+                              **params).fit_predict(data, emb)
+    default = DelaunayClusterer(**params).fit_predict(data, emb)
+    assert alias.tobytes() == field.tobytes()
+    assert alias.tobytes() != default.tobytes()
 
 
 def test_anomaly_sensitivity_zero_merges_everything_mergeable():

@@ -6,17 +6,17 @@ from tricluster import (
     connected_components,
     prune,
     prune_threshold,
-    robust_z,
     sigma_rule,
     triangle_sizes,
     triangulate,
 )
-from tricluster.pruning import (
-    _BLOCK_BYTES,
-    edge_lengths,
-    group_by_label,
-    squared_norms,
-)
+from tricluster.grouping import group_by_label
+from tricluster.pruning import _BLOCK_BYTES, edge_lengths, squared_norms
+
+
+def robust_z(values):
+    """The sigma rule's original-space z-scores of ``values``."""
+    return sigma_rule(values, values, 0.0).z
 
 
 def sorted_median(values):
