@@ -12,32 +12,34 @@ Label files are newline-delimited signed integers, one per point.
 NaN/Inf cells are rejected at load time: the robust statistics downstream
 are undefined on non-finite values.
 
-A CSV file is first offered to ``_read_csv_exact``, which parses chunks
-of whole lines on every core the process may use into correctly rounded
-long doubles, and rounds each long double once more to float64. A chunk
-whose every cell is ``[+-]digits[.digits][(e|E)[+-]digits]``, with at
-most 18 significant digits and a power of ten 10^k with |k| <= 27, is
-read as 64-bit integers by ``np.fromstring``: each cell's digits
-without the ``.`` are its significand m, and m / 10^-k or
-m * 10^k, both operands exact in the long double, is one correctly
-rounded operation (Clinger's fast path). Any other chunk is read by the C
-library's ``strtold``, which is 3 to 4 times slower. Either parse
-releases the GIL, and both give the same long double. The rounding to
-float64 gives ``float()``'s value except where the long double lies
-exactly halfway between two doubles: the long double is correctly
-rounded, and rounding is monotone, so it cannot carry a value across
-a halfway point, only onto one. A halfway point has 54 significant bits
-and is a long double wherever the long double is the x87 80-bit or the
-IEEE binary128 format; elsewhere (a float64 long double on Windows and
-Apple arm64, IBM double-double) the reader is off. Cells that land on a
-halfway point are read again with ``float()``. In the x87 format they
-are found from the significand alone: where the double is normal, the
-11 bits below its 53 read 0x400 exactly on a halfway point. Cells whose
-double is zero, subnormal, the smallest normal or infinite, and every
-cell of another format, are tested by 2 * cell - double, which is a
-double exactly where the cell lies halfway. Whatever the reader is not
-sure of, it leaves to ``np.loadtxt`` and the line parser, so the
-grammar, the values and the errors are theirs.
+A CSV load opens the path once (a pipe is read whole into memory), skips
+a header line where a text file ends it, and offers the one handle to
+``_read_csv_exact``, which parses chunks of whole lines on every core
+the process may use into correctly rounded long doubles, and rounds each
+long double once more to float64. A chunk whose every cell is
+``[+-]digits[.digits][(e|E)[+-]digits]``, with at most 18 significant
+digits and a power of ten 10^k with |k| <= 27, is read as 64-bit
+integers by ``np.fromstring``: each cell's digits without the ``.`` are
+its significand m, and m / 10^-k or m * 10^k, both operands exact in the
+long double, is one correctly rounded operation (Clinger's fast path).
+Any other chunk is read by the C library's ``strtold``, which is 3 to 4
+times slower. Either parse releases the GIL, and both give the same long
+double. The rounding to float64 gives ``float()``'s value except where
+the long double lies exactly halfway between two doubles: the long
+double is correctly rounded, and rounding is monotone, so it cannot
+carry a value across a halfway point, only onto one. A halfway point has
+54 significant bits and is a long double wherever the long double is the
+x87 80-bit or the IEEE binary128 format; elsewhere (a float64 long
+double on Windows and Apple arm64, IBM double-double) the reader is off.
+Cells that land on a halfway point are read again with ``float()``. In
+the x87 format they are found from the significand alone: where the
+double is normal, the 11 bits below its 53 read 0x400 exactly on a
+halfway point. Cells whose double is zero, subnormal, the smallest
+normal or infinite, and every cell of another format, are tested by
+2 * cell - double, which is a double exactly where the cell lies
+halfway. Whatever the reader is not sure of, it leaves to ``np.loadtxt``
+and then the line parser, on the same handle, so the grammar, the
+values and the errors are theirs.
 """
 
 from __future__ import annotations
@@ -113,127 +115,122 @@ def load_matrix(path, fmt: str = "csv", header: bool = False) -> np.ndarray:
     raise ParseError(f"unknown matrix format {fmt!r}")
 
 
-def _open_text(path, data=None):
-    """``path`` opened as UTF-8 text; or, given ``data``, the bytes read
-    from it before, wrapped to read as the file would."""
-    if data is None:
-        return open(path, "r", encoding="utf-8")
-    return TextIOWrapper(BytesIO(data), encoding="utf-8")
-
-
-def _stream_bytes(path):
-    """All bytes of ``path`` when it is not a regular file, such as a
-    pipe, which can be read only once; None for a regular file, and for
-    a path that cannot be opened."""
+def _decode(path, raw: bytes) -> str:
+    """``raw``, read from ``path``, decoded as UTF-8."""
     try:
-        with open(path, "rb") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return None
-            return fh.read()
-    except OSError:
-        return None
-
-
-def _read_lines(path, data=None) -> list:
-    """The lines of a UTF-8 text file, or of its bytes ``data``."""
-    try:
-        with _open_text(path, data) as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _load_csv(path, header: bool) -> np.ndarray:
-    """Read with ``_read_csv_exact``; where it declines, parse with
-    numpy's C parser, which builds no Python lists.
+def _read_lines(path) -> list:
+    """The lines of a UTF-8 text file."""
+    try:
+        with open(path, "rb") as fh:
+            return _decode(path, fh.read()).splitlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
-    The reader declines a pipe, a platform whose long double cannot hold
-    the halfway points, a header line that is not UTF-8 or holds a
-    ``\\r``, and a file with a byte outside ``0-9 . + - e E , \\n``, an
-    empty line, a line with another cell count than the first, or a cell
-    that ``strtold`` does not read whole. A chunk of lines whose cells all
-    fit the integer grammar and its limits (see ``_read_decimals``) is
-    parsed as integers; any other chunk goes to ``strtold``, with the
-    same values, so the grammar alone never changes what loads.
+
+def _load_csv(path, header: bool) -> np.ndarray:
+    """Open ``path`` once and parse the one seekable binary handle with
+    ``_read_csv_exact``; where it declines, with numpy's C parser, which
+    builds no Python lists; where numpy rejects the text or reads it as
+    empty, with the line parser. A pipe, which can be read only once, is
+    read whole into memory first. The header is the first line as a text
+    file ends it, at the first ``\\n``, ``\\r`` or ``\\r\\n``, and must
+    be UTF-8.
+
+    The reader declines a platform whose long double cannot hold the
+    halfway points, and a file with a byte outside ``0-9 . + - e E ,
+    \\n``, an empty line, a line with another cell count than the first,
+    or a cell that ``strtold`` does not read whole. A chunk of lines
+    whose cells all fit the integer grammar and its limits (see
+    ``_read_decimals``) is parsed as integers; any other chunk goes to
+    ``strtold``, with the same values, so the grammar alone never
+    changes what loads.
 
     numpy accepts a subset of the cells that Python's ``float`` accepts
-    and reads them to the same values. Whatever it rejects or reads as
-    empty goes to the line parser, which accepts the rest (``1_000``,
-    whitespace-only lines) and raises the errors with their row and
-    column; so does a file it cannot open. A pipe is read once, and
-    both parsers read the same bytes.
+    and reads them to the same values. The line parser accepts the rest
+    (``1_000``, whitespace-only lines) and raises the errors with their
+    row and column.
     """
-    values = _read_csv_exact(path, header)
-    if values is None:
-        data = _stream_bytes(path)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                values = np.loadtxt(
-                    path if data is None else _open_text(path, data),
-                    delimiter=",", dtype=np.float64, comments=None, ndmin=2,
-                    skiprows=int(header), encoding="utf-8")
-        except (OSError, ValueError, UnicodeDecodeError):
-            return _parse_csv_lines(path, header, data)
-        if not len(values):
-            return _parse_csv_lines(path, header, data)
+    try:
+        with open(path, "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh = BytesIO(fh.read())
+            head = b""
+            if header:
+                head = fh.readline()
+                cr = head.find(b"\r")
+                if cr >= 0 and head[cr + 1:] != b"\n":
+                    head = head[:cr + 1]
+                    fh.seek(len(head))
+            skip = len(_decode(path, head))
+            values = _read_csv_exact(fh)
+            if values is None:
+                fh.seek(len(head))
+                text = TextIOWrapper(fh, encoding="utf-8")
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings(
+                            "ignore", "loadtxt: input contained no data",
+                            UserWarning)
+                        values = np.loadtxt(
+                            text, delimiter=",", dtype=np.float64,
+                            comments=None, ndmin=2)
+                except ValueError:  # a UnicodeDecodeError too
+                    values = None
+                finally:
+                    text.detach()
+            if values is None or not len(values):
+                fh.seek(0)
+                values = _parse_csv_lines(
+                    path, _decode(path, fh.read())[skip:], int(header))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     _validate_finite(values, n_header_rows=int(header))
     return values
 
 
-def _read_csv_exact(path, header: bool):
-    """The matrix of a regular CSV file whose lines all hold d cells,
-    each a decimal number that ``strtold`` reads whole (such as ``-.5``,
-    ``5.`` or ``1E+05``), with each value equal to ``float()`` of its
-    cell; None for any other file.
+def _read_csv_exact(fh):
+    """The matrix of the CSV lines from the position of the seekable
+    binary handle ``fh`` on, where they all hold d cells, each a decimal
+    number that ``strtold`` reads whole (such as ``-.5``, ``5.`` or
+    ``1E+05``), with each value equal to ``float()`` of its cell; None
+    for any other text.
 
     A first pass finds the last line end in every ``_CHUNK_BYTES`` and
     counts the rows, so the output is allocated once. Then each thread
     reads the next chunk of whole lines between those ends, one at a
-    time, and writes its rows. A pipe is left alone, since it can be
-    read only once.
+    time, and writes its rows.
     """
     if not _LONGDOUBLE_HOLDS_HALFWAYS:
         return None
-    try:
-        with open(path, "rb") as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return None
-            # loadtxt skips one line by universal newlines, in UTF-8
-            if header and "\r" in fh.readline().decode("utf-8"):
-                return None
-            start = fh.tell()
-            d = fh.readline().count(b",") + 1
-            fh.seek(start)
-            ends, rows = [], 0  # (end of a chunk, rows before it)
-            while buf := fh.read(_CHUNK_BYTES):
-                cut = buf.rfind(b"\n") + 1
-                if cut:
-                    ends.append((fh.tell() - len(buf) + cut, rows))
-                rows += np.count_nonzero(np.frombuffer(buf, np.uint8) == 10)
-            if fh.tell() > (ends[-1][0] if ends else start):
-                ends.append((fh.tell(), rows))  # a last line without an end
-                rows += 1
-            # a cell takes a digit and a separator: the first line's
-            # cell count cannot make it allocate more than the file fills
-            if not rows or 2 * rows * d - 1 > fh.tell() - start:
-                return None
-            fh.seek(start)
-            chunks = ((fh.read(end - fh.tell()), row, stop - row)
-                      for (end, row), (_, stop) in zip(ends,
-                                                       ends[1:] + [(0, rows)]))
-            values = np.empty((rows, d), dtype=np.float64)
-            workers = min(len(os.sched_getaffinity(0))
-                          if hasattr(os, "sched_getaffinity")
-                          else os.cpu_count() or 1, len(ends))
-            if not _parse_chunks(values, chunks, workers):
-                return None
-    except (OSError, UnicodeDecodeError):
+    start = fh.tell()
+    d = fh.readline().count(b",") + 1
+    fh.seek(start)
+    ends, rows = [], 0  # (end of a chunk, rows before it)
+    while buf := fh.read(_CHUNK_BYTES):
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            ends.append((fh.tell() - len(buf) + cut, rows))
+        rows += np.count_nonzero(np.frombuffer(buf, np.uint8) == 10)
+    if fh.tell() > (ends[-1][0] if ends else start):
+        ends.append((fh.tell(), rows))  # a last line without an end
+        rows += 1
+    # a cell takes a digit and a separator: the first line's cell count
+    # cannot make it allocate more than the file fills
+    if not rows or 2 * rows * d - 1 > fh.tell() - start:
         return None
-    return values
+    fh.seek(start)
+    chunks = ((fh.read(end - fh.tell()), row, stop - row)
+              for (end, row), (_, stop) in zip(ends, ends[1:] + [(0, rows)]))
+    values = np.empty((rows, d), dtype=np.float64)
+    workers = min(len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1, len(ends))
+    return values if _parse_chunks(values, chunks, workers) else None
 
 
 def _parse_chunks(values, chunks, workers: int) -> bool:
@@ -432,12 +429,13 @@ def _read_decimals(chunk: bytes):
     return cells, ends
 
 
-def _parse_csv_lines(path, header: bool, data=None) -> np.ndarray:
-    lines = _read_lines(path, data)
-    start = 1 if header else 0
+def _parse_csv_lines(path, text: str, skipped: int) -> np.ndarray:
+    """The rows of ``text``, the CSV lines of ``path`` after its first
+    ``skipped``; a line of whitespace is skipped, and an error names the
+    row's line in the file."""
     rows = []
     n_cols = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(text.splitlines(), start=skipped + 1):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -454,9 +452,7 @@ def _parse_csv_lines(path, header: bool, data=None) -> np.ndarray:
 
     if not rows:
         raise EmptyError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=np.float64)
-    _validate_finite(values, n_header_rows=start)
-    return values
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _load_binary(path) -> np.ndarray:

@@ -137,16 +137,8 @@ def triangle_sizes(tri: Triangulation, original, proj) -> TriangleSizes:
     Every edge is measured once per space; a triangle's size is the
     largest of its three edge lengths.
     """
-    orig = np.asarray(original, dtype=np.float64)
-    prj = np.asarray(proj, dtype=np.float64)
-    for name, coords in (("original", orig), ("projected", prj)):
-        if coords.shape[0] != tri.n_input:
-            raise ShapeMismatchError(
-                f"{name} space has {coords.shape[0]} rows, "
-                f"triangulation expects {tri.n_input}"
-            )
-    edge_len = edge_lengths(tri, orig)
-    edge_len_proj = edge_lengths(tri, prj)
+    edge_len = edge_lengths(tri, original)
+    edge_len_proj = edge_lengths(tri, proj)
     return TriangleSizes(
         sizes=_longest_side(edge_len, tri.tri_edges),
         sizes_proj=_longest_side(edge_len_proj, tri.tri_edges),

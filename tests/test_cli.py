@@ -204,10 +204,18 @@ def test_cluster_with_imported_embedding(tmp_path, capsys):
     assert "PCA" not in err  # the PCA note only appears without --embedding
 
 
-def test_cluster_header_skips_one_line(tmp_path, capsys):
+def test_cluster_header_skips_one_line(tmp_path, capsys, monkeypatch):
     # a header line, ending in LF or in CRLF, leaves the labels as the
-    # headless file gives them; the exact reader declines the CRLF header
-    # and numpy's parser reads that file
+    # headless file gives them, and the exact reader takes all three files
+    taken = []
+    read = tio._read_csv_exact
+
+    def spy(fh):
+        values = read(fh)
+        taken.append(values is not None)
+        return values
+
+    monkeypatch.setattr(tio, "_read_csv_exact", spy)
     rng = np.random.default_rng(4)
     body = "".join(f"{x:.6f},{y:.6f},{z:.6f}\n" for x, y, z in np.vstack(
         [rng.normal(0, 1, (60, 3)), rng.normal(9, 1, (60, 3))]))
@@ -223,9 +231,7 @@ def test_cluster_header_skips_one_line(tmp_path, capsys):
         assert code == 0
         outputs.append(pred.read_bytes())
     assert outputs[1] == outputs[2] == outputs[0]
-    assert tio._read_csv_exact(str(tmp_path / "crlf.csv"), True) is None
-    if tio._LONGDOUBLE_HOLDS_HALFWAYS:
-        assert tio._read_csv_exact(str(tmp_path / "lf.csv"), True) is not None
+    assert taken == [tio._LONGDOUBLE_HOLDS_HALFWAYS] * 3
 
 
 def test_cluster_svg_and_diag(tmp_path, capsys):

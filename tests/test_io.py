@@ -2,7 +2,9 @@ import decimal
 import os
 import struct
 import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,7 +94,7 @@ def test_csv_lone_carriage_returns_end_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes(b"1,2\r3,4\r")
     assert load_matrix(str(path)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
-    assert tio._parse_csv_lines(str(path), False).tolist() == [
+    assert tio._parse_csv_lines(str(path), "1,2\r3,4\r", 0).tolist() == [
         [1.0, 2.0], [3.0, 4.0]]
 
 
@@ -505,6 +507,24 @@ def test_csv_reader_overflow_is_non_finite(tmp_path, monkeypatch, cell,
         load_matrix(p)
 
 
+def read_exact(path, header=False):
+    """What ``_read_csv_exact`` returned while ``load_matrix`` loaded
+    ``path``: the matrix, or None where it declined or was not called."""
+    got = [None]
+    read = tio._read_csv_exact
+
+    def spy(fh):
+        got[0] = read(fh)
+        return got[0]
+
+    with mock.patch.object(tio, "_read_csv_exact", spy):
+        try:
+            load_matrix(path, header=header)
+        except TriclusterError:
+            pass
+    return got[0]
+
+
 def outcome(path, header):
     try:
         return load_matrix(path, header=header).view(np.uint64).tolist()
@@ -547,7 +567,7 @@ def test_csv_reader_takes_or_declines_with_todays_outcome(
     path = tmp_path / "m.csv"
     path.write_bytes(raw)
     if tio._LONGDOUBLE_HOLDS_HALFWAYS:
-        assert (tio._read_csv_exact(str(path), header) is not None) == taken
+        assert (read_exact(str(path), header) is not None) == taken
     got = outcome(str(path), header)
     monkeypatch.setattr(tio, "_LONGDOUBLE_HOLDS_HALFWAYS", False)
     assert got == outcome(str(path), header)
@@ -576,7 +596,7 @@ def test_csv_reader_declines_under_warnings_as_errors(tmp_path, monkeypatch,
     for action in ("error", "always"):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            assert tio._read_csv_exact(str(path), False) is None
+            assert read_exact(str(path)) is None
             assert outcome(str(path), False) == want
         assert not caught
 
@@ -587,7 +607,7 @@ def test_csv_reader_allocates_no_more_than_the_file_fills(tmp_path):
     # bytes of rows; the reader declines before it allocates
     path = tmp_path / "m.csv"
     path.write_bytes(b"1" + b",1" * 99999 + b"\n" + b"1\n" * 100000)
-    assert tio._read_csv_exact(str(path), False) is None
+    assert read_exact(str(path)) is None
     with pytest.raises(ParseError,
                        match="^row 2: expected 100000 columns, got 1$"):
         load_matrix(str(path))
@@ -595,19 +615,65 @@ def test_csv_reader_allocates_no_more_than_the_file_fills(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_csv_from_a_pipe(tmp_path):
-    # the reader leaves a pipe unread, and numpy's parser reads it whole
-    # within one pipe buffer (64 KiB on Linux), so the write cannot block
+    # the text fits in one pipe buffer (64 KiB on Linux), so the write
+    # cannot block
     text, _ = csv_of([f"{v:.17g}" for v in np.linspace(-3, 7, 901)], 3)
     want = load_matrix(write(tmp_path / "m.csv", text))
     r, w = os.pipe()
     os.write(w, text.encode())
     os.close(w)
     try:
-        assert tio._read_csv_exact(f"/dev/fd/{r}", False) is None
         got = load_matrix(f"/dev/fd/{r}")
     finally:
         os.close(r)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@needs_reader
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_pipe_is_parsed_by_the_exact_reader(tmp_path, monkeypatch):
+    # a pipe is read whole once, then parsed in chunks like a file
+    text, _ = csv_of(fuzz_cells(5, 30000), 6)
+    want = load_matrix(write(tmp_path / "m.csv", text))
+    chunks = []
+    parse = tio._parse_rows
+
+    def spy(values, chunk, row, rows):
+        chunks.append(rows)
+        return parse(values, chunk, row, rows)
+
+    monkeypatch.setattr(tio, "_parse_rows", spy)
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, text.encode()),
+                                              os.close(w)))
+    writer.start()
+    try:
+        got = load_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert len(chunks) > 1 and sum(chunks) == len(want)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c"])
+def test_csv_header_ends_where_a_text_file_ends_it(tmp_path, mark):
+    # str.splitlines splits at these, and a text file's line does not;
+    # the whitespace-only line sends the rows to the line parser
+    path = write(tmp_path / "m.csv", f"h{mark}x\n1,2\n  \n3,4\n")
+    assert load_matrix(path, header=True).tolist() == [[1, 2], [3, 4]]
+
+
+def test_csv_lone_carriage_return_header_goes_to_the_exact_reader(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"x,y\r1.5,-2\n0.1,3e-5\n")
+    want = [[1.5, -2.0], [0.1, 3e-5]]
+    if tio._LONGDOUBLE_HOLDS_HALFWAYS:
+        assert read_exact(str(path), True).tolist() == want
+    got = load_matrix(str(path), header=True)
+    assert got.view(np.uint64).tolist() == np.array(want).view(
+        np.uint64).tolist()
 
 
 def load_outcome(path):

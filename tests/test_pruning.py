@@ -58,6 +58,18 @@ def test_triangle_size_is_longest_edge():
     assert sizes.sizes_proj[0] == pytest.approx(np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("orig_shape, proj_shape", [
+    ((4, 2), (3, 2)),  # a row too many in the original space
+    ((3, 2), (2, 2)),  # a row too few in the projection
+    ((3, 2), (3,)),    # a 1-D projection
+])
+def test_triangle_sizes_rejects_a_wrong_shaped_space(orig_shape,
+                                                     proj_shape):
+    tri = triangulate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ShapeMismatchError):
+        triangle_sizes(tri, np.zeros(orig_shape), np.zeros(proj_shape))
+
+
 def test_triangle_sizes_match_direct_recompute():
     rng = np.random.default_rng(4)
     proj = rng.standard_normal((30, 2))
