@@ -77,22 +77,29 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
 
     med_orig, med_proj = prune_result.median, prune_result.median_proj
     alpha = med_proj / med_orig if med_orig > 0 else 1.0
-    mu = float(sizes.sizes_proj.mean()) if len(sizes.sizes_proj) else 0.0
+    # mu in units of 2^-mu_shift, in which the sizes sum without overflow
+    mu, mu_shift = 0.0, 0
+    if len(sizes.sizes_proj):
+        mu_shift = int(unit_shift(sizes.sizes_proj))
+        mu = float(np.ldexp(sizes.sizes_proj, mu_shift).mean())
     dist_floor = 1e-12 * (med_proj if med_proj > 0 else 1.0)
 
     # directed edges (p, q) leaving a group, sorted by (p, q): the order
-    # in which each group's sums are accumulated
-    e = len(tri.edges)
+    # in which each group's sums are accumulated. An edge (u, v) leaves
+    # u's group forwards and v's backwards, each where its ends' groups
+    # differ
     n_v = len(group_of)
-    p = np.concatenate([tri.edges[:, 0], tri.edges[:, 1]])
-    q = np.concatenate([tri.edges[:, 1], tri.edges[:, 0]])
-    edge = np.tile(np.arange(e), 2)
-    leaving = (group_of[p] >= 0) & (group_of[q] != group_of[p])
-    p, q = p.compress(leaving), q.compress(leaving)
-    edge = edge.compress(leaving)
-    key, order = sort_keys(p * n_v + q, n_v * n_v)
+    u, v = tri.edges.T
+    gu, gv = group_of.take(u), group_of.take(v)
+    differ = gu != gv
+    forward = ((gu >= 0) & differ).nonzero()[0]
+    backward = ((gv >= 0) & differ).nonzero()[0]
+    del gu, gv, differ
+    key = np.concatenate((u.take(forward) * n_v + v.take(forward),
+                          v.take(backward) * n_v + u.take(backward)))
+    key, order = sort_keys(key, n_v * n_v)
     p, q = np.divmod(key, n_v)
-    edge = edge.take(order)
+    edge = np.concatenate((forward, backward)).take(order)
     gid = group_of[p]
     n_edges = np.bincount(gid, minlength=len(groups))
 
@@ -112,7 +119,7 @@ def score_and_merge(groups, labels, tri: Triangulation, sizes: TriangleSizes,
     cand_group, cand_cluster = pair // n_ids, pair % n_ids
     inv_sums = np.bincount(pair_of_edge, weights=1.0 / np.ldexp(d, shift),
                            minlength=len(pair))
-    scores = (np.ldexp(mu, shift) / n_edges[cand_group]) * inv_sums
+    scores = (np.ldexp(mu, shift - mu_shift) / n_edges[cand_group]) * inv_sums
 
     if sensitivity >= 1.0:
         delta = np.inf

@@ -70,6 +70,9 @@ _RING_LINK = np.array([[1, 3, 2, 0, 1, 1, 1, 0, 1, 2, 3, 0],
                        [3, 0, 2, 1, 3, 1, 1, 1, 3, 0, 1, 2]])
 # sides 0 and 1 of a new triangle face sides 1 and 0 of those two
 _SPLIT_TWINS = np.array([[1], [0]])
+# sides tested at a time in a flip round: a batch's temporaries come to
+# about 1 MB, which fits a 2 MB L2
+_FLIP_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -390,16 +393,26 @@ class _Rounds:
         n = len(signs.z)
 
         # per triangle, the pending point nearest its centroid, the
-        # smaller id on ties
-        off = signs.z[pend] - np.add.reduce(self.third[tv[3 * home + _TURN]],
-                                            axis=0)
-        d2 = off.real ** 2 + off.imag ** 2
+        # smaller id on ties. The centroid is summed as ((r0 + r1) + r2)
+        # into one array, and each pending-sized array is freed once it
+        # has been used
+        corner = 3 * home
+        off = self.third[tv[corner]]
+        off += self.third[tv[corner + 1]]
+        off += self.third[tv[corner + 2]]
+        del corner
+        off -= signs.z[pend]
+        d2 = off.real * off.real
+        d2 += off.imag * off.imag
+        del off
         best = np.full(self.count, np.inf)
         np.minimum.at(best, home, d2)
         near = (d2 == best[home]).nonzero()[0]
+        del d2, best
         # the last entry takes the claims on no second triangle below
         owner = np.full(self.count + 1, n, dtype=np.int64)
         np.minimum.at(owner, home[near], pend[near])
+        del near
         t = (owner < n).nonzero()[0]
         p = owner[t]
 
@@ -458,6 +471,7 @@ class _Rounds:
         done[p] = True
         alive = (~done[pend]).nonzero()[0]
         self.pend, self.home = pend[alive], home[alive]
+        del pend, home, done, alive
         moved = self._moved()
         was = self.home[moved]
         q = self.pend[moved]
@@ -472,6 +486,8 @@ class _Rounds:
             o = signs.orient(sp, tv[nx + pv - cone], q)
             beyond = three & ((left & (o > 0)) | (~left & (o < 0)))
             cone += (a - cone) * beyond
+            del o, beyond
+        del was, q, sp, a, three, nx, pv, left
 
         # sides 0 and 1 of each new triangle face sides 1 and 0 of the
         # next and the previous triangle in its ring; where the ring is
@@ -496,26 +512,37 @@ class _Rounds:
         # sides meet the always listed entry -1
         keep = ((e < f) | ~listed[f]).nonzero()[0]
         listed[:3 * self.count] = False
+        if not keep.size:
+            return
         # rows e, succ[e], pred[e], f and their corners c, x, y, d (a
         # corner's id is that of the side it faces): e's triangle is
-        # (c, x, y), and its side (x, y) faces f's apex d
-        # every id here is in range; numpy buffers a take into out=
-        # unless its mode is "clip"
-        quad = np.empty((8, keep.size), dtype=np.int64)
-        e.take(keep, out=quad[0], mode="clip")
-        self.succ.take(quad[0], out=quad[1], mode="clip")
-        self.pred.take(quad[0], out=quad[2], mode="clip")
-        f.take(keep, out=quad[3], mode="clip")
-        tv.take(quad[:4], out=quad[4:], mode="clip")
-        bad = signs.in_disk(*quad[4:]).nonzero()[0]
-        if not bad.size:
+        # (c, x, y), and its side (x, y) faces f's apex d. A batch of
+        # sides at a time, keeping the failing ones, so the temporaries
+        # do not grow with the round
+        quads = []
+        for lo in range(0, keep.size, _FLIP_BATCH):
+            part = keep[lo:lo + _FLIP_BATCH]
+            # every id here is in range; numpy buffers a take into out=
+            # unless its mode is "clip"
+            quad = np.empty((8, part.size), dtype=np.int64)
+            e.take(part, out=quad[0], mode="clip")
+            self.succ.take(quad[0], out=quad[1], mode="clip")
+            self.pred.take(quad[0], out=quad[2], mode="clip")
+            f.take(part, out=quad[3], mode="clip")
+            tv.take(quad[:4], out=quad[4:], mode="clip")
+            quads.append(quad.take(signs.in_disk(*quad[4:]).nonzero()[0],
+                                   axis=1))
+        del e, f, keep
+        quad = np.concatenate(quads, axis=1)
+        del quads
+        n_bad = quad.shape[1]
+        if not n_bad:
             return
-        quad = quad.take(bad, axis=1)
 
         # a flip claims both triangles and runs when it wins both
         pair = quad[:4:3] // 3
-        key = np.arange(bad.size)
-        owner = np.full(self.count, bad.size, dtype=np.int64)
+        key = np.arange(n_bad)
+        owner = np.full(self.count, n_bad, dtype=np.int64)
         # one call per row: numpy 2.4's ufunc.at writes garbage for a 2-D
         # index with a 1-D operand broadcast over it
         np.minimum.at(owner, pair[0], key)

@@ -432,10 +432,12 @@ def _read_decimals(chunk: bytes):
 def _parse_csv_lines(path, text: str, skipped: int) -> np.ndarray:
     """The rows of ``text``, the CSV lines of ``path`` after its first
     ``skipped``; a line of whitespace is skipped, and an error names the
-    row's line in the file."""
+    row's line in the file. A line ends where a text file's line does,
+    at ``\\n``, ``\\r`` or ``\\r\\n``, as for numpy and the header."""
     rows = []
     n_cols = None
-    for lineno, line in enumerate(text.splitlines(), start=skipped + 1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=skipped + 1):
         if not line.strip():
             continue
         cells = line.split(",")

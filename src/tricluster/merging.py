@@ -56,8 +56,10 @@ def compute_representatives(labels, proj) -> Representatives:
             f"{coords.shape}")
     cluster_ids, order, starts, counts = group_by_label(labels)
     cluster = np.repeat(np.arange(len(cluster_ids)), counts)
-    members = coords.take(order, axis=0)
+    # at one power-of-two scale, where the members sum without overflow;
     # bincount adds each cluster's members in ascending index order
+    members = coords.take(order, axis=0)
+    np.ldexp(members, unit_shift(members), out=members)
     mean = np.column_stack([
         np.bincount(cluster, weights=members[:, j],
                     minlength=len(cluster_ids)) / counts

@@ -145,7 +145,8 @@ def fit_predict(data, params: ClusterParams = None,
         data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] == 0:
         raise ShapeMismatchError("data must be an n x d matrix, d >= 1")
-    if not np.isfinite(data).all():
+    # pca2 finds a NaN or Inf in the reduction it scales by
+    if external_embedding is not None and not np.isfinite(data).all():
         raise NonFiniteError("data contains NaN or Inf")
 
     times = {}

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DegenerateError, NumericalError, ShapeMismatchError
+from .errors import (
+    DegenerateError,
+    NonFiniteError,
+    NumericalError,
+    ShapeMismatchError,
+)
 
 
 @dataclass(frozen=True)
@@ -56,15 +61,17 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     component.
 
     Deterministic. Sign convention: the largest-magnitude component of
-    each eigenvector is positive. When the covariance overflows, or its
-    largest variance is so small that the squares underflow or so large
-    that the eigensolver would scale the covariance itself, the centred
-    matrix is scaled in place by the power of two that brings its largest
-    |value| into [1, 2), and the coordinates and the matrix are scaled
-    back; every float operation commutes with that scaling, so the
-    embedding is the one an in-range copy of the data would give. Raises
-    NumericalError when the centring or the coordinates overflow float64
-    or the eigensolver fails, which happens near the float64 limit.
+    each eigenvector is positive. When the column sums could overflow,
+    the matrix is scaled in place, before the centring, by the power of
+    two that brings its largest |value| into [1, 2). When the covariance
+    overflows, or its largest variance is so small that the squares
+    underflow or so large that the eigensolver would scale the covariance
+    itself, the centred matrix is scaled so. The coordinates and the
+    matrix are then scaled back; every float operation commutes with
+    that scaling, so the embedding is the one an in-range copy of the
+    data would give. Raises NonFiniteError for NaN or Inf values, and
+    NumericalError when the coordinates overflow float64 or the
+    eigensolver fails, which happens near the float64 limit.
 
     The rows are centred in one n x d float64 matrix. By default it is a
     copy, and ``data`` is left as it was. With ``copy=False``, a writeable
@@ -80,20 +87,28 @@ def pca2(data: np.ndarray, *, copy: bool = True) -> Embedding:
     if n < 3:
         raise DegenerateError(f"PCA projection needs at least 3 points, got {n}")
 
+    # one reduction is non-finite exactly when a value is, and bounds the
+    # column sums: below DBL_MAX / (2n), no sum and no centred value
+    # overflows
+    top = np.maximum(centered.max(), -centered.min())
+    if not np.isfinite(top):
+        raise NonFiniteError("data contains NaN or Inf")
+    shift = 0
+    if top >= np.finfo(np.float64).max / (2 * n):
+        shift = int(unit_shift(top))
+        np.ldexp(centered, shift, out=centered)
     with np.errstate(over="ignore", invalid="ignore"):
         centered -= centered.mean(axis=0)
         cov = _covariance(centered)
-    shift = 0
     if not (np.isfinite(cov).all()
             and _TINY_VARIANCE <= cov.diagonal().max() <= _HUGE_VARIANCE):
         # products over- or underflow, or eigh would rescale: scale by
         # one power of two, found without an n x d temporary; scaled, a
         # finite matrix has a finite covariance
-        shift = int(unit_shift(centered))
-        np.ldexp(centered, shift, out=centered)
+        rescale = int(unit_shift(centered))
+        np.ldexp(centered, rescale, out=centered)
+        shift += rescale
         cov = _covariance(centered)
-        if not np.isfinite(cov).all():
-            raise NumericalError("the centring overflows float64; rescale the data")
     vecs = _top2_iterated(cov) if d >= 2 * _BLOCK else None
     if vecs is None:
         vecs = _top2_eigh(cov)

@@ -235,11 +235,16 @@ def connected_components(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     v = edges[:, 1]
     while True:
         ru, rv = root[u], root[v]
+        del u, v
         spans = ru != rv
         if not spans.any():
             break
-        np.minimum.at(root, np.maximum(ru, rv).compress(spans),
-                      np.minimum(ru, rv).compress(spans))
+        # an edge within one tree stays within it, so only the spanning
+        # edges go on, each as its ends' roots, which share their trees
+        u = np.maximum(ru, rv).compress(spans)
+        v = np.minimum(ru, rv, out=ru).compress(spans)
+        del ru, rv, spans
+        np.minimum.at(root, u, v)
         while True:
             jumped = root[root]
             if np.array_equal(jumped, root):

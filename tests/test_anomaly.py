@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from tricluster import (
+    ClusterParams,
+    SynthConfig,
     TriangleSizes,
+    connected_components,
     detect_anomaly_groups,
+    fit_predict,
+    generate,
+    prune,
     score_and_merge,
     sigma_rule,
     triangle_sizes,
@@ -424,3 +430,24 @@ def test_pruning_medians_give_the_same_bits():
         groups, labels, tri, sizes, 0.5,
         prune_result=replace(rule, median=2 * rule.median))
     assert other.best_score.tobytes() != want.best_score.tobytes()
+
+
+# score_and_merge's traced peak on the blobs-like job below read 26.9
+# bytes per stage-one edge with numpy 2.4.6 (86.9 while the directed
+# edges were concatenated, tiled and masked at length 2e); the bound
+# allows 3% for another numpy's temporaries
+ANOMALY_PEAK_BYTES_PER_EDGE = 27.7
+
+
+def test_score_and_merge_peak_memory_per_edge(traced_peak):
+    data, _ = generate(SynthConfig(n_points=4000, n_clusters=5, n_dim=50,
+                                   overlap=0.08, anomaly_fraction=0.05,
+                                   random_state=7))
+    stage_one = fit_predict(data, ClusterParams(prune_param=1.0))
+    tri, sizes = stage_one.triangulation, stage_one.sizes
+    labels = connected_components(tri.n_vertices, prune(tri, sizes, 1.0)[1])
+    groups = detect_anomaly_groups(labels, tau=3)
+    assert len(groups)
+    peak = traced_peak(score_and_merge, groups, labels, tri, sizes, 0.99,
+                       prune_result=stage_one.prune_result)
+    assert peak / len(tri.edges) <= ANOMALY_PEAK_BYTES_PER_EDGE

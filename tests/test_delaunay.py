@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +205,31 @@ def test_pinned_tie_heavy_triangles(name):
     assert triangles_sha256(tri) == PINNED_TRIANGLES_SHA256[name]
 
 
+def batched_flip_inputs():
+    grid = lattice(80, 80)
+    return {
+        "shuffled_lattice_80x80":
+            grid[np.random.default_rng(0).permutation(len(grid))],
+        "gaussian_20000": np.random.default_rng(0).normal(size=(20_000, 2)),
+    }
+
+
+# flip rounds on these inputs test more sides than one batch holds; the
+# hashes come from the rounds that tested all of a round's sides at once
+BATCHED_FLIP_TRIANGLES_SHA256 = {
+    "shuffled_lattice_80x80":
+        "1259e8d2edf505282b075c4863cabb9cc60c7266b49e0ec7b3da7e42734fdd71",
+    "gaussian_20000":
+        "6b05d9584032ed0539c4d940587052a9e32b4d32cae3e0b81facd15ba27f7382",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED_FLIP_TRIANGLES_SHA256))
+def test_pinned_triangles_past_one_flip_batch(name):
+    tri = triangulate(batched_flip_inputs()[name])
+    assert triangles_sha256(tri) == BATCHED_FLIP_TRIANGLES_SHA256[name]
+
+
 def signs_of(pts):
     """The array predicates of ``triangulate`` over ``pts`` as given,
     off the grid path."""
@@ -369,22 +393,17 @@ def test_power_of_two_scaling_keeps_exact_calls(monkeypatch):
         assert exact_calls(monkeypatch, gaussian * factor) == want
 
 
-# triangulate's traced peak on 20 000 Gaussian points read 697 bytes per
-# point with numpy 2.4.6 (810 before incircle formed its terms in place,
-# 729 while the rounds ran beside the arrays they do not read); the bound
-# allows 3% for another numpy's temporaries
-PEAK_BYTES_PER_POINT = 718
+# triangulate's traced peak on 20 000 Gaussian points read 562 bytes per
+# point with numpy 2.4.6, set by the point location of the fan (810
+# before incircle formed its terms in place, 729 while the rounds ran
+# beside the arrays they do not read, 697 while a flip round tested all
+# its sides at once); the bound allows 3% for another numpy's temporaries
+PEAK_BYTES_PER_POINT = 579
 
 
-def test_triangulate_peak_memory_per_point():
+def test_triangulate_peak_memory_per_point(traced_peak):
     pts = np.random.default_rng(0).normal(size=(20_000, 2))
-    tracemalloc.start()
-    try:
-        triangulate(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / len(pts) <= PEAK_BYTES_PER_POINT
+    assert traced_peak(triangulate, pts) / len(pts) <= PEAK_BYTES_PER_POINT
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -98,6 +98,18 @@ def test_csv_lone_carriage_returns_end_rows(tmp_path):
         [1.0, 2.0], [3.0, 4.0]]
 
 
+@pytest.mark.parametrize("raw, row", [(b"1,2\x0c3,4\n", 1),
+                                      (b"1,2\n3\x0c,4\n5,x\n", 3)])
+def test_csv_form_feed_ends_no_row(tmp_path, raw, row):
+    # str.splitlines splits at \x0c, and a text file's line does not: the
+    # first text is one line that float() rejects, and the bad line of the
+    # second is its third
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=f"^row {row}: "):
+        load_matrix(str(path))
+
+
 def test_csv_numpy_values_equal_python_float(tmp_path, monkeypatch):
     calls = count_line_parses(monkeypatch)
     rng = np.random.default_rng(6)

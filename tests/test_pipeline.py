@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 import warnings
 from dataclasses import asdict, fields, replace
 
@@ -166,8 +165,24 @@ def test_lengths_past_the_float_range_keep_the_labels():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k", [1015, 1023])
+def test_column_sums_past_the_float_range_keep_the_labels(k):
+    # the largest |value| is 2^k, so the column sums overflow: pca2 scales
+    # the data by a power of two before centring, and the cluster means
+    # and the mean triangle size are summed at a scale that fits
+    data, _ = generate(SynthConfig(n_points=2000, n_dim=10, random_state=1))
+    want = fit_predict(data).labels
+    top = np.frexp(np.abs(data).max())[1] - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fit_predict(np.ldexp(data, k - top)).labels
+    assert np.array_equal(got, want)
+
+
 def test_values_near_float64_limit_raise_numerical_error_without_warning():
-    # the column sums overflow in the mean, before any product is formed
+    # the centring fits once the data are scaled, but eight rows lie at
+    # +-1.7e308 on both axes, so the first coordinate, about 1.7e308 *
+    # sqrt(2) there, overflows
     pts, _ = three_blobs(seed=2)
     pts[:4] = 1.7e308
     pts[4:8] = -1.7e308
@@ -471,23 +486,20 @@ def test_pinned_lattice_labels_sha256():
         "2d50a59ff7708fd8c5b242ae286635165df05f9279675cde2bcd1b156882a5eb")
 
 
-# fit_predict's traced peak on the blobs-like config below read 1 010
-# bytes per point with numpy 2.4.6 (1 036 while triangulate's rounds ran
-# beside the arrays they do not read), 400 of them the float64 copy of
-# the data; the bound allows 3% for another numpy's temporaries
-FIT_PEAK_BYTES_PER_POINT = 1041
+# fit_predict's traced peak on the blobs-like config below read 1 004
+# bytes per point with numpy 2.4.6, set inside a flip round (1 036
+# while triangulate's rounds ran beside the arrays they do not read,
+# 1 010 while the anomaly stage masked its directed edges at length 2e),
+# 400 of them the float64 copy of the data; the bound allows 3% for
+# another numpy's temporaries
+FIT_PEAK_BYTES_PER_POINT = 1035
 
 
-def test_fit_predict_peak_memory_per_point():
+def test_fit_predict_peak_memory_per_point(traced_peak):
     data, _ = generate(SynthConfig(n_points=4000, n_clusters=5, n_dim=50,
                                    overlap=0.08, anomaly_fraction=0.05,
                                    random_state=7))
-    tracemalloc.start()
-    try:
-        fit_predict(data, BENCH_PARAMS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(fit_predict, data, BENCH_PARAMS)
     assert peak / len(data) <= FIT_PEAK_BYTES_PER_POINT
 
 

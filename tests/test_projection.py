@@ -1,5 +1,4 @@
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,17 +320,11 @@ def test_copy_false_copies_an_input_it_cannot_centre(kind):
     assert sha256(got) == sha256(pca2(x).coords)
 
 
-def test_copy_false_allocates_no_second_matrix():
+def test_copy_false_allocates_no_second_matrix(traced_peak):
     # the centred copy alone would take x.nbytes; in place, the largest
     # array is the 500 x 500 covariance, an eighth of x
     x = gapped_rows(np.random.default_rng(4), n=4000, d=500)
-    tracemalloc.start()
-    try:
-        pca2(x, copy=False)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes / 2
+    assert traced_peak(pca2, x, copy=False) < x.nbytes / 2
 
 
 @pytest.mark.parametrize("k", [-600, 250, 600])
